@@ -25,6 +25,7 @@ from math import comb
 from typing import Optional, Union
 
 from .cascade import binom_inverse, binom_real, falling_factorial, k_colex
+from .designs import steiner_divisibility
 from .errors import InternalCheckError
 
 Real = Union[int, float, Fraction]
@@ -72,15 +73,6 @@ def _is_integral(value: Real) -> bool:
     return False
 
 
-def _steiner_divides(i: int, r: int, n: int) -> bool:
-    # Necessary divisibility conditions: (r-j)_(i-j) | (n-j)_(i-j), 0 <= j < i.
-    for j in range(i):
-        d = falling_factorial(r - j, i - j)
-        if falling_factorial(n - j, i - j) % d:
-            return False
-    return True
-
-
 def _steiner_existence(i: int, r: int, n: int) -> str:
     """"yes" / "no" / "unknown" for existence of S(i, r, n).
 
@@ -94,7 +86,7 @@ def _steiner_existence(i: int, r: int, n: int) -> str:
         return "yes"
     if i == 1:
         return "yes" if n % r == 0 else "no"
-    if not _steiner_divides(i, r, n):
+    if not steiner_divisibility(i, r, n)[0]:
         return "no"
     if (i, r) in {(2, 3), (2, 4), (3, 4)}:
         # Divisibility is sufficient for these block sizes (classical
@@ -289,7 +281,8 @@ def clique_bound(p: int, i: int, s: int, u: int, t: int, delta: int) -> BoundRep
 
 def graph_clique_bound(p: int, u: int, t: int, r: int) -> BoundReport:
     """2-graph form: k^t <= p * C(r,t) / C(r,u) for graphs with p u-cliques and
-    max degree at most r - 1 (3 <= u <= t <= r); equality iff C(r,u) | p."""
+    max degree at most r - 1 (3 <= u <= t <= r).  For u < t equality holds
+    iff C(r,u) | p; for u = t the bound is p itself and is always attained."""
     if not 3 <= u <= t <= r:
         raise ValueError(f"need 3 <= u <= t <= r, got u={u}, t={t}, r={r}")
     if p < 0:
@@ -301,7 +294,7 @@ def graph_clique_bound(p: int, u: int, t: int, r: int) -> BoundReport:
         raise InternalCheckError(
             f"graph clique bound mismatch: specialized {rep.value} vs direct {direct}"
         )
-    expected_eq = "yes" if p % comb(r, u) == 0 else "no"
+    expected_eq = "yes" if u == t or p % comb(r, u) == 0 else "no"
     if p > 0 and rep.equality_possible != expected_eq:
         raise InternalCheckError(
             f"graph clique bound equality verdict {rep.equality_possible!r} "

@@ -107,10 +107,8 @@ def _add_common_flags(p: argparse.ArgumentParser, leaf: bool) -> None:
                    help="write output to FILE instead of stdout",
                    **(d or {"default": None}))
     p.add_argument("--threads", type=int,
+                   help="accepted for compatibility; has no effect",
                    **(d or {"default": os.cpu_count() or 1}))
-    p.add_argument("--seed", type=int,
-                   help="seed for randomized helpers (reserved; core is deterministic)",
-                   **(d or {"default": 0}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,7 +356,7 @@ def render(payload: dict[str, Any], fmt: str) -> str:
 
 def _execute(args: argparse.Namespace) -> CommandResult:
     params = {k: v for k, v in vars(args).items()
-              if k not in ("format", "out", "threads", "seed")}
+              if k not in ("format", "out", "threads")}
     try:
         payload = _dispatch(args)
         status = 0

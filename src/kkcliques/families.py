@@ -217,11 +217,6 @@ def cliques(H: SetFamily, t: int) -> SetFamily:
     return SetFamily(H.n, t, frozenset(level))
 
 
-def clique_graph(H: SetFamily, u: int) -> SetFamily:
-    """The u-cliques of H as a u-uniform family on the same ground set."""
-    return cliques(H, u)
-
-
 def neighborhood(H: SetFamily, I: int) -> Neighborhood:
     """Link of the vertex set I: {E \\ I : I subset of E in H}, relabelled.
 

@@ -6,7 +6,7 @@ closed-form operations by raw enumeration:
   * canonical_form: lexicographic-minimal relabelling, n <= 8;
   * exhaustive_search: scan all s-uniform families on [n] under constraints
     (edge count, max i-degree, prescribed u-clique count) maximising the
-    t-clique count, with deterministic chunked parallelism;
+    t-clique count, on the same vectorised kernel as the sweeps;
   * verify_kkt: vectorised sweep of every family on [n] checking minimal
     shadows / maximal clique counts / minimal upshadows against the cascade
     formulas;
@@ -16,14 +16,14 @@ closed-form operations by raw enumeration:
     degree bounds exactly, and tiny searches confirm the converses;
   * tightness_sweep: worst-case ratio data for the non-divisible regime.
 
-The numpy kernels index families by an integer whose bit j says whether the
+The numpy kernel indexes families by an integer whose bit j says whether the
 j-th edge of the colex-sorted universe is present, so family id 2^m - 1 is
-the colex segment C_s(m) and the top-run id is the retlex segment.
+the colex segment C_s(m) and the top-run id is the retlex segment.  Search
+and sweeps share one counting helper, _Universe.counts.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -103,6 +103,74 @@ def relabelling_orbit_ids(H: SetFamily, universe_index: dict[int, int]) -> froze
 
 
 # ---------------------------------------------------------------------------
+# family-id kernel
+
+class _Universe:
+    """The C(n,s) s-sets of [n] in colex order, and vectorised counts over
+    family ids: bit j of an id says that universe[j] is an edge."""
+
+    def __init__(self, n: int, s: int):
+        self.n, self.s, self.U = n, s, comb(n, s)
+        self.universe = sorted(sum(1 << v for v in c) for c in combinations(range(n), s))
+        self.uindex = {e: j for j, e in enumerate(self.universe)}
+
+    def edge_bits_meeting(self, vset: tuple[int, ...], contains: bool) -> int:
+        vm = sum(1 << v for v in vset)
+        out = 0
+        for j, e in enumerate(self.universe):
+            hit = (e & vm) == vm if contains else (e & vm) == e
+            if hit:
+                out |= 1 << j
+        return out
+
+    def counts(self, F: np.ndarray, k: int, full: bool) -> np.ndarray:
+        """Per id in F, the number of k-sets whose edge mask is fully present
+        (full) or meets the family (not full).
+
+        The edge mask of a k-set holds the edges containing it when k < s and
+        the edges inside it when k >= s, so the counts are |shadow_k| (k < s,
+        meets), k^k (full) and |upshadow_k| (k > s, meets).  The dtype is the
+        narrowest that holds C(n,k), so no count wraps.
+        """
+        cnt = np.zeros(len(F), dtype=np.min_scalar_type(comb(self.n, k)))
+        for K in combinations(range(self.n), k):
+            km = np.uint32(self.edge_bits_meeting(K, contains=k < self.s))
+            cnt += (F & km) == km if full else (F & km) != 0
+        return cnt
+
+
+class _Kernel(_Universe):
+    """Every one of the 2^C(n,s) family ids on [n], for the whole-space sweeps."""
+
+    def __init__(self, n: int, s: int):
+        U = comb(n, s)
+        if U > MAX_SWEEP_UNIVERSE:
+            raise ValueError(
+                f"universe C({n},{s}) = {U} exceeds sweep cap {MAX_SWEEP_UNIVERSE}"
+            )
+        super().__init__(n, s)
+        self.F = np.arange(1 << U, dtype=np.uint32)
+        self.m_of = np.bitwise_count(self.F)
+
+    def clique_counts(self, t: int) -> np.ndarray:
+        """k^t per family (t-sets all of whose s-subsets are edges)."""
+        return self.counts(self.F, t, full=True)
+
+    def family_of(self, fid: int) -> SetFamily:
+        masks = frozenset(self.universe[j] for j in _bit_positions(int(fid)))
+        return SetFamily(self.n, self.s, masks)
+
+    def per_m_extreme(self, cnt: np.ndarray, want_min: bool) -> np.ndarray:
+        info = np.iinfo(cnt.dtype)
+        out = np.full(self.U + 1, info.max if want_min else info.min, dtype=cnt.dtype)
+        if want_min:
+            np.minimum.at(out, self.m_of, cnt)
+        else:
+            np.maximum.at(out, self.m_of, cnt)
+        return out
+
+
+# ---------------------------------------------------------------------------
 # exhaustive search
 
 @dataclass(frozen=True)
@@ -152,174 +220,59 @@ class SearchResult:
     families_scanned: int           # families satisfying the constraints
 
 
-WITNESS_CAP = 100_000
-
-
-def _count_cliques_simple(edges, s: int, t: int, n: int) -> int:
-    """t-clique count of an s-uniform edge-mask set, by extension past the top vertex."""
-    if t == s:
-        return len(edges)
-    edge_set = edges if isinstance(edges, (set, frozenset)) else set(edges)
-    level = {e: None for e in sorted(edge_set)}
-    cur = s
-    while cur < t and level:
-        nxt = {}
-        for cm in level:
-            top = cm.bit_length()
-            for v in range(top, n):
-                grown = cm | (1 << v)
-                bits = _bit_positions(grown)
-                good = True
-                for sub_bits in combinations(bits, s):
-                    sub = 0
-                    for b in sub_bits:
-                        sub |= 1 << b
-                    if sub not in edge_set:
-                        good = False
-                        break
-                if good:
-                    nxt[grown] = None
-        level = nxt
-        cur += 1
-    return len(level) if cur == t else 0
-
-
-def _search_chunk(spec: SearchSpec, prefix_depth: int, chunk: int):
-    """Scan the subspace where the first prefix_depth universe edges follow chunk's bits."""
-    n, s = spec.n, spec.s
-    universe = [sum(1 << v for v in c) for c in combinations(range(n), s)]
-    universe.sort()
-    U = len(universe)
-    if spec.i is not None:
-        subs = [
-            tuple(sum(1 << b for b in c) for c in combinations(_bit_positions(e), spec.i))
-            for e in universe
-        ]
-        counts: dict[int, int] = {}
-    best: Optional[int] = None
-    attainers: list[tuple[int, ...]] = []
-    scanned = 0
-    truncated = False
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-
-    def feasible_add(idx: int) -> bool:
-        if spec.i is None:
-            return True
-        for sm in subs[idx]:
-            if counts.get(sm, 0) >= spec.max_degree:
-                return False
-        return True
-
-    def add(idx: int) -> None:
-        chosen.append(universe[idx])
-        chosen_set.add(universe[idx])
-        if spec.i is not None:
-            for sm in subs[idx]:
-                counts[sm] = counts.get(sm, 0) + 1
-
-    def drop(idx: int) -> None:
-        chosen.pop()
-        chosen_set.discard(universe[idx])
-        if spec.i is not None:
-            for sm in subs[idx]:
-                counts[sm] -= 1
-
-    def leaf() -> None:
-        nonlocal best, scanned, truncated
-        if spec.m is not None and len(chosen) != spec.m:
-            return
-        if spec.u is not None:
-            if _count_cliques_simple(chosen_set, s, spec.u, n) != spec.p:
-                return
-        scanned += 1
-        val = _count_cliques_simple(chosen_set, s, spec.t, n)
-        if best is None or val > best:
-            best = val
-            attainers.clear()
-            attainers.append(tuple(sorted(chosen)))
-            truncated = False
-        elif val == best:
-            if len(attainers) < WITNESS_CAP:
-                attainers.append(tuple(sorted(chosen)))
-            else:
-                truncated = True
-
-    def dfs(idx: int) -> None:
-        if spec.m is not None:
-            if len(chosen) > spec.m:
-                return
-            if len(chosen) + (U - idx) < spec.m:
-                return
-        if idx == U:
-            leaf()
-            return
-        if (spec.m is None or len(chosen) < spec.m) and feasible_add(idx):
-            add(idx)
-            dfs(idx + 1)
-            drop(idx)
-        dfs(idx + 1)
-
-    # apply the prefix assignment, bailing out if it is already infeasible
-    ok = True
-    for j in range(prefix_depth):
-        if (chunk >> j) & 1:
-            if (spec.m is not None and len(chosen) >= spec.m) or not feasible_add(j):
-                ok = False
-                break
-            add(j)
-    if ok:
-        dfs(prefix_depth)
-    return best, attainers, scanned, truncated
+# Ids are scanned in blocks of at most 2^SEARCH_BLOCK_BITS with fixed high
+# bits, so a search holds no more than the largest sweep does.
+SEARCH_BLOCK_BITS = MAX_SWEEP_UNIVERSE
 
 
 def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     """Maximise the t-clique count over all families matching spec.
 
-    Deterministic: the result is independent of the thread count.  Witnesses
-    are one representative per isomorphism class, sorted by canonical form
-    when n <= 8 (by sorted edge lists otherwise, without iso-reduction).
+    Filters every family id by edge count, then i-degree, then u-clique
+    count, and counts t-cliques on the survivors only.  Witnesses are one
+    representative per isomorphism class, sorted by canonical form when
+    n <= 8 (by sorted edge lists otherwise, without iso-reduction).
+    threads is kept for compatibility and has no effect; it must be >= 1.
     """
-    U = comb(spec.n, spec.s)
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    depth = 0
-    if threads > 1 and U > 2:
-        depth = min(U, max(1, (4 * threads - 1).bit_length()))
-    chunks = range(1 << depth)
+    uni = _Universe(spec.n, spec.s)
+    low = min(uni.U, SEARCH_BLOCK_BITS)
+    block = np.arange(1 << low, dtype=np.uint32)
+    caps = [] if spec.i is None else [
+        np.uint32(uni.edge_bits_meeting(I, contains=True))
+        for I in combinations(range(spec.n), spec.i)
+    ]
 
     best: Optional[int] = None
-    attainers: list[tuple[int, ...]] = []
+    attainers: list[np.ndarray] = []
     scanned = 0
-    truncated = False
-    if threads == 1:
-        results = (_search_chunk(spec, depth, c) for c in chunks)
-    else:
-        pool = ProcessPoolExecutor(max_workers=threads)
-        results = pool.map(_search_chunk, *zip(*[(spec, depth, c) for c in chunks]))
-    for cb, ca, cs, ct in results:
-        scanned += cs
-        if cb is None:
+    for high in range(1 << (uni.U - low)):
+        F = block | np.uint32(high << low)
+        if spec.m is not None:
+            F = F[np.bitwise_count(F) == spec.m]
+        for im in caps:
+            F = F[np.bitwise_count(F & im) <= spec.max_degree]
+        if spec.u is not None:
+            F = F[uni.counts(F, spec.u, full=True) == spec.p]
+        scanned += len(F)
+        if not len(F):
             continue
-        if best is None or cb > best:
-            best, attainers, truncated = cb, list(ca), ct
-        elif cb == best:
-            room = WITNESS_CAP - len(attainers)
-            attainers.extend(ca[:room])
-            truncated = truncated or ct or len(ca) > room
-    if threads > 1:
-        pool.shutdown()
+        cnt = uni.counts(F, spec.t, full=True)
+        top = int(cnt.max())
+        if best is None or top > best:
+            best, attainers = top, []
+        if top == best:
+            attainers.append(F[cnt == top])
 
     if best is None:
         return SearchResult("infeasible", None, [], 0, scanned)
-    if truncated:
-        raise InternalCheckError(
-            f"witness cap {WITNESS_CAP} exceeded; class count would be unreliable"
-        )
+    families = [tuple(uni.universe[j] for j in _bit_positions(int(f)))
+                for f in np.concatenate(attainers)]
 
     if spec.n <= MAX_CANON_GROUND:
         reps: dict[bytes, tuple[int, ...]] = {}
-        for masks in attainers:
+        for masks in families:
             fam = SetFamily(spec.n, spec.s, frozenset(masks))
             key = canonical_form(fam)
             if key not in reps or masks < reps[key]:
@@ -328,7 +281,7 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
             SetFamily(spec.n, spec.s, frozenset(reps[k])) for k in sorted(reps)
         ]
         return SearchResult("ok", best, witnesses, len(reps), scanned)
-    uniq = sorted(set(attainers))
+    uniq = sorted(families)
     return SearchResult(
         "ok", best, [SetFamily(spec.n, spec.s, frozenset(m)) for m in uniq],
         len(uniq), scanned,
@@ -352,72 +305,6 @@ class SweepReport:
         return not self.failures
 
 
-class _Kernel:
-    """Shared vectorised counts over all 2^C(n,s) families on [n]."""
-
-    def __init__(self, n: int, s: int):
-        U = comb(n, s)
-        if U > MAX_SWEEP_UNIVERSE:
-            raise ValueError(
-                f"universe C({n},{s}) = {U} exceeds sweep cap {MAX_SWEEP_UNIVERSE}"
-            )
-        self.n, self.s, self.U = n, s, U
-        self.universe = sorted(sum(1 << v for v in c) for c in combinations(range(n), s))
-        self.uindex = {e: j for j, e in enumerate(self.universe)}
-        self.F = np.arange(1 << U, dtype=np.uint32)
-        pc8 = np.array([bin(x).count("1") for x in range(256)], dtype=np.int16)
-        self.m_of = (
-            pc8[self.F & 0xFF]
-            + pc8[(self.F >> 8) & 0xFF]
-            + pc8[(self.F >> 16) & 0xFF]
-        )
-
-    def edge_bits_meeting(self, vset: tuple[int, ...], contains: bool) -> int:
-        vm = sum(1 << v for v in vset)
-        out = 0
-        for j, e in enumerate(self.universe):
-            hit = (e & vm) == vm if contains else (e & vm) == e
-            if hit:
-                out |= 1 << j
-        return out
-
-    def shadow_counts(self, q: int) -> np.ndarray:
-        """|shadow_q| per family (number of q-sets contained in some edge)."""
-        cnt = np.zeros(len(self.F), dtype=np.int16)
-        for Q in combinations(range(self.n), q):
-            qm = np.uint32(self.edge_bits_meeting(Q, contains=True))
-            cnt += (self.F & qm) != 0
-        return cnt
-
-    def clique_counts(self, t: int) -> np.ndarray:
-        """k^t per family (t-sets all of whose s-subsets are edges)."""
-        cnt = np.zeros(len(self.F), dtype=np.int16)
-        for T in combinations(range(self.n), t):
-            tm = np.uint32(self.edge_bits_meeting(T, contains=False))
-            cnt += (self.F & tm) == tm
-        return cnt
-
-    def upshadow_counts(self, t: int) -> np.ndarray:
-        """|upshadow_t| per family (t-sets containing some edge)."""
-        cnt = np.zeros(len(self.F), dtype=np.int16)
-        for T in combinations(range(self.n), t):
-            tm = np.uint32(self.edge_bits_meeting(T, contains=False))
-            cnt += (self.F & tm) != 0
-        return cnt
-
-    def family_of(self, fid: int) -> SetFamily:
-        masks = frozenset(self.universe[j] for j in _bit_positions(int(fid)))
-        return SetFamily(self.n, self.s, masks)
-
-    def per_m_extreme(self, cnt: np.ndarray, want_min: bool) -> np.ndarray:
-        out = np.full(self.U + 1, 32767 if want_min else -32768, dtype=np.int16)
-        if want_min:
-            np.minimum.at(out, self.m_of, cnt)
-        else:
-            np.maximum.at(out, self.m_of, cnt)
-        return out
-
-
 def verify_kkt(n: int, s: int, check_upshadow: Optional[bool] = None) -> SweepReport:
     """Exhaustively confirm the extremal formulas over every family on [n].
 
@@ -430,76 +317,42 @@ def verify_kkt(n: int, s: int, check_upshadow: Optional[bool] = None) -> SweepRe
     report = SweepReport("kkt", n, s, len(ker.F))
     if check_upshadow is None:
         check_upshadow = ker.U <= 15
+    ms = range(ker.U + 1)
     colex_ids = (1 << np.arange(ker.U + 1, dtype=np.int64)) - 1
+    retlex_ids = np.array([((1 << m) - 1) << (ker.U - m) for m in ms], dtype=np.int64)
 
-    for q in range(s):
-        cnt = ker.shadow_counts(q)
-        mins = ker.per_m_extreme(cnt, want_min=True)
-        expected = np.array([shadow_colex(m, s, q) for m in range(ker.U + 1)], dtype=np.int16)
-        report.checks.append(f"min shadow q={q}")
-        if not np.array_equal(mins, expected):
-            for m in np.flatnonzero(mins != expected):
-                bad = np.flatnonzero((ker.m_of == m) & (cnt < expected[m]))
-                fid = int(bad[0]) if len(bad) else int(colex_ids[m])
-                report.failures.append({
-                    "kind": "shadow", "m": int(m), "level": q,
-                    "expected": int(expected[m]), "got": int(mins[m]),
-                    "family": ker.family_of(fid).edge_lists(),
-                })
-        if not np.array_equal(cnt[colex_ids], expected):
-            report.failures.append({
-                "kind": "shadow-colex-attain", "level": q,
-                "expected": expected.tolist(), "got": cnt[colex_ids].tolist(),
-            })
-
-    for t in range(s, n + 1):
-        cnt = ker.clique_counts(t)
-        if t == s and not np.array_equal(cnt, ker.m_of):
-            raise InternalCheckError("kernel self-test failed: k^s != edge count")
-        maxs = ker.per_m_extreme(cnt, want_min=False)
-        expected = np.array([k_colex(m, s, t) for m in range(ker.U + 1)], dtype=np.int16)
-        report.checks.append(f"max cliques t={t}")
-        if not np.array_equal(maxs, expected):
-            for m in np.flatnonzero(maxs != expected):
-                bad = np.flatnonzero((ker.m_of == m) & (cnt > expected[m]))
-                fid = int(bad[0]) if len(bad) else int(colex_ids[m])
-                report.failures.append({
-                    "kind": "cliques", "m": int(m), "level": t,
-                    "expected": int(expected[m]), "got": int(maxs[m]),
-                    "family": ker.family_of(fid).edge_lists(),
-                })
-        if not np.array_equal(cnt[colex_ids], expected):
-            report.failures.append({
-                "kind": "cliques-colex-attain", "level": t,
-                "expected": expected.tolist(), "got": cnt[colex_ids].tolist(),
-            })
-
+    # (kind, check label, level, full, segment name, segment ids, expected per m):
+    # full-presence counts (cliques) are maximised, meet counts minimised.
+    table = [("shadow", "min shadow q", q, False, "colex", colex_ids,
+              [shadow_colex(m, s, q) for m in ms]) for q in range(s)]
+    table += [("cliques", "max cliques t", t, True, "colex", colex_ids,
+               [k_colex(m, s, t) for m in ms]) for t in range(s, n + 1)]
     if check_upshadow:
-        for t in range(s + 1, n + 1):
-            cnt = ker.upshadow_counts(t)
-            mins = ker.per_m_extreme(cnt, want_min=True)
-            expected = np.array(
-                [len(upshadow(retlex_segment(n, m, s), t).edges) for m in range(ker.U + 1)],
-                dtype=np.int16,
-            )
-            report.checks.append(f"min upshadow t={t}")
-            retlex_ids = np.array(
-                [((1 << m) - 1) << (ker.U - m) for m in range(ker.U + 1)], dtype=np.int64
-            )
-            if not np.array_equal(mins, expected):
-                for m in np.flatnonzero(mins != expected):
-                    bad = np.flatnonzero((ker.m_of == m) & (cnt < expected[m]))
-                    fid = int(bad[0]) if len(bad) else int(retlex_ids[m])
-                    report.failures.append({
-                        "kind": "upshadow", "m": int(m), "level": t,
-                        "expected": int(expected[m]), "got": int(mins[m]),
-                        "family": ker.family_of(fid).edge_lists(),
-                    })
-            if not np.array_equal(cnt[retlex_ids], expected):
-                report.failures.append({
-                    "kind": "upshadow-retlex-attain", "level": t,
-                    "expected": expected.tolist(), "got": cnt[retlex_ids].tolist(),
-                })
+        table += [("upshadow", "min upshadow t", t, False, "retlex", retlex_ids,
+                   [len(upshadow(retlex_segment(n, m, s), t).edges) for m in ms])
+                  for t in range(s + 1, n + 1)]
+
+    for kind, label, level, full, seg, seg_ids, expected in table:
+        cnt = ker.counts(ker.F, level, full)
+        if kind == "cliques" and level == s and not np.array_equal(cnt, ker.m_of):
+            raise InternalCheckError("kernel self-test failed: k^s != edge count")
+        extreme = ker.per_m_extreme(cnt, want_min=not full)
+        expected = np.array(expected, dtype=cnt.dtype)
+        report.checks.append(f"{label}={level}")
+        for m in np.flatnonzero(extreme != expected):
+            beyond = cnt > expected[m] if full else cnt < expected[m]
+            bad = np.flatnonzero((ker.m_of == m) & beyond)
+            fid = int(bad[0]) if len(bad) else int(seg_ids[m])
+            report.failures.append({
+                "kind": kind, "m": int(m), "level": level,
+                "expected": int(expected[m]), "got": int(extreme[m]),
+                "family": ker.family_of(fid).edge_lists(),
+            })
+        if not np.array_equal(cnt[seg_ids], expected):
+            report.failures.append({
+                "kind": f"{kind}-{seg}-attain", "level": level,
+                "expected": expected.tolist(), "got": cnt[seg_ids].tolist(),
+            })
     return report
 
 
@@ -516,7 +369,7 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
         raise ValueError(f"verify_uniqueness needs n <= {MAX_CANON_GROUND} for orbits")
     ker = _Kernel(n, s)
     report = SweepReport("uniqueness", n, s, len(ker.F))
-    shadow_cnt = {q: ker.shadow_counts(q) for q in range(1, s)}
+    shadow_cnt = {q: ker.counts(ker.F, q, full=False) for q in range(1, s)}
     clique_cnt = {t: ker.clique_counts(t) for t in range(s + 1, n + 1)}
     ids_by_m = [np.flatnonzero(ker.m_of == m) for m in range(ker.U + 1)]
 

@@ -97,6 +97,14 @@ def test_graph_clique_bound_matches_specialization():
         graph_clique_bound(8, 2, 4, 4)  # u >= 3 in the 2-graph form
 
 
+def test_graph_clique_bound_u_equals_t_is_attained():
+    # u = t: the bound is p itself, attained whether or not C(r,u) divides p
+    for p, u, r in ((4, 3, 5), (7, 4, 6), (1, 3, 3), (0, 3, 4)):
+        rep = graph_clique_bound(p, u, u, r)
+        assert (rep.value, rep.integer_value, rep.x) == (p, p, r)
+        assert rep.equality_possible == "yes"
+
+
 def test_vertex_bound_steiner_attained():
     # S(2,4,13) exists (projective plane of order 3); its triple shadow
     # has every pair-degree exactly 2 and meets the bound.

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from kkcliques.cascade import k_colex, shadow_colex
 from kkcliques.families import (
     SetFamily,
-    clique_graph,
     cliques,
     colex_compare,
     colex_segment,
@@ -204,11 +203,11 @@ def test_clique_graph_chain():
         8, 2,
         [(a + o, b + o) for o in (0, 4) for a in range(1, 5) for b in range(a + 1, 5)],
     )
-    G3 = clique_graph(H2K4, 3)
+    G3 = cliques(H2K4, 3)
     assert len(G3.edges) == 8
     assert max_degree(G3, 1) == comb(3, 2)
-    assert clique_graph(H2K4, 2) == H2K4
-    # chain property: k^t(H) <= k^t(clique_graph(H, u))
+    assert cliques(H2K4, 2) == H2K4
+    # chain property: k^t(H) <= k^t(cliques(H, u))
     assert len(cliques(G3, 4).edges) == len(cliques(H2K4, 4).edges) == 2
 
 

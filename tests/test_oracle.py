@@ -1,15 +1,20 @@
 """Brute-force oracle: canonicalisation, exhaustive search, whole-space sweeps."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import random_family
 
-from kkcliques.families import SetFamily, colex_segment, relabel
+from kkcliques.families import SetFamily, cliques, colex_segment, mask_of, max_degree, relabel
 from kkcliques.oracle import (
     MAX_CANON_GROUND,
     SearchSpec,
+    _Kernel,
     canonical_form,
     exhaustive_search,
     tightness_csv,
@@ -88,6 +93,70 @@ def test_search_thread_determinism():
     assert a.optimum == b.optimum
     assert a.families_scanned == b.families_scanned
     assert [w.edges for w in a.witnesses] == [w.edges for w in b.witnesses]
+
+
+def _brute_search(spec):
+    """(optimum, families_scanned, class_count) by enumerating edge subsets."""
+    universe = [mask_of(c) for c in combinations(range(1, spec.n + 1), spec.s)]
+    sizes = range(len(universe) + 1) if spec.m is None else (spec.m,)
+    best, scanned, attainers = None, 0, []
+    for size in sizes:
+        for edges in combinations(universe, size):
+            H = SetFamily(spec.n, spec.s, frozenset(edges))
+            if spec.i is not None:
+                deg = size if spec.i == 0 else max_degree(H, spec.i)
+                if deg > spec.max_degree:
+                    continue
+            if spec.u is not None and len(cliques(H, spec.u).edges) != spec.p:
+                continue
+            scanned += 1
+            val = len(cliques(H, spec.t).edges)
+            if best is None or val > best:
+                best, attainers = val, []
+            if val == best:
+                attainers.append(H)
+    if spec.n <= MAX_CANON_GROUND:
+        attainers = [canonical_form(H) for H in attainers]
+    return best, scanned, len(set(attainers))
+
+
+def test_search_matches_brute_force():
+    rng = random.Random(7)
+    pairs = [(n, s) for n in range(1, 11) for s in range(1, n + 1) if comb(n, s) <= 10]
+    for _ in range(40):
+        n, s = rng.choice(pairs)
+        U = comb(n, s)
+        kw = {"m": rng.randint(0, U)} if rng.random() < 0.5 else {}
+        if s > 1 and rng.random() < 0.5:
+            i = rng.randint(0, s - 1)
+            kw.update(i=i, max_degree=rng.randint(0, comb(n - i, s - i)))
+        if rng.random() < 0.3:
+            u = rng.randint(s, n)
+            kw.update(u=u, p=rng.randint(0, min(comb(n, u), 4)))
+        spec = SearchSpec(n, s, rng.randint(s, n), **kw)
+        r = exhaustive_search(spec)
+        assert (r.optimum, r.families_scanned, r.class_count) == _brute_search(spec), spec
+        assert r.status == ("infeasible" if r.optimum is None else "ok")
+        assert len(r.witnesses) == r.class_count
+
+
+def test_search_streams_large_universe():
+    # C(7,2) = 21 edges: two blocks of ids; K_5 holds 10 edges and 10 triangles
+    r = exhaustive_search(SearchSpec(7, 2, 3, m=10))
+    assert (r.optimum, r.families_scanned, r.class_count) == (10, comb(21, 10), 1)
+
+
+def test_search_widest_universe():
+    # 24 singletons: a family of two vertices spans one 2-clique
+    r = exhaustive_search(SearchSpec(24, 1, 2, m=2))
+    assert (r.optimum, r.families_scanned, r.class_count) == (1, 276, 276)
+
+
+def test_kernel_counts_do_not_wrap():
+    ker = _Kernel(18, 1)
+    whole = np.array([(1 << ker.U) - 1], dtype=np.uint32)
+    cnt = ker.counts(whole, 9, full=True)
+    assert cnt.tolist() == [comb(18, 9)]
 
 
 @pytest.mark.parametrize("kwargs", [
