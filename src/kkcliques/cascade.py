@@ -92,23 +92,12 @@ def binom_inverse(m: Real, k: int) -> Real:
         raise ValueError(f"binom_inverse needs m >= 0, got {m}")
     if m == 0:
         return k - 1
-    # Integer preimage first: land exactly on r when C(r, k) == m.
-    m_int: Union[int, None] = None
-    if isinstance(m, int):
-        m_int = m
-    elif isinstance(m, Fraction) and m.denominator == 1:
-        m_int = int(m)
-    elif isinstance(m, float) and m.is_integer():
-        m_int = int(m)
-    if m_int is not None:
-        r = _binom_floor_index(m_int, k)
-        if comb(r, k) == m_int:
-            return r
-        lo, hi = float(r), float(r + 1)
-    else:
-        mf = float(m)
-        r = _binom_floor_index(int(mf) + 1, k)
-        lo, hi = float(k - 1), float(r + 1)
+    # C(r, k) <= m < C(r + 1, k); the comparison is exact for int, Fraction
+    # and float m, so an integral root comes back as the int r.
+    r = _binom_floor_index(math.floor(m), k) if m >= 1 else k - 1
+    if comb(r, k) == m:
+        return r
+    lo, hi = float(r), float(r + 1)
     target = float(m)
     while hi - lo > 1e-12 * max(1.0, abs(hi)):
         mid = 0.5 * (lo + hi)
@@ -120,7 +109,14 @@ def binom_inverse(m: Real, k: int) -> Real:
 
 
 def _binom_floor_index(m: int, k: int) -> int:
-    """Largest a with C(a, k) <= m, for m >= 1 (so a >= k)."""
+    """Largest a with C(a, k) <= m, for m >= 1 and k >= 1 (so a >= k).
+
+    Exact at every size, with O(k) ``comb`` calls.  With P = k! * m and
+    r = floor(P ** (1/k)), the answer lies in [r, r + k - 1], because
+    (a - k + 1)^k <= a(a-1)...(a-k+1) <= a^k.  A float guess is used only
+    while the root is below 2^50, where it is off by a few units; above that
+    the guess starts from the exact integer root.
+    """
     if k == 1:
         return m
     if k == 2:
@@ -128,9 +124,8 @@ def _binom_floor_index(m: int, k: int) -> int:
         if a * (a - 1) // 2 > m:
             a -= 1
         return a
-    fact = _FACT[k] if k < len(_FACT) else math.factorial(k)
-    prod = m * fact
-    if prod.bit_length() < 900:
+    prod = m * (_FACT[k] if k < len(_FACT) else math.factorial(k))
+    if prod.bit_length() <= (50 * k if k <= 20 else 1000):
         a = int(prod ** (1.0 / k) + (k - 1) * 0.5)
     else:
         a = _nth_root_floor(prod, k) + (k - 1) // 2
@@ -178,7 +173,8 @@ class Cascade:
 def cascade_of(m: int, s: int) -> Cascade:
     """Unique strict s-cascade of m (greedy: take the largest C(a, level) <= rest).
 
-    O(length) binomial evaluations after an analytic first guess per level.
+    Exact at every size: each level is one _binom_floor_index call, so
+    O(level) binomial evaluations per level however large m is.
     """
     if s < 1:
         raise ValueError(f"cascade level must be >= 1, got {s}")
@@ -188,28 +184,7 @@ def cascade_of(m: int, s: int) -> Cascade:
     rem = m
     lvl = s
     while rem > 0:
-        if lvl == 1:
-            entries.append(rem)
-            break
-        if lvl == 2:
-            a = (isqrt(8 * rem + 1) + 1) >> 1
-            if a * (a - 1) // 2 > rem:
-                a -= 1
-            entries.append(a)
-            rem -= a * (a - 1) // 2
-            lvl = 1
-            continue
-        prod = rem * _FACT[lvl] if lvl < len(_FACT) else rem * math.factorial(lvl)
-        if prod.bit_length() < 900:
-            a = int(prod ** (1.0 / lvl) + (lvl - 1) * 0.5)
-        else:
-            a = _nth_root_floor(prod, lvl) + (lvl - 1) // 2
-        if a < lvl:
-            a = lvl
-        while comb(a + 1, lvl) <= rem:
-            a += 1
-        while comb(a, lvl) > rem:
-            a -= 1
+        a = _binom_floor_index(rem, lvl)
         entries.append(a)
         rem -= comb(a, lvl)
         lvl -= 1

@@ -363,7 +363,7 @@ def _execute(args: argparse.Namespace) -> CommandResult:
     except InternalCheckError as e:
         payload = {"error": "InternalCheckError", "message": str(e)}
         status = 3
-    except (UnsupportedError, ValueError, OSError) as e:
+    except (UnsupportedError, ValueError, OSError, OverflowError) as e:
         payload = {"error": type(e).__name__, "message": str(e)}
         status = 1
     return CommandResult(args.command, params, payload, status)

@@ -26,6 +26,7 @@ from .cascade import falling_factorial
 from .errors import InternalCheckError, UnsupportedError
 from .families import (
     SetFamily,
+    _submasks,
     cliques,
     mask_of,
     max_degree,
@@ -72,10 +73,7 @@ def verify_design(A: BlockDesign, i: int) -> DesignCertificate:
     pairwise-intersection packing criterion (|B1 cap B2| < i)."""
     if not 1 <= i <= A.r:
         raise ValueError(f"need 1 <= i <= r = {A.r}, got i={i}")
-    counts: Counter[int] = Counter()
-    for b in A.blocks.edges:
-        for sub in combinations(vertices_of(b), i):
-            counts[mask_of(sub)] += 1
+    counts = Counter(sub for b in A.blocks.edges for sub in _submasks(b, i))
     over = sorted(I for I, c in counts.items() if c > 1)
     blocks = sorted(A.blocks.edges)
     pairwise_ok = all(

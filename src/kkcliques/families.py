@@ -39,27 +39,23 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def vertices_of(mask: int) -> tuple[int, ...]:
-    """Sorted 1-based vertex labels of a mask."""
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
-
-
 def _bit_positions(mask: int) -> list[int]:
     out = []
-    p = 0
     while mask:
-        if mask & 1:
-            out.append(p)
-        mask >>= 1
-        p += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
+
+
+def vertices_of(mask: int) -> tuple[int, ...]:
+    """Sorted 1-based vertex labels of a mask."""
+    return tuple([p + 1 for p in _bit_positions(mask)])
+
+
+def _submasks(mask: int, k: int) -> Iterator[int]:
+    """The k-subsets of a mask, as masks, in lexicographic order of their bits."""
+    return map(sum, combinations([1 << p for p in _bit_positions(mask)], k))
 
 
 @dataclass(frozen=True)
@@ -141,13 +137,7 @@ def max_degree(H: SetFamily, i: int) -> int:
     """Max over i-sets I of the number of edges containing I (0 for no edges)."""
     if not 1 <= i <= H.s:
         raise ValueError(f"need 1 <= i <= s = {H.s}, got i={i}")
-    counts: Counter[int] = Counter()
-    for e in H.edges:
-        for sub in combinations(_bit_positions(e), i):
-            m = 0
-            for p in sub:
-                m |= 1 << p
-            counts[m] += 1
+    counts = Counter(sub for e in H.edges for sub in _submasks(e, i))
     return max(counts.values(), default=0)
 
 
@@ -155,14 +145,8 @@ def shadow(H: SetFamily, q: int) -> SetFamily:
     """All q-subsets of edges of H (0 <= q < s)."""
     if not 0 <= q < H.s:
         raise ValueError(f"need 0 <= q < s = {H.s}, got q={q}")
-    out = set()
-    for e in H.edges:
-        for sub in combinations(_bit_positions(e), q):
-            m = 0
-            for p in sub:
-                m |= 1 << p
-            out.add(m)
-    return SetFamily(H.n, q, frozenset(out))
+    out = frozenset(sub for e in H.edges for sub in _submasks(e, q))
+    return SetFamily(H.n, q, out)
 
 
 def upshadow(H: SetFamily, t: int) -> SetFamily:
@@ -199,13 +183,7 @@ def cliques(H: SetFamily, t: int) -> SetFamily:
     for _ in range(H.s, t):
         nxt = []
         for c in level:
-            bits = _bit_positions(c)
-            submasks = []
-            for sub in combinations(bits, s1):
-                m = 0
-                for p in sub:
-                    m |= 1 << p
-                submasks.append(m)
+            submasks = list(_submasks(c, s1))
             for v in range(c.bit_length(), H.n):
                 vb = 1 << v
                 for sm in submasks:
@@ -291,11 +269,7 @@ def _colex_segment_blocks(m: int, s: int) -> set[int]:
     out: set[int] = set()
     for k, a in enumerate(ent):
         lvl = s - k
-        for c in combinations(range(a), lvl):
-            msk = fixed
-            for p in c:
-                msk |= 1 << p
-            out.add(msk)
+        out.update(fixed | sub for sub in _submasks((1 << a) - 1, lvl))
         fixed |= 1 << a
     return out
 

@@ -28,9 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .bounds import clique_bound, edge_bound, vertex_bound
 from .cascade import k_colex, shadow_colex
@@ -53,6 +51,11 @@ from .families import (
 )
 from .uniqueness import is_clique_unique, is_colex_unique
 
+# numpy is imported by the functions that run the kernel, so the closed-form
+# layers and the CLI commands over them start without loading it.
+if TYPE_CHECKING:
+    import numpy as np
+
 MAX_CANON_GROUND = 8
 MAX_SEARCH_UNIVERSE = 24
 MAX_SWEEP_UNIVERSE = 20
@@ -62,6 +65,7 @@ _perm_tables: dict[int, np.ndarray] = {}
 
 def _perm_mask_tables(n: int) -> np.ndarray:
     """(n!, 2^n) array: row p maps each vertex mask to its relabelling under p."""
+    import numpy as np
     tab = _perm_tables.get(n)
     if tab is None:
         perms = np.array(list(permutations(range(n))), dtype=np.int64)
@@ -78,6 +82,7 @@ def canonical_form(H: SetFamily) -> bytes:
     Two families on the same n with the same arity are isomorphic iff their
     canonical forms are equal.  Requires n <= 8 so each edge mask fits a byte.
     """
+    import numpy as np
     if H.n > MAX_CANON_GROUND:
         raise ValueError(f"canonical_form supports n <= {MAX_CANON_GROUND}, got {H.n}")
     if not H.edges:
@@ -132,6 +137,7 @@ class _Universe:
         meets), k^k (full) and |upshadow_k| (k > s, meets).  The dtype is the
         narrowest that holds C(n,k), so no count wraps.
         """
+        import numpy as np
         cnt = np.zeros(len(F), dtype=np.min_scalar_type(comb(self.n, k)))
         for K in combinations(range(self.n), k):
             km = np.uint32(self.edge_bits_meeting(K, contains=k < self.s))
@@ -143,6 +149,7 @@ class _Kernel(_Universe):
     """Every one of the 2^C(n,s) family ids on [n], for the whole-space sweeps."""
 
     def __init__(self, n: int, s: int):
+        import numpy as np
         U = comb(n, s)
         if U > MAX_SWEEP_UNIVERSE:
             raise ValueError(
@@ -161,6 +168,7 @@ class _Kernel(_Universe):
         return SetFamily(self.n, self.s, masks)
 
     def per_m_extreme(self, cnt: np.ndarray, want_min: bool) -> np.ndarray:
+        import numpy as np
         info = np.iinfo(cnt.dtype)
         out = np.full(self.U + 1, info.max if want_min else info.min, dtype=cnt.dtype)
         if want_min:
@@ -234,6 +242,7 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     n <= 8 (by sorted edge lists otherwise, without iso-reduction).
     threads is kept for compatibility and has no effect; it must be >= 1.
     """
+    import numpy as np
     if threads < 1:
         raise ValueError("threads must be >= 1")
     uni = _Universe(spec.n, spec.s)
@@ -313,6 +322,7 @@ def verify_kkt(n: int, s: int, check_upshadow: Optional[bool] = None) -> SweepRe
     and (optionally, default on for universes up to 2^15) the minimum
     t-upshadow is attained by the retlex segment.
     """
+    import numpy as np
     ker = _Kernel(n, s)
     report = SweepReport("kkt", n, s, len(ker.F))
     if check_upshadow is None:
@@ -365,6 +375,7 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
     verdict implies the maximisers are exactly the orbit; False verdicts are
     recorded with the observed class structure but are not failures.
     """
+    import numpy as np
     if n > MAX_CANON_GROUND:
         raise ValueError(f"verify_uniqueness needs n <= {MAX_CANON_GROUND} for orbits")
     ker = _Kernel(n, s)

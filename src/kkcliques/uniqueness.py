@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .cascade import binom_inverse, cascade_of, k_colex, shadow_colex
+from .cascade import _binom_floor_index, cascade_of, k_colex, shadow_colex
 from .errors import InternalCheckError
 
 
@@ -86,8 +86,8 @@ def is_colex_unique(m: int, s: int, q: int, n: int) -> UniquenessVerdict:
 
     length = cascade_of(m, s).length
     short = length <= q
-    x = binom_inverse(m + 1, s)
-    near_complete = isinstance(x, int) and x <= n
+    r = _binom_floor_index(m + 1, s)
+    near_complete = comb(r, s) == m + 1 and r <= n
     # For m > s+1 the two clauses cannot both hold: a cascade of length <= q < s
     # has every entry > s, so its value plus one is never exactly C(n', s).
     if short and near_complete:
@@ -98,7 +98,7 @@ def is_colex_unique(m: int, s: int, q: int, n: int) -> UniquenessVerdict:
     if short:
         cond = f"cascade length {length} <= q={q}"
     elif near_complete:
-        cond = f"m+1 = C({x},{s})"
+        cond = f"m+1 = C({r},{s})"
     else:
         cond = f"cascade length {length} > q={q} and m+1 not C(n',{s}) for n' <= {n}"
     return UniquenessVerdict("colex_unique", m, s, q, n, short or near_complete, cond)

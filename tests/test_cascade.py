@@ -4,11 +4,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kkcliques.cascade import (
     Cascade,
+    _binom_floor_index,
     binom_exact,
     binom_inverse,
     binom_real,
@@ -59,11 +60,24 @@ def test_cascade_rejects_bad_input():
 
 
 @settings(max_examples=200, deadline=None)
-@given(m=st.integers(min_value=0, max_value=10**12), s=st.integers(min_value=1, max_value=10))
+@given(m=st.integers(min_value=0, max_value=10**400), s=st.integers(min_value=1, max_value=12))
+@example(m=10**65 + 7, s=3)
+@example(m=10**100, s=4)
+@example(m=10**300, s=5)
 def test_cascade_round_trip_property(m, s):
     c = cascade_of(m, s)
     assert cascade_eval(c, s) == m
     assert c.is_strict()
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(min_value=1, max_value=10**400), k=st.integers(min_value=1, max_value=40))
+@example(m=10**65 + 7, k=3)
+@example(m=1, k=40)
+def test_binom_floor_index_bracket(m, k):
+    a = _binom_floor_index(m, k)
+    assert a >= k
+    assert comb(a, k) <= m < comb(a + 1, k)
 
 
 def test_k_colex_known_values():
@@ -114,6 +128,12 @@ def test_binom_inverse_integer_and_real():
     assert isinstance(x, float)
     assert abs(x * (x - 1) / 2 - 7) < 1e-9
     assert binom_inverse(0, 3) == 2  # C(2,3) = 0 at the domain floor
+    for m in (Fraction(6), 6.0):
+        x = binom_inverse(m, 2)
+        assert x == 4 and type(x) is int
+    x = binom_inverse(Fraction(1, 2), 2)
+    assert 1 < x < 2
+    assert abs(x * (x - 1) / 2 - 0.5) < 1e-9
 
 
 @pytest.mark.parametrize("s,n", [(2, 6), (3, 6), (3, 7), (2, 9)])

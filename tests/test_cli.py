@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 import kkcliques.cli as cli
+from kkcliques.cascade import Cascade, cascade_eval
 from kkcliques.cli import main, run
 from kkcliques.designs import builtin_design, shadow_of_design
 from kkcliques.errors import InternalCheckError
@@ -27,6 +28,10 @@ def test_cascade_examples():
     check_schema(r.payload, "cascade")
     r = run(["cascade", "0", "3"])
     assert r.payload == {"entries": [], "level": 3}
+    r = run(["cascade", str(10**100), "4"])
+    assert r.exit_status == 0
+    assert cascade_eval(Cascade(4, tuple(r.payload["entries"])), 4) == 10**100
+    check_schema(r.payload, "cascade")
 
 
 def test_bound_edge_example():
@@ -140,6 +145,14 @@ def test_domain_error_exit_1(tmp_path):
     assert r.payload["error"] == "FileNotFoundError"
     r = run(["recognize", __file__, "2", "3"])  # unparseable family file
     assert r.exit_status == 1
+    # irrational x beyond float range: a clean domain error, not a traceback
+    for argv in (["bound", "edge", "10", "1", "3", "4", str(10**400 + 1)],
+                 ["bound", "edge", str(10**309), "1", "3", "4", "5"],
+                 ["bound", "vertex", str(10**400), "1", "3", "4", "5"]):
+        r = run(argv)
+        assert r.exit_status == 1
+        assert r.payload["error"] == "OverflowError"
+        check_schema(r.payload, "error")
 
 
 def test_usage_error_exit_2(capsys):

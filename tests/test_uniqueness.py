@@ -50,6 +50,9 @@ def test_jumping_matches_shadow_step():
     (9, 3, 2, 9, True, "m+1 = C(5,3)"),
     (19, 3, 2, 6, True, "m+1 = C(6,3)"),
     (10, 3, 1, 6, True, "cascade length 1 <= q=1"),
+    pytest.param(10**400, 3, 1, 10**134, False,
+                 f"cascade length 3 > q=1 and m+1 not C(n',3) for n' <= {10**134}",
+                 id="m=10**400-n=10**134"),
 ])
 def test_colex_unique_frozen(m, s, q, n, verdict, cond):
     v = is_colex_unique(m, s, q, n)
