@@ -25,7 +25,7 @@ from math import comb
 from typing import Optional, Union
 
 from .cascade import binom_inverse, binom_real, falling_factorial, k_colex
-from .designs import steiner_divisibility
+from .designs import _steiner_existence
 from .errors import InternalCheckError
 
 Real = Union[int, float, Fraction]
@@ -71,28 +71,6 @@ def _is_integral(value: Real) -> bool:
     if isinstance(value, Fraction):
         return value.denominator == 1
     return False
-
-
-def _steiner_existence(i: int, r: int, n: int) -> str:
-    """"yes" / "no" / "unknown" for existence of S(i, r, n).
-
-    Decidable cases: r = n (single block), i = 1 (r | n), and the classical
-    families S(2,3,n), S(2,4,n), S(3,4,n) where the divisibility conditions
-    are known to be sufficient.  Divisibility failure is always "no".
-    """
-    if r > n:
-        return "no"
-    if r == n:
-        return "yes"
-    if i == 1:
-        return "yes" if n % r == 0 else "no"
-    if not steiner_divisibility(i, r, n)[0]:
-        return "no"
-    if (i, r) in {(2, 3), (2, 4), (3, 4)}:
-        # Divisibility is sufficient for these block sizes (classical
-        # triple/quadruple system existence results).
-        return "yes"
-    return "unknown"
 
 
 def vertex_bound(n: int, i: int, s: int, t: int, delta: int) -> BoundReport:

@@ -120,6 +120,28 @@ def steiner_divisibility(i: int, r: int, n: int) -> tuple[bool, list[tuple[int, 
     return ok, rows
 
 
+def _steiner_existence(i: int, r: int, n: int) -> str:
+    """"yes" / "no" / "unknown" for existence of S(i, r, n).
+
+    Decidable cases: r = n (single block), i = 1 (r | n), and the classical
+    families S(2,3,n), S(2,4,n), S(3,4,n) where the divisibility conditions
+    are known to be sufficient.  Divisibility failure is always "no".
+    """
+    if r > n:
+        return "no"
+    if r == n:
+        return "yes"
+    if i == 1:
+        return "yes" if n % r == 0 else "no"
+    if not steiner_divisibility(i, r, n)[0]:
+        return "no"
+    if (i, r) in {(2, 3), (2, 4), (3, 4)}:
+        # Divisibility is sufficient for these block sizes (classical
+        # triple/quadruple system existence results).
+        return "yes"
+    return "unknown"
+
+
 def shadow_of_design(A: BlockDesign, s: int) -> SetFamily:
     """The s-shadow of A's blocks (s < r)."""
     if s >= A.r:

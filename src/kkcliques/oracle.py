@@ -19,7 +19,11 @@ closed-form operations by raw enumeration:
 The numpy kernel indexes families by an integer whose bit j says whether the
 j-th edge of the colex-sorted universe is present, so family id 2^m - 1 is
 the colex segment C_s(m) and the top-run id is the retlex segment.  Search
-and sweeps share one counting helper, _Universe.counts.
+and sweeps share one counting helper, _Universe.counts, and one relabelling
+helper, _relabellings: canonical_form takes its least row, and
+_Universe.orbit maps a family id to the ids of its whole relabelling orbit,
+so the search canonicalises once per isomorphism class and verify_uniqueness
+compares id arrays.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .families import (
     SetFamily,
     _bit_positions,
     cliques,
-    colex_segment,
     max_degree,
     retlex_segment,
     shadow,
@@ -76,35 +79,24 @@ def _perm_mask_tables(n: int) -> np.ndarray:
     return tab
 
 
+def _relabellings(n: int, masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The edge masks under every relabelling of [n], one sorted row per
+    permutation, and the lexicographically least row."""
+    import numpy as np
+    imgs = _perm_mask_tables(n)[:, masks]
+    imgs.sort(axis=1)
+    return imgs, imgs[np.lexsort(imgs.T[::-1])[0]] if masks else imgs[0]
+
+
 def canonical_form(H: SetFamily) -> bytes:
     """Lexicographically minimal sorted edge list over all relabellings of [n].
 
     Two families on the same n with the same arity are isomorphic iff their
     canonical forms are equal.  Requires n <= 8 so each edge mask fits a byte.
     """
-    import numpy as np
     if H.n > MAX_CANON_GROUND:
         raise ValueError(f"canonical_form supports n <= {MAX_CANON_GROUND}, got {H.n}")
-    if not H.edges:
-        return bytes((H.n, H.s))
-    tab = _perm_mask_tables(H.n)
-    imgs = tab[:, sorted(H.edges)]
-    imgs.sort(axis=1)
-    best = imgs[np.lexsort(imgs.T[::-1])[0]]
-    return bytes((H.n, H.s)) + bytes(int(v) for v in best)
-
-
-def relabelling_orbit_ids(H: SetFamily, universe_index: dict[int, int]) -> frozenset[int]:
-    """All family ids obtainable from H by relabelling [n], in kernel id space."""
-    tab = _perm_mask_tables(H.n)
-    edges = sorted(H.edges)
-    ids = set()
-    for row in tab:
-        fid = 0
-        for e in edges:
-            fid |= 1 << universe_index[int(row[e])]
-        ids.add(fid)
-    return frozenset(ids)
+    return bytes((H.n, H.s)) + bytes(_relabellings(H.n, sorted(H.edges))[1].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +109,20 @@ class _Universe:
     def __init__(self, n: int, s: int):
         self.n, self.s, self.U = n, s, comb(n, s)
         self.universe = sorted(sum(1 << v for v in c) for c in combinations(range(n), s))
-        self.uindex = {e: j for j, e in enumerate(self.universe)}
+
+    def masks_of(self, fid: int) -> tuple[int, ...]:
+        return tuple(self.universe[j] for j in _bit_positions(int(fid)))
+
+    def family_of(self, fid: int) -> SetFamily:
+        return SetFamily(self.n, self.s, frozenset(self.masks_of(fid)))
+
+    def orbit(self, fid: int) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The sorted ids of every relabelling of family fid, and the masks of
+        its canonical (lexicographically least sorted) relabelling."""
+        import numpy as np
+        imgs, least = _relabellings(self.n, list(self.masks_of(fid)))
+        bits = 1 << np.searchsorted(self.universe, imgs)
+        return np.unique(np.bitwise_or.reduce(bits, axis=1)), tuple(least.tolist())
 
     def edge_bits_meeting(self, vset: tuple[int, ...], contains: bool) -> int:
         vm = sum(1 << v for v in vset)
@@ -162,10 +167,6 @@ class _Kernel(_Universe):
     def clique_counts(self, t: int) -> np.ndarray:
         """k^t per family (t-sets all of whose s-subsets are edges)."""
         return self.counts(self.F, t, full=True)
-
-    def family_of(self, fid: int) -> SetFamily:
-        masks = frozenset(self.universe[j] for j in _bit_positions(int(fid)))
-        return SetFamily(self.n, self.s, masks)
 
     def per_m_extreme(self, cnt: np.ndarray, want_min: bool) -> np.ndarray:
         import numpy as np
@@ -237,9 +238,12 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     """Maximise the t-clique count over all families matching spec.
 
     Filters every family id by edge count, then i-degree, then u-clique
-    count, and counts t-cliques on the survivors only.  Witnesses are one
-    representative per isomorphism class, sorted by canonical form when
-    n <= 8 (by sorted edge lists otherwise, without iso-reduction).
+    count, and counts t-cliques on the survivors only.  When n <= 8 the
+    witnesses are one per isomorphism class: the attainers are closed under
+    relabelling, so the lowest uncovered attainer id is canonicalised once,
+    its orbit is marked covered, and the witness is the class's least
+    labelling; witnesses come sorted by canonical form.  For larger n every
+    attainer is a witness, sorted by edge list, without iso-reduction.
     threads is kept for compatibility and has no effect; it must be >= 1.
     """
     import numpy as np
@@ -276,25 +280,28 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
 
     if best is None:
         return SearchResult("infeasible", None, [], 0, scanned)
-    families = [tuple(uni.universe[j] for j in _bit_positions(int(f)))
-                for f in np.concatenate(attainers)]
-
-    if spec.n <= MAX_CANON_GROUND:
-        reps: dict[bytes, tuple[int, ...]] = {}
-        for masks in families:
-            fam = SetFamily(spec.n, spec.s, frozenset(masks))
-            key = canonical_form(fam)
-            if key not in reps or masks < reps[key]:
-                reps[key] = masks
-        witnesses = [
-            SetFamily(spec.n, spec.s, frozenset(reps[k])) for k in sorted(reps)
-        ]
-        return SearchResult("ok", best, witnesses, len(reps), scanned)
-    uniq = sorted(families)
-    return SearchResult(
-        "ok", best, [SetFamily(spec.n, spec.s, frozenset(m)) for m in uniq],
-        len(uniq), scanned,
-    )
+    ids = np.concatenate(attainers)
+    if spec.n > MAX_CANON_GROUND:
+        reps = sorted(uni.masks_of(f) for f in ids)
+    else:
+        # the attainers are closed under relabelling: canonicalise the lowest
+        # id of each orbit and mark the whole orbit covered
+        covered = np.zeros(len(ids), dtype=bool)
+        reps = []
+        for k in range(len(ids)):
+            if covered[k]:
+                continue
+            orbit, canon = uni.orbit(ids[k])
+            pos = np.searchsorted(ids, orbit)
+            if pos[-1] >= len(ids) or not np.array_equal(ids[pos], orbit):
+                raise InternalCheckError(
+                    f"orbit of attainer {int(ids[k])} leaves the attainer set"
+                )
+            covered[pos] = True
+            reps.append(canon)
+        reps.sort()
+    witnesses = [SetFamily(spec.n, spec.s, frozenset(r)) for r in reps]
+    return SearchResult("ok", best, witnesses, len(reps), scanned)
 
 
 # ---------------------------------------------------------------------------
@@ -380,52 +387,31 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
         raise ValueError(f"verify_uniqueness needs n <= {MAX_CANON_GROUND} for orbits")
     ker = _Kernel(n, s)
     report = SweepReport("uniqueness", n, s, len(ker.F))
-    shadow_cnt = {q: ker.counts(ker.F, q, full=False) for q in range(1, s)}
-    clique_cnt = {t: ker.clique_counts(t) for t in range(s + 1, n + 1)}
-    ids_by_m = [np.flatnonzero(ker.m_of == m) for m in range(ker.U + 1)]
+    # (kind, level name, goal, level, counts, extremal value, verdict predicate)
+    table = [("colex", "q", "min shadow", q, ker.counts(ker.F, q, full=False),
+              shadow_colex, is_colex_unique) for q in range(1, s)]
+    table += [("clique", "t", "max cliques", t, ker.clique_counts(t),
+               k_colex, is_clique_unique) for t in range(s + 1, n + 1)]
 
     for m in range(ker.U + 1):
-        seg = colex_segment(m, s)
-        seg_n = SetFamily(n, s, seg.edges)
-        orbit = relabelling_orbit_ids(seg_n, ker.uindex)
-        ids_m = ids_by_m[m]
-
-        for q in range(1, s):
-            cnt = shadow_cnt[q]
-            target = shadow_colex(m, s, q)
-            attain = frozenset(int(f) for f in ids_m[cnt[ids_m] == target])
-            if not orbit <= attain:
+        orbit, _ = ker.orbit((1 << m) - 1)          # id 2^m - 1 is C_s(m)
+        ids_m = np.flatnonzero(ker.m_of == m)
+        for kind, var, goal, level, cnt, extremal, predicate in table:
+            attain = ids_m[cnt[ids_m] == extremal(m, s, level)]
+            if not np.isin(orbit, attain).all():
                 raise InternalCheckError(
-                    f"colex orbit not attaining min shadow at m={m}, q={q}"
+                    f"colex orbit not attaining {goal} at m={m}, {var}={level}"
                 )
-            verdict = is_colex_unique(m, s, q, n).verdict
-            unique = attain == orbit
-            report.checks.append(f"colex m={m} q={q}")
-            if verdict != unique and (verdict or m > s + 1):
-                extra = next(iter(attain - orbit), None) if not unique else None
+            verdict = predicate(m, s, level, n).verdict
+            unique = len(attain) == len(orbit)
+            report.checks.append(f"{kind} m={m} {var}={level}")
+            # a False clique verdict is "not decided", so only True can fail
+            if verdict != unique and (verdict or (kind == "colex" and m > s + 1)):
+                extra = attain[~np.isin(attain, orbit)]
                 report.failures.append({
-                    "kind": "colex_unique", "m": m, "level": q,
+                    "kind": f"{kind}_unique", "m": m, "level": level,
                     "verdict": verdict, "attainers": len(attain), "orbit": len(orbit),
-                    "family": ker.family_of(extra).edge_lists() if extra is not None else None,
-                })
-
-        for t in range(s + 1, n + 1):
-            cnt = clique_cnt[t]
-            target = k_colex(m, s, t)
-            attain = frozenset(int(f) for f in ids_m[cnt[ids_m] == target])
-            if not orbit <= attain:
-                raise InternalCheckError(
-                    f"colex orbit not attaining max cliques at m={m}, t={t}"
-                )
-            verdict = is_clique_unique(m, s, t, n).verdict
-            unique = attain == orbit
-            report.checks.append(f"clique m={m} t={t}")
-            if verdict and not unique:
-                extra = next(iter(attain - orbit))
-                report.failures.append({
-                    "kind": "clique_unique", "m": m, "level": t,
-                    "verdict": verdict, "attainers": len(attain), "orbit": len(orbit),
-                    "family": ker.family_of(extra).edge_lists(),
+                    "family": None if unique else ker.family_of(extra[0]).edge_lists(),
                 })
     return report
 

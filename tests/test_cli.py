@@ -14,6 +14,7 @@ from kkcliques.errors import InternalCheckError
 from kkcliques.families import from_json_obj, to_text
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
+DATA = Path(__file__).parent / "data"
 
 
 def check_schema(payload, name):
@@ -123,6 +124,15 @@ def test_search_payload():
     assert r.exit_status == 0
     assert r.payload["optimum"] == "4" and r.payload["class_count"] == 1
     check_schema(json.loads(json.dumps(r.payload)), "search")
+
+
+def test_search_witnesses_pinned(capsys):
+    # eight classes: the witness of each is its least labelling, in
+    # canonical order
+    assert main(["search", "6", "3", "4", "--edges", "6", "--degree", "1", "5"]) == 0
+    out = capsys.readouterr().out
+    assert out == (DATA / "search_6_3_4_edges6_degree1_5.json").read_text()
+    assert json.loads(out)["class_count"] == 8
 
 
 def test_verify_payloads():

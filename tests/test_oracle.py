@@ -1,5 +1,6 @@
 """Brute-force oracle: canonicalisation, exhaustive search, whole-space sweeps."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +11,9 @@ import numpy as np
 import pytest
 from conftest import random_family
 
+import kkcliques.oracle as oracle
+from kkcliques.cascade import k_colex
+from kkcliques.errors import InternalCheckError
 from kkcliques.families import SetFamily, cliques, colex_segment, mask_of, max_degree, relabel
 from kkcliques.oracle import (
     MAX_CANON_GROUND,
@@ -152,6 +156,34 @@ def test_search_widest_universe():
     assert (r.optimum, r.families_scanned, r.class_count) == (1, 276, 276)
 
 
+def test_search_canonicalises_once_per_class():
+    # every 7-vertex graph has no 7-clique, so each is an attainer; the class
+    # counts are the numbers of graphs on 7 vertices with 4 and 10 edges
+    # (OEIS A008406)
+    for m, classes in ((4, 10), (10, 148)):
+        r = exhaustive_search(SearchSpec(7, 2, 7, m=m))
+        assert (r.status, r.optimum) == ("ok", 0)
+        assert (r.class_count, r.families_scanned) == (classes, comb(21, m))
+        keys = [canonical_form(w) for w in r.witnesses]
+        assert keys == [bytes((7, 2)) + bytes(sorted(w.edges)) for w in r.witnesses]
+        assert keys == sorted(set(keys))
+
+
+def test_search_rejects_attainers_not_closed_under_relabelling(monkeypatch):
+    # a clique count that singles out one labelled K_4 plus pendant edge
+    # breaks the symmetry the orbit deduplication relies on
+    counts = oracle._Universe.counts
+    universe = oracle._Universe(5, 2).universe
+    k4_pendant = exhaustive_search(SearchSpec(5, 2, 3, m=7)).witnesses[0]
+    fid = sum(1 << universe.index(e) for e in k4_pendant.edges)
+
+    def skewed(self, F, k, full):
+        return counts(self, F, k, full) + (F == fid)
+    monkeypatch.setattr(oracle._Universe, "counts", skewed)
+    with pytest.raises(InternalCheckError, match="leaves the attainer set"):
+        exhaustive_search(SearchSpec(5, 2, 3, m=7))
+
+
 def test_kernel_counts_do_not_wrap():
     ker = _Kernel(18, 1)
     whole = np.array([(1 << ker.U) - 1], dtype=np.uint32)
@@ -191,6 +223,50 @@ def test_whole_space_extremal_sweep(n, s):
 def test_whole_space_uniqueness_sweep(n, s):
     rep = verify_uniqueness(n, s)
     assert rep.ok and rep.failures == []
+
+
+def _flip_verdict(monkeypatch, name, m, level):
+    real = getattr(oracle, name)
+
+    def flipped(m_, s, level_, n):
+        v = real(m_, s, level_, n)
+        if (m_, level_) == (m, level):
+            return dataclasses.replace(v, verdict=not v.verdict)
+        return v
+    monkeypatch.setattr(oracle, name, flipped)
+
+
+def test_uniqueness_sweep_reports_wrong_colex_verdict(monkeypatch):
+    # C_2(5) on [5] is the unique shadow minimiser; a False verdict fails
+    _flip_verdict(monkeypatch, "is_colex_unique", 5, 1)
+    rep = verify_uniqueness(5, 2)
+    assert rep.failures == [{
+        "kind": "colex_unique", "m": 5, "level": 1, "verdict": False,
+        "attainers": 30, "orbit": 30, "family": None,
+    }]
+
+
+def test_uniqueness_sweep_reports_wrong_clique_verdict(monkeypatch):
+    # 4-edge graphs with one triangle: triangle plus pendant edge (the colex
+    # orbit, 60 labellings) or triangle plus disjoint edge (10 more)
+    _flip_verdict(monkeypatch, "is_clique_unique", 4, 3)
+    rep = verify_uniqueness(5, 2)
+    assert rep.failures == [{
+        "kind": "clique_unique", "m": 4, "level": 3, "verdict": True,
+        "attainers": 70, "orbit": 60, "family": [(2, 3), (2, 4), (3, 4), (1, 5)],
+    }]
+    # the reported family is the lowest-id attainer outside the orbit
+    H = SetFamily.from_edge_lists(5, 2, rep.failures[0]["family"])
+    assert len(cliques(H, 3).edges) == k_colex(4, 2, 3)
+    assert canonical_form(H) != canonical_form(SetFamily(5, 2, colex_segment(4, 2).edges))
+
+
+@pytest.mark.parametrize("name", ["shadow_colex", "k_colex"])
+def test_uniqueness_sweep_rejects_orbit_outside_attainers(monkeypatch, name):
+    real = getattr(oracle, name)
+    monkeypatch.setattr(oracle, name, lambda m, s, level: real(m, s, level) + 1)
+    with pytest.raises(InternalCheckError, match="colex orbit not attaining"):
+        verify_uniqueness(4, 3 if name == "shadow_colex" else 2)
 
 
 def test_equality_theorem_catalogue():
