@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
-from .cascade import binom_inverse, binom_real, falling_factorial, k_colex
+from .cascade import _ratio, binom_inverse, binom_real, falling_factorial, k_colex
 from .designs import _steiner_existence
 from .errors import InternalCheckError
 
@@ -58,19 +58,6 @@ def _floor(value: Real) -> int:
     if isinstance(value, float):
         return math.floor(value + _FLOAT_FLOOR_EPS)
     return math.floor(value)
-
-
-def _ratio(num: int, den: int) -> Real:
-    q = Fraction(num, den)
-    return int(q) if q.denominator == 1 else q
-
-
-def _is_integral(value: Real) -> bool:
-    if isinstance(value, int):
-        return True
-    if isinstance(value, Fraction):
-        return value.denominator == 1
-    return False
 
 
 def vertex_bound(n: int, i: int, s: int, t: int, delta: int) -> BoundReport:
@@ -114,7 +101,7 @@ def vertex_bound(n: int, i: int, s: int, t: int, delta: int) -> BoundReport:
     elif n < t:
         eq = "no"
         notes.append(f"no {t}-clique fits in {n} vertices, so the bound cannot be met")
-    elif not _is_integral(value):
+    elif isinstance(value, Fraction):
         eq = "no"
         notes.append("bound is not an integer")
     elif not isinstance(x, int):
@@ -295,11 +282,7 @@ def neighborhood_ratio_bound(i: int, s: int, t: int, x: Real) -> Real:
         raise ValueError(f"need x >= t-1 = {t - 1}, got x={x}")
     num = falling_factorial(x - s, t - s)
     den = falling_factorial(t - i, t - s)
-    if isinstance(num, float):
-        value: Real = num / den
-    else:
-        q = Fraction(num, den)
-        value = int(q) if q.denominator == 1 else q
+    value: Real = num / den if isinstance(num, float) else _ratio(num, den)
     # The two closed forms must agree (exactly for exact x).
     alt_num = binom_real(x - i, t - i)
     alt_den = binom_real(x - i, s - i)

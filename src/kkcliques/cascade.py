@@ -48,6 +48,12 @@ def falling_factorial(x: Real, k: int) -> Real:
     return out
 
 
+def _ratio(num: Union[int, Fraction], den: int) -> Real:
+    """num/den exactly: an int when den divides num, else a Fraction."""
+    q = Fraction(num, den)
+    return int(q) if q.denominator == 1 else q
+
+
 def binom_real(x: Real, k: int) -> Real:
     """Generalized binomial C(x, k) = x(x-1)...(x-k+1)/k! for real x.
 
@@ -60,8 +66,7 @@ def binom_real(x: Real, k: int) -> Real:
     fact = _FACT[k] if k < len(_FACT) else math.factorial(k)
     if isinstance(num, float):
         return num / fact
-    q = Fraction(num, fact)
-    return int(q) if q.denominator == 1 else q
+    return _ratio(num, fact)
 
 
 def _nth_root_floor(m: int, k: int) -> int:

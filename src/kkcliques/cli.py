@@ -38,7 +38,7 @@ from .bounds import BoundReport, clique_bound, edge_bound, graph_clique_bound, j
 from .cascade import cascade_of, k_colex, shadow_colex
 from .designs import builtin_design, recognize_packing_shadow, shadow_of_design, verify_design
 from .errors import InternalCheckError, UnsupportedError
-from .families import SetFamily, colex_segment, from_text, to_json_obj, to_text
+from .families import colex_segment, from_text, to_json_obj
 from .oracle import (
     SearchSpec,
     exhaustive_search,
@@ -91,10 +91,6 @@ def _verdict_payload(v: UniquenessVerdict) -> dict[str, Any]:
         "verdict": v.verdict,
         "triggered_condition": v.triggered_condition,
     }
-
-
-def _family_payload(H: SetFamily) -> dict[str, Any]:
-    return to_json_obj(H)
 
 
 def _add_common_flags(p: argparse.ArgumentParser, leaf: bool) -> None:
@@ -226,7 +222,7 @@ def _dispatch(args: argparse.Namespace) -> dict[str, Any]:
             return {"m": _s(args.m), "s": args.s, "level": level,
                     "kind": kind, "value": _s(value)}
         H = colex_segment(args.m, args.s)
-        return {"m": _s(args.m), "family": _family_payload(H)}
+        return {"m": _s(args.m), "family": to_json_obj(H)}
 
     if cmd == "bound":
         kind = args.bound_kind
@@ -261,7 +257,7 @@ def _dispatch(args: argparse.Namespace) -> dict[str, Any]:
         return {
             "design": args.name, "n": d.n, "r": d.r,
             "blocks": len(d.blocks.edges), "shadow_level": args.shadow,
-            "family": _family_payload(H),
+            "family": to_json_obj(H),
         }
 
     if cmd == "recognize":
@@ -293,7 +289,7 @@ def _dispatch(args: argparse.Namespace) -> dict[str, Any]:
             "optimum": _s(res.optimum),
             "class_count": res.class_count,
             "families_scanned": res.families_scanned,
-            "witnesses": [_family_payload(w) for w in res.witnesses],
+            "witnesses": [to_json_obj(w) for w in res.witnesses],
         }
 
     if cmd == "verify":

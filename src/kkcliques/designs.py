@@ -18,7 +18,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations
 from math import comb
 from typing import Optional
 
@@ -26,6 +25,7 @@ from .cascade import falling_factorial
 from .errors import InternalCheckError, UnsupportedError
 from .families import (
     SetFamily,
+    _colex_masks,
     _submasks,
     cliques,
     mask_of,
@@ -91,12 +91,8 @@ def verify_design(A: BlockDesign, i: int) -> DesignCertificate:
     if len(counts) == comb(A.n, i):
         return DesignCertificate("steiner", i, A.r, A.n, None)
     # lowest-colex uncovered i-set as the non-Steiner witness
-    witness = None
-    for c in sorted(mask_of(c) for c in combinations(range(1, A.n + 1), i)):
-        if c not in counts:
-            witness = vertices_of(c)
-            break
-    return DesignCertificate("packing", i, A.r, A.n, witness)
+    witness = next(c for c in _colex_masks(A.n, i) if c not in counts)
+    return DesignCertificate("packing", i, A.r, A.n, vertices_of(witness))
 
 
 def steiner_divisibility(i: int, r: int, n: int) -> tuple[bool, list[tuple[int, int, int, bool]]]:
@@ -238,7 +234,7 @@ def check_neighborhood_clique_criterion(
     if mode == "covered":
         isets = sorted(shadow(H, i).edges)
     else:
-        isets = sorted(mask_of(c) for c in combinations(range(1, H.n + 1), i))
+        isets = _colex_masks(H.n, i)
     result = True
     for I in isets:
         nb = neighborhood(H, I)

@@ -14,9 +14,9 @@ Usage:
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
@@ -58,6 +58,19 @@ def _submasks(mask: int, k: int) -> Iterator[int]:
     return map(sum, combinations([1 << p for p in _bit_positions(mask)], k))
 
 
+def _colex_masks(n: int, k: int) -> Iterator[int]:
+    """The k-subsets of [n], as masks, in ascending integer (= colex) order,
+    each one Gosper next-combination step (HAKMEM item 175) after the last."""
+    x, top = (1 << k) - 1, 1 << n
+    while x < top:
+        yield x
+        if not x:  # the empty set is the only 0-subset
+            return
+        low = x & -x
+        ripple = x + low  # carries the lowest run of ones up one place
+        x = ripple | ((x ^ ripple) >> 2) // low
+
+
 @dataclass(frozen=True)
 class SetFamily:
     """An s-uniform family of subsets of [n]; edges are vertex bitmasks.
@@ -93,14 +106,6 @@ class SetFamily:
         if len(seen) != len(masks):
             raise ValueError("repeated edge in input")
         return cls(n, s, frozenset(seen))
-
-    @classmethod
-    def from_masks(cls, n: int, s: int, masks: Iterable[int]) -> "SetFamily":
-        return cls(n, s, frozenset(masks))
-
-    def sorted_edges(self) -> list[int]:
-        """Edge masks in colex order (= ascending integer order)."""
-        return sorted(self.edges)
 
     def edge_lists(self) -> list[tuple[int, ...]]:
         """Edges as vertex tuples, colex ordered."""
@@ -277,8 +282,9 @@ def _colex_segment_blocks(m: int, s: int) -> set[int]:
 def colex_segment(m: int, s: int) -> SetFamily:
     """First m s-sets in colex, on the minimal ground set (smallest n with C(n,s) >= m).
 
-    Computed twice -- by sorting all s-sets and by the cascade block closed
-    form -- and cross-checked; a mismatch raises InternalCheckError.
+    Computed twice -- as the first m masks of the colex enumeration and by
+    the cascade block closed form -- and cross-checked; a mismatch raises
+    InternalCheckError.
     """
     if s < 1:
         raise ValueError(f"arity must be >= 1, got {s}")
@@ -295,8 +301,7 @@ def colex_segment(m: int, s: int) -> SetFamily:
                 f"{MAX_GROUND}-vertex family representation; use the cascade "
                 f"counting functions instead"
             )
-    masks = sorted(mask_of(c) for c in combinations(range(1, n + 1), s))
-    seg = frozenset(masks[:m])
+    seg = frozenset(islice(_colex_masks(n, s), m))
     blocks = _colex_segment_blocks(m, s)
     if seg != blocks:
         raise InternalCheckError(
@@ -307,7 +312,7 @@ def colex_segment(m: int, s: int) -> SetFamily:
 
 
 def retlex_segment(n: int, m: int, s: int) -> SetFamily:
-    """First m s-sets of [n] in retlex order: the m colex-largest s-sets.
+    """First m s-sets of [n] in retlex order: the last m in colex order.
 
     Cross-checked against the complement identity (the complements in [n] of
     a retlex segment form a colex segment of arity n-s).
@@ -316,8 +321,7 @@ def retlex_segment(n: int, m: int, s: int) -> SetFamily:
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
     if not 0 <= m <= comb(n, s):
         raise ValueError(f"need 0 <= m <= C(n,s) = {comb(n, s)}, got m={m}")
-    masks = sorted((mask_of(c) for c in combinations(range(1, n + 1), s)), reverse=True)
-    seg = frozenset(masks[:m])
+    seg = frozenset(deque(_colex_masks(n, s), maxlen=m))
     if s < n:
         full = (1 << n) - 1
         alt = frozenset(full ^ e for e in colex_segment(m, n - s).edges)

@@ -23,7 +23,8 @@ and sweeps share one counting helper, _Universe.counts, and one relabelling
 helper, _relabellings: canonical_form takes its least row, and
 _Universe.orbit maps a family id to the ids of its whole relabelling orbit,
 so the search canonicalises once per isomorphism class and verify_uniqueness
-compares id arrays.
+compares id arrays.  Both find an orbit inside a sorted id array with one
+subset test, _positions_in.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .errors import InternalCheckError
 from .families import (
     SetFamily,
     _bit_positions,
+    _colex_masks,
     cliques,
     max_degree,
     retlex_segment,
@@ -71,10 +73,10 @@ def _perm_mask_tables(n: int) -> np.ndarray:
     import numpy as np
     tab = _perm_tables.get(n)
     if tab is None:
-        perms = np.array(list(permutations(range(n))), dtype=np.int64)
-        bits = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1
+        perms = np.array(list(permutations(range(n))), dtype=np.int32)
+        bits = (np.arange(1 << n, dtype=np.int32)[:, None] >> np.arange(n, dtype=np.int32)) & 1
         # mask m goes to sum over set bits j of 2^(p[j])
-        tab = (bits.astype(np.int64) @ (1 << perms).T).T.astype(np.int32)
+        tab = (1 << perms) @ bits.T
         _perm_tables[n] = tab
     return tab
 
@@ -99,6 +101,16 @@ def canonical_form(H: SetFamily) -> bytes:
     return bytes((H.n, H.s)) + bytes(_relabellings(H.n, sorted(H.edges))[1].tolist())
 
 
+def _positions_in(ids: np.ndarray, within: np.ndarray) -> Optional[np.ndarray]:
+    """Positions of the sorted ids inside the sorted array within, or None
+    when some id is missing from it."""
+    import numpy as np
+    pos = np.searchsorted(within, ids)
+    if len(ids) and (pos[-1] == len(within) or not np.array_equal(within[pos], ids)):
+        return None
+    return pos
+
+
 # ---------------------------------------------------------------------------
 # family-id kernel
 
@@ -108,7 +120,7 @@ class _Universe:
 
     def __init__(self, n: int, s: int):
         self.n, self.s, self.U = n, s, comb(n, s)
-        self.universe = sorted(sum(1 << v for v in c) for c in combinations(range(n), s))
+        self.universe = list(_colex_masks(n, s))
 
     def masks_of(self, fid: int) -> tuple[int, ...]:
         return tuple(self.universe[j] for j in _bit_positions(int(fid)))
@@ -292,8 +304,8 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
             if covered[k]:
                 continue
             orbit, canon = uni.orbit(ids[k])
-            pos = np.searchsorted(ids, orbit)
-            if pos[-1] >= len(ids) or not np.array_equal(ids[pos], orbit):
+            pos = _positions_in(orbit, ids)
+            if pos is None:
                 raise InternalCheckError(
                     f"orbit of attainer {int(ids[k])} leaves the attainer set"
                 )
@@ -398,7 +410,8 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
         ids_m = np.flatnonzero(ker.m_of == m)
         for kind, var, goal, level, cnt, extremal, predicate in table:
             attain = ids_m[cnt[ids_m] == extremal(m, s, level)]
-            if not np.isin(orbit, attain).all():
+            pos = _positions_in(orbit, attain)
+            if pos is None:
                 raise InternalCheckError(
                     f"colex orbit not attaining {goal} at m={m}, {var}={level}"
                 )
@@ -407,7 +420,7 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
             report.checks.append(f"{kind} m={m} {var}={level}")
             # a False clique verdict is "not decided", so only True can fail
             if verdict != unique and (verdict or (kind == "colex" and m > s + 1)):
-                extra = attain[~np.isin(attain, orbit)]
+                extra = np.delete(attain, pos)
                 report.failures.append({
                     "kind": f"{kind}_unique", "m": m, "level": level,
                     "verdict": verdict, "attainers": len(attain), "orbit": len(orbit),

@@ -1,11 +1,15 @@
 """CLI grammar, payload schemas, rendering, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import kkcliques
 import kkcliques.cli as cli
 from kkcliques.cascade import Cascade, cascade_eval
 from kkcliques.cli import main, run
@@ -212,3 +216,20 @@ def test_json_output_deterministic(capsys):
     assert capsys.readouterr().out == first
     keys = list(json.loads(first))
     assert keys == sorted(keys)
+
+
+def test_closed_form_commands_leave_numpy_unloaded():
+    # numpy is imported only where the kernel runs, so start-up and the
+    # closed-form commands stay light
+    code = (
+        "import sys, kkcliques, kkcliques.cli as cli\n"
+        "cli.build_parser()\n"
+        "for argv in (['cascade', '7', '3'], ['bound', 'edge', '12', '1', '2', '3', '3']):\n"
+        "    assert cli.run(argv).exit_status == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    src = str(Path(kkcliques.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,7 +1,7 @@
 """Set-family engine: masks, shadows, cliques, neighborhoods, segments, IO."""
 
 import json
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from kkcliques.cascade import k_colex, shadow_colex
 from kkcliques.families import (
     SetFamily,
+    _colex_masks,
     cliques,
     colex_compare,
     colex_segment,
@@ -150,6 +151,26 @@ def test_colex_segment_minimal_ground():
     assert colex_segment(5, 3).n == 5
     with pytest.raises(ValueError):
         colex_segment(comb(64, 2) + 1, 2)
+
+
+def test_colex_masks_enumerate_k_sets_in_integer_order():
+    for n in range(13):
+        for k in range(n + 1):
+            want = sorted(sum(1 << v for v in c) for c in combinations(range(n), k))
+            assert list(_colex_masks(n, k)) == want
+        assert list(_colex_masks(n, n + 1)) == []
+
+
+def test_segments_at_extreme_sizes_match_sorted_sets():
+    def ordered(n, s):
+        return sorted(mask_of(c) for c in combinations(range(1, n + 1), s))
+
+    for n, s in ((5, 2), (6, 3), (7, 1), (7, 7), (9, 4)):
+        for m in (0, 1, comb(n, s)):
+            seg = colex_segment(m, s)
+            assert seg.edges == frozenset(ordered(seg.n, s)[:m])
+            R = retlex_segment(n, m, s)
+            assert R.edges == frozenset(ordered(n, s)[comb(n, s) - m:])
 
 
 def test_retlex_segment_complement_duality():

@@ -2,8 +2,9 @@
 
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
 
@@ -189,6 +190,25 @@ def test_kernel_counts_do_not_wrap():
     whole = np.array([(1 << ker.U) - 1], dtype=np.uint32)
     cnt = ker.counts(whole, 9, full=True)
     assert cnt.tolist() == [comb(18, 9)]
+
+
+def test_perm_mask_tables_peak_memory(monkeypatch):
+    # the (8!, 2^8) int32 table itself is 41 MB; building it through an int64
+    # product and a transposed copy peaked at about 120 MB
+    monkeypatch.setattr(oracle, "_perm_tables", {})
+    tracemalloc.start()
+    try:
+        tab = oracle._perm_mask_tables(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert tab.dtype == np.int32 and tab.flags.c_contiguous
+    perms = list(permutations(range(8)))
+    for p in (0, 1, 777, len(perms) - 1):
+        assert tab[p].tolist() == [
+            sum(1 << perms[p][j] for j in range(8) if m >> j & 1) for m in range(256)
+        ]
 
 
 @pytest.mark.parametrize("kwargs", [
