@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -104,7 +103,7 @@ def _add_common_flags(p: argparse.ArgumentParser, leaf: bool) -> None:
                    **(d or {"default": None}))
     p.add_argument("--threads", type=int,
                    help="accepted for compatibility; has no effect",
-                   **(d or {"default": os.cpu_count() or 1}))
+                   **(d or {"default": 1}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,7 +282,7 @@ def _dispatch(args: argparse.Namespace) -> dict[str, Any]:
             u=args.cliques[0] if args.cliques else None,
             p=args.cliques[1] if args.cliques else None,
         )
-        res = exhaustive_search(spec, threads=max(1, args.threads))
+        res = exhaustive_search(spec)
         return {
             "status": res.status,
             "optimum": _s(res.optimum),

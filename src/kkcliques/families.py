@@ -14,7 +14,7 @@ Usage:
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
@@ -314,17 +314,18 @@ def colex_segment(m: int, s: int) -> SetFamily:
 def retlex_segment(n: int, m: int, s: int) -> SetFamily:
     """First m s-sets of [n] in retlex order: the last m in colex order.
 
-    Cross-checked against the complement identity (the complements in [n] of
-    a retlex segment form a colex segment of arity n-s).
+    Complementing in [n] reverses colex order, so these are the complements
+    of the first m (n-s)-sets in colex order.  Cross-checked against the
+    complements of the cascade-block form of that colex segment.
     """
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
     if not 0 <= m <= comb(n, s):
         raise ValueError(f"need 0 <= m <= C(n,s) = {comb(n, s)}, got m={m}")
-    seg = frozenset(deque(_colex_masks(n, s), maxlen=m))
+    full = (1 << n) - 1
+    seg = frozenset(full ^ e for e in islice(_colex_masks(n, n - s), m))
     if s < n:
-        full = (1 << n) - 1
-        alt = frozenset(full ^ e for e in colex_segment(m, n - s).edges)
+        alt = frozenset(full ^ e for e in _colex_segment_blocks(m, n - s))
         if seg != alt:
             raise InternalCheckError(
                 f"retlex segment mismatch at n={n}, m={m}, s={s}: reverse-colex "

@@ -19,12 +19,15 @@ closed-form operations by raw enumeration:
 The numpy kernel indexes families by an integer whose bit j says whether the
 j-th edge of the colex-sorted universe is present, so family id 2^m - 1 is
 the colex segment C_s(m) and the top-run id is the retlex segment.  Search
-and sweeps share one counting helper, _Universe.counts, and one relabelling
-helper, _relabellings: canonical_form takes its least row, and
-_Universe.orbit maps a family id to the ids of its whole relabelling orbit,
-so the search canonicalises once per isomorphism class and verify_uniqueness
-compares id arrays.  Both find an orbit inside a sorted id array with one
-subset test, _positions_in.
+and sweeps share one kernel class, _Kernel, for universes of up to
+MAX_UNIVERSE = 24 edges: its blocks() streams the 2^C(n,s) ids 2^BLOCK_BITS
+at a time, and its counts() is the one counting helper.  The sweeps merge
+per-m extremes and attainer counts across blocks and rescan for a failure
+row's family (_Kernel.first_id) only when a row fails.  One relabelling
+helper, _relabellings, serves both: canonical_form takes its least row, and
+_Kernel.orbit maps a family id to the ids of its whole relabelling orbit, so
+the search canonicalises once per isomorphism class and verify_uniqueness
+compares orbit sizes with attainer counts.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from .bounds import clique_bound, edge_bound, vertex_bound
 from .cascade import k_colex, shadow_colex
@@ -62,8 +65,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_CANON_GROUND = 8
-MAX_SEARCH_UNIVERSE = 24
-MAX_SWEEP_UNIVERSE = 20
+MAX_UNIVERSE = 24
+# Ids are scanned in blocks of 2^BLOCK_BITS, so a sweep or a search holds one
+# block of ids and its counts at a time, whatever the universe.
+BLOCK_BITS = 16
 
 _perm_tables: dict[int, np.ndarray] = {}
 
@@ -101,26 +106,38 @@ def canonical_form(H: SetFamily) -> bytes:
     return bytes((H.n, H.s)) + bytes(_relabellings(H.n, sorted(H.edges))[1].tolist())
 
 
-def _positions_in(ids: np.ndarray, within: np.ndarray) -> Optional[np.ndarray]:
-    """Positions of the sorted ids inside the sorted array within, or None
-    when some id is missing from it."""
-    import numpy as np
-    pos = np.searchsorted(within, ids)
-    if len(ids) and (pos[-1] == len(within) or not np.array_equal(within[pos], ids)):
-        return None
-    return pos
-
-
 # ---------------------------------------------------------------------------
 # family-id kernel
 
-class _Universe:
+class _Kernel:
     """The C(n,s) s-sets of [n] in colex order, and vectorised counts over
-    family ids: bit j of an id says that universe[j] is an edge."""
+    family ids: bit j of an id says that universe[j] is an edge.  The sweeps
+    and the search scan all 2^C(n,s) ids through blocks()."""
 
     def __init__(self, n: int, s: int):
-        self.n, self.s, self.U = n, s, comb(n, s)
+        U = comb(n, s)
+        if U > MAX_UNIVERSE:
+            raise ValueError(f"universe C({n},{s}) = {U} exceeds sweep cap {MAX_UNIVERSE}")
+        self.n, self.s, self.U = n, s, U
         self.universe = list(_colex_masks(n, s))
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Every family id in ascending order, 2^BLOCK_BITS ids at a time."""
+        import numpy as np
+        step = 1 << min(self.U, BLOCK_BITS)
+        for lo in range(0, 1 << self.U, step):
+            yield np.arange(lo, lo + step, dtype=np.uint32)
+
+    def first_id(self, m: int, level: int, full: bool,
+                 keep: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Optional[int]:
+        """The lowest id with m edges whose level count passes keep(ids, counts)."""
+        import numpy as np
+        for F in self.blocks():
+            F = F[np.bitwise_count(F) == m]
+            hit = np.flatnonzero(keep(F, self.counts(F, level, full)))
+            if len(hit):
+                return int(F[hit[0]])
+        return None
 
     def masks_of(self, fid: int) -> tuple[int, ...]:
         return tuple(self.universe[j] for j in _bit_positions(int(fid)))
@@ -162,35 +179,6 @@ class _Universe:
         return cnt
 
 
-class _Kernel(_Universe):
-    """Every one of the 2^C(n,s) family ids on [n], for the whole-space sweeps."""
-
-    def __init__(self, n: int, s: int):
-        import numpy as np
-        U = comb(n, s)
-        if U > MAX_SWEEP_UNIVERSE:
-            raise ValueError(
-                f"universe C({n},{s}) = {U} exceeds sweep cap {MAX_SWEEP_UNIVERSE}"
-            )
-        super().__init__(n, s)
-        self.F = np.arange(1 << U, dtype=np.uint32)
-        self.m_of = np.bitwise_count(self.F)
-
-    def clique_counts(self, t: int) -> np.ndarray:
-        """k^t per family (t-sets all of whose s-subsets are edges)."""
-        return self.counts(self.F, t, full=True)
-
-    def per_m_extreme(self, cnt: np.ndarray, want_min: bool) -> np.ndarray:
-        import numpy as np
-        info = np.iinfo(cnt.dtype)
-        out = np.full(self.U + 1, info.max if want_min else info.min, dtype=cnt.dtype)
-        if want_min:
-            np.minimum.at(out, self.m_of, cnt)
-        else:
-            np.maximum.at(out, self.m_of, cnt)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # exhaustive search
 
@@ -215,10 +203,10 @@ class SearchSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.s <= self.t <= self.n:
             raise ValueError(f"need 1 <= s <= t <= n, got s={self.s}, t={self.t}, n={self.n}")
-        if comb(self.n, self.s) > MAX_SEARCH_UNIVERSE:
+        if comb(self.n, self.s) > MAX_UNIVERSE:
             raise ValueError(
                 f"universe C({self.n},{self.s}) = {comb(self.n, self.s)} exceeds "
-                f"search cap {MAX_SEARCH_UNIVERSE}"
+                f"search cap {MAX_UNIVERSE}"
             )
         if (self.i is None) != (self.max_degree is None):
             raise ValueError("i and max_degree must be given together")
@@ -241,11 +229,6 @@ class SearchResult:
     families_scanned: int           # families satisfying the constraints
 
 
-# Ids are scanned in blocks of at most 2^SEARCH_BLOCK_BITS with fixed high
-# bits, so a search holds no more than the largest sweep does.
-SEARCH_BLOCK_BITS = MAX_SWEEP_UNIVERSE
-
-
 def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     """Maximise the t-clique count over all families matching spec.
 
@@ -261,29 +244,26 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     import numpy as np
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    uni = _Universe(spec.n, spec.s)
-    low = min(uni.U, SEARCH_BLOCK_BITS)
-    block = np.arange(1 << low, dtype=np.uint32)
+    ker = _Kernel(spec.n, spec.s)
     caps = [] if spec.i is None else [
-        np.uint32(uni.edge_bits_meeting(I, contains=True))
+        np.uint32(ker.edge_bits_meeting(I, contains=True))
         for I in combinations(range(spec.n), spec.i)
     ]
 
     best: Optional[int] = None
     attainers: list[np.ndarray] = []
     scanned = 0
-    for high in range(1 << (uni.U - low)):
-        F = block | np.uint32(high << low)
+    for F in ker.blocks():
         if spec.m is not None:
             F = F[np.bitwise_count(F) == spec.m]
         for im in caps:
             F = F[np.bitwise_count(F & im) <= spec.max_degree]
         if spec.u is not None:
-            F = F[uni.counts(F, spec.u, full=True) == spec.p]
+            F = F[ker.counts(F, spec.u, full=True) == spec.p]
         scanned += len(F)
         if not len(F):
             continue
-        cnt = uni.counts(F, spec.t, full=True)
+        cnt = ker.counts(F, spec.t, full=True)
         top = int(cnt.max())
         if best is None or top > best:
             best, attainers = top, []
@@ -294,7 +274,7 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
         return SearchResult("infeasible", None, [], 0, scanned)
     ids = np.concatenate(attainers)
     if spec.n > MAX_CANON_GROUND:
-        reps = sorted(uni.masks_of(f) for f in ids)
+        reps = sorted(ker.masks_of(f) for f in ids)
     else:
         # the attainers are closed under relabelling: canonicalise the lowest
         # id of each orbit and mark the whole orbit covered
@@ -303,9 +283,9 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
         for k in range(len(ids)):
             if covered[k]:
                 continue
-            orbit, canon = uni.orbit(ids[k])
-            pos = _positions_in(orbit, ids)
-            if pos is None:
+            orbit, canon = ker.orbit(ids[k])
+            pos = np.searchsorted(ids, orbit)
+            if pos[-1] == len(ids) or not np.array_equal(ids[pos], orbit):
                 raise InternalCheckError(
                     f"orbit of attainer {int(ids[k])} leaves the attainer set"
                 )
@@ -343,7 +323,7 @@ def verify_kkt(n: int, s: int, check_upshadow: Optional[bool] = None) -> SweepRe
     """
     import numpy as np
     ker = _Kernel(n, s)
-    report = SweepReport("kkt", n, s, len(ker.F))
+    report = SweepReport("kkt", n, s, 1 << ker.U)
     if check_upshadow is None:
         check_upshadow = ker.U <= 15
     ms = range(ker.U + 1)
@@ -361,26 +341,38 @@ def verify_kkt(n: int, s: int, check_upshadow: Optional[bool] = None) -> SweepRe
                    [len(upshadow(retlex_segment(n, m, s), t).edges) for m in ms])
                   for t in range(s + 1, n + 1)]
 
-    for kind, label, level, full, seg, seg_ids, expected in table:
-        cnt = ker.counts(ker.F, level, full)
-        if kind == "cliques" and level == s and not np.array_equal(cnt, ker.m_of):
-            raise InternalCheckError("kernel self-test failed: k^s != edge count")
-        extreme = ker.per_m_extreme(cnt, want_min=not full)
-        expected = np.array(expected, dtype=cnt.dtype)
+    # per level, merged over the blocks: the extreme count per m and the
+    # counts of the segment ids
+    extreme = [np.full(ker.U + 1, -1 if full else np.iinfo(np.int64).max)
+               for _, _, _, full, _, _, _ in table]
+    at_seg = [np.zeros(ker.U + 1, dtype=np.int64) for _ in table]
+    for F in ker.blocks():
+        m_of = np.bitwise_count(F)
+        lo = int(F[0])
+        for (kind, _, level, full, _, seg_ids, _), ext, got in zip(table, extreme, at_seg):
+            cnt = ker.counts(F, level, full)
+            if kind == "cliques" and level == s and not np.array_equal(cnt, m_of):
+                raise InternalCheckError("kernel self-test failed: k^s != edge count")
+            (np.maximum if full else np.minimum).at(ext, m_of, cnt.astype(np.int64))
+            here = (seg_ids >= lo) & (seg_ids < lo + len(F))
+            got[here] = cnt[seg_ids[here] - lo]
+
+    for (kind, label, level, full, seg, seg_ids, expected), ext, got in zip(
+            table, extreme, at_seg):
+        expected = np.array(expected, dtype=np.int64)
         report.checks.append(f"{label}={level}")
-        for m in np.flatnonzero(extreme != expected):
-            beyond = cnt > expected[m] if full else cnt < expected[m]
-            bad = np.flatnonzero((ker.m_of == m) & beyond)
-            fid = int(bad[0]) if len(bad) else int(seg_ids[m])
+        for m in np.flatnonzero(ext != expected):
+            e = expected[m]
+            fid = ker.first_id(m, level, full, lambda F, c: c > e if full else c < e)
             report.failures.append({
                 "kind": kind, "m": int(m), "level": level,
-                "expected": int(expected[m]), "got": int(extreme[m]),
-                "family": ker.family_of(fid).edge_lists(),
+                "expected": int(e), "got": int(ext[m]),
+                "family": ker.family_of(seg_ids[m] if fid is None else fid).edge_lists(),
             })
-        if not np.array_equal(cnt[seg_ids], expected):
+        if not np.array_equal(got, expected):
             report.failures.append({
                 "kind": f"{kind}-{seg}-attain", "level": level,
-                "expected": expected.tolist(), "got": cnt[seg_ids].tolist(),
+                "expected": expected.tolist(), "got": got.tolist(),
             })
     return report
 
@@ -398,33 +390,52 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
     if n > MAX_CANON_GROUND:
         raise ValueError(f"verify_uniqueness needs n <= {MAX_CANON_GROUND} for orbits")
     ker = _Kernel(n, s)
-    report = SweepReport("uniqueness", n, s, len(ker.F))
-    # (kind, level name, goal, level, counts, extremal value, verdict predicate)
-    table = [("colex", "q", "min shadow", q, ker.counts(ker.F, q, full=False),
-              shadow_colex, is_colex_unique) for q in range(1, s)]
-    table += [("clique", "t", "max cliques", t, ker.clique_counts(t),
-               k_colex, is_clique_unique) for t in range(s + 1, n + 1)]
+    report = SweepReport("uniqueness", n, s, 1 << ker.U)
+    ms = range(ker.U + 1)
+    # (kind, level name, goal, level, full, extremal value per m, verdict predicate)
+    table = [("colex", "q", "min shadow", q, False,
+              np.array([shadow_colex(m, s, q) for m in ms]), is_colex_unique)
+             for q in range(1, s)]
+    table += [("clique", "t", "max cliques", t, True,
+               np.array([k_colex(m, s, t) for m in ms]), is_clique_unique)
+              for t in range(s + 1, n + 1)]
 
-    for m in range(ker.U + 1):
-        orbit, _ = ker.orbit((1 << m) - 1)          # id 2^m - 1 is C_s(m)
-        ids_m = np.flatnonzero(ker.m_of == m)
-        for kind, var, goal, level, cnt, extremal, predicate in table:
-            attain = ids_m[cnt[ids_m] == extremal(m, s, level)]
-            pos = _positions_in(orbit, attain)
-            if pos is None:
+    # per level, the number of attainers with m edges, merged over the blocks
+    attainers = [np.zeros(ker.U + 1, dtype=np.int64) for _ in table]
+    for F in ker.blocks():
+        m_of = np.bitwise_count(F)
+        for (_, _, _, level, full, ext, _), n_att in zip(table, attainers):
+            hit = ker.counts(F, level, full) == ext[m_of]
+            n_att += np.bincount(m_of[hit], minlength=ker.U + 1)
+
+    orbits = [ker.orbit((1 << m) - 1)[0] for m in ms]   # id 2^m - 1 is C_s(m)
+    sizes = np.array([len(o) for o in orbits])
+    orbit_ids = np.concatenate(orbits)
+    orbit_m = np.bitwise_count(orbit_ids)
+    # per level, the number of orbit ids with m edges that attain the extremum
+    in_orbit = [np.bincount(orbit_m[ker.counts(orbit_ids, level, full) == ext[orbit_m]],
+                            minlength=ker.U + 1)
+                for _, _, _, level, full, ext, _ in table]
+
+    for m in ms:
+        for (kind, var, goal, level, full, ext, predicate), n_att, n_orb in zip(
+                table, attainers, in_orbit):
+            if n_orb[m] != sizes[m]:
                 raise InternalCheckError(
                     f"colex orbit not attaining {goal} at m={m}, {var}={level}"
                 )
             verdict = predicate(m, s, level, n).verdict
-            unique = len(attain) == len(orbit)
+            unique = bool(n_att[m] == sizes[m])
             report.checks.append(f"{kind} m={m} {var}={level}")
             # a False clique verdict is "not decided", so only True can fail
             if verdict != unique and (verdict or (kind == "colex" and m > s + 1)):
-                extra = np.delete(attain, pos)
+                extra = None if unique else ker.first_id(
+                    m, level, full,
+                    lambda F, c: (c == ext[m]) & np.isin(F, orbits[m], invert=True))
                 report.failures.append({
                     "kind": f"{kind}_unique", "m": m, "level": level,
-                    "verdict": verdict, "attainers": len(attain), "orbit": len(orbit),
-                    "family": None if unique else ker.family_of(extra[0]).edge_lists(),
+                    "verdict": verdict, "attainers": int(n_att[m]), "orbit": int(sizes[m]),
+                    "family": None if unique else ker.family_of(extra).edge_lists(),
                 })
     return report
 

@@ -275,15 +275,17 @@ def test_criterion_8_bound_soundness():
     for n, s in ((5, 2), (6, 2), (5, 3), (6, 3)):
         kern = _Kernel(n, s)
         U = kern.U
+        F = np.arange(1 << U, dtype=np.uint32)
+        m_of = np.bitwise_count(F)
         u, t2 = s + 1, s + 2
-        ku = kern.clique_counts(u)
-        kt2 = kern.clique_counts(t2)
+        ku = kern.counts(F, u, full=True)
+        kt2 = kern.counts(F, t2, full=True)
         for i in range(1, s):
             dmax = comb(n - i, s - i)
-            d_of = np.zeros(len(kern.F), dtype=np.int16)
+            d_of = np.zeros(len(F), dtype=np.int16)
             for I in combinations(range(n), i):
                 im = np.uint32(kern.edge_bits_meeting(I, contains=True))
-                np.maximum(d_of, np.bitwise_count(kern.F & im).astype(np.int16),
+                np.maximum(d_of, np.bitwise_count(F & im).astype(np.int16),
                            out=d_of)
             vb_u = np.array([ivalue("v", n, i, s, u, d) for d in range(dmax + 1)])
             vb_t = np.array([ivalue("v", n, i, s, t2, d) for d in range(dmax + 1)])
@@ -295,8 +297,8 @@ def test_criterion_8_bound_soundness():
                            for p in range(comb(n, u) + 1)])
             violations += int(np.count_nonzero(ku > vb_u[d_of]))
             violations += int(np.count_nonzero(kt2 > vb_t[d_of]))
-            violations += int(np.count_nonzero(ku > eb_u[kern.m_of, d_of]))
-            violations += int(np.count_nonzero(kt2 > eb_t[kern.m_of, d_of]))
+            violations += int(np.count_nonzero(ku > eb_u[m_of, d_of]))
+            violations += int(np.count_nonzero(kt2 > eb_t[m_of, d_of]))
             violations += int(np.count_nonzero(kt2 > cb[ku, d_of]))
 
     _conclude(8, "vertex/edge/clique bounds sound on 1e5 random + full 5/6-vertex spaces",

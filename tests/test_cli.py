@@ -149,6 +149,16 @@ def test_verify_payloads():
     assert r.payload["ok"] is True and len(r.payload["rows"]) == 23
 
 
+def test_verify_kkt_sweeps_every_graph_on_7_vertices():
+    # C(7,2) = 21 edges: past the old 20-edge sweep cap, inside the shared cap
+    r = run(["verify", "kkt", "7", "2"])
+    assert r.exit_status == 0 and r.payload["ok"] is True
+    assert r.payload["families"] == 2 ** 21
+    check_schema(r.payload, "verify")
+    r = run(["verify", "kkt", "9", "2"])           # C(9,2) = 36 > 24
+    assert r.exit_status == 1 and "exceeds sweep cap 24" in r.payload["message"]
+
+
 def test_domain_error_exit_1(tmp_path):
     r = run(["bound", "edge", "5", "1", "2", "2", "3"])  # t = s
     assert r.exit_status == 1

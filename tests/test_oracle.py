@@ -173,14 +173,14 @@ def test_search_canonicalises_once_per_class():
 def test_search_rejects_attainers_not_closed_under_relabelling(monkeypatch):
     # a clique count that singles out one labelled K_4 plus pendant edge
     # breaks the symmetry the orbit deduplication relies on
-    counts = oracle._Universe.counts
-    universe = oracle._Universe(5, 2).universe
+    counts = oracle._Kernel.counts
+    universe = oracle._Kernel(5, 2).universe
     k4_pendant = exhaustive_search(SearchSpec(5, 2, 3, m=7)).witnesses[0]
     fid = sum(1 << universe.index(e) for e in k4_pendant.edges)
 
     def skewed(self, F, k, full):
         return counts(self, F, k, full) + (F == fid)
-    monkeypatch.setattr(oracle._Universe, "counts", skewed)
+    monkeypatch.setattr(oracle._Kernel, "counts", skewed)
     with pytest.raises(InternalCheckError, match="leaves the attainer set"):
         exhaustive_search(SearchSpec(5, 2, 3, m=7))
 
@@ -243,6 +243,73 @@ def test_whole_space_extremal_sweep(n, s):
 def test_whole_space_uniqueness_sweep(n, s):
     rep = verify_uniqueness(n, s)
     assert rep.ok and rep.failures == []
+
+
+@pytest.mark.parametrize("n,s", [(7, 2), (7, 5)])
+def test_kkt_sweep_on_21_edge_universe(n, s):
+    # 2^21 families: every graph on 7 vertices, and its complement family
+    rep = verify_kkt(n, s)
+    assert rep.ok and rep.families == 2 ** 21
+    assert rep.checks == [f"min shadow q={q}" for q in range(s)] + [
+        f"max cliques t={t}" for t in range(s, 8)]
+
+
+def test_uniqueness_sweep_on_every_graph_on_7_vertices():
+    rep = verify_uniqueness(7, 2)
+    assert rep.ok and rep.families == 2 ** 21
+    assert len(rep.checks) == 22 * 6    # m = 0..21; q = 1 and t = 3..7
+
+
+def _scans(pairs):
+    """Sweep reports and search results on every (n, s) in pairs."""
+    out = []
+    for n, s in pairs:
+        out.append(verify_kkt(n, s))
+        if n <= MAX_CANON_GROUND:
+            out.append(verify_uniqueness(n, s))
+        U = comb(n, s)
+        for kw in ({}, {"m": U // 2}, {"u": n, "p": 0},
+                   {"i": s - 1, "max_degree": 1} if s > 1 else {"m": U}):
+            for t in sorted({s, n}):
+                out.append(exhaustive_search(SearchSpec(n, s, t, **kw)))
+    return out
+
+
+SMALL_UNIVERSES = [(n, s) for n in range(1, 11) for s in range(1, n + 1) if comb(n, s) <= 10]
+
+
+def test_scans_agree_across_block_sizes(monkeypatch):
+    # blocks of 8 ids split every universe above 3 edges; the merged extremes,
+    # attainer counts, segment counts and search results must not change
+    whole = _scans(SMALL_UNIVERSES)
+    monkeypatch.setattr(oracle, "BLOCK_BITS", 3)
+    assert _scans(SMALL_UNIVERSES) == whole
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_failure_rows_agree_across_block_sizes(monkeypatch, shift):
+    # k_colex off by +1 is attained by no family (rows name the colex segment);
+    # off by -1 it is beaten (rows name the lowest-id family beyond it)
+    real_k = oracle.k_colex
+    real_unique = oracle.is_colex_unique, oracle.is_clique_unique
+    pairs = [(4, 2), (5, 2), (5, 3)]
+
+    def rows():
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, "k_colex", lambda m, s, t: max(real_k(m, s, t) + shift, 0))
+            kkt = [verify_kkt(n, s).failures for n, s in pairs]
+        with monkeypatch.context() as mp:
+            for name, real in zip(("is_colex_unique", "is_clique_unique"), real_unique):
+                mp.setattr(oracle, name, lambda m, s, level, n, real=real: dataclasses.replace(
+                    real(m, s, level, n), verdict=(m + level + shift) % 2 == 0))
+            uniq = [verify_uniqueness(n, s).failures for n, s in pairs]
+        return kkt, uniq
+
+    whole = rows()
+    families = [f["family"] for reps in whole for rep in reps for f in rep if "family" in f]
+    assert any(families) and None in families
+    monkeypatch.setattr(oracle, "BLOCK_BITS", 3)
+    assert rows() == whole
 
 
 def _flip_verdict(monkeypatch, name, m, level):
