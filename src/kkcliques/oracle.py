@@ -21,20 +21,24 @@ j-th edge of the colex-sorted universe is present, so family id 2^m - 1 is
 the colex segment C_s(m) and the top-run id is the retlex segment.  Search
 and sweeps share one kernel class, _Kernel, for universes of up to
 MAX_UNIVERSE = 24 edges: its blocks() streams the 2^C(n,s) ids 2^BLOCK_BITS
-at a time, and its counts() is the one counting helper.  The sweeps merge
-per-m extremes and attainer counts across blocks and rescan for a failure
-row's family (_Kernel.first_id) only when a row fails.  One relabelling
-helper, _relabellings, serves both: canonical_form takes its least row, and
-_Kernel.orbit maps a family id to the ids of its whole relabelling orbit, so
-the search canonicalises once per isomorphism class and verify_uniqueness
-compares orbit sizes with attainer counts.
+at a time, masks() builds the edge masks of the k-sets of each level once,
+and counts() is the one counting engine: it counts every id of a block at
+once with one bincount over the k-sets and two small exact matrix products
+(a subset-sum transform split in halves), not one pass per k-set.  The
+sweeps group each block's counts by popcount to merge per-m extremes and
+attainer counts across blocks, check the colex orbits from the same counts,
+and rescan for a failure row's family (_Kernel.first_id) only when a row
+fails.  One relabelling helper, _relabellings, serves both: canonical_form
+takes its least row, and _Kernel.orbit maps a family id to the ids of its
+whole relabelling orbit, so the search canonicalises once per isomorphism
+class and verify_uniqueness compares orbit sizes with attainer counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
@@ -53,9 +57,7 @@ from .families import (
     _colex_masks,
     cliques,
     max_degree,
-    retlex_segment,
     shadow,
-    upshadow,
 )
 from .uniqueness import is_clique_unique, is_colex_unique
 
@@ -110,9 +112,9 @@ def canonical_form(H: SetFamily) -> bytes:
 # family-id kernel
 
 class _Kernel:
-    """The C(n,s) s-sets of [n] in colex order, and vectorised counts over
-    family ids: bit j of an id says that universe[j] is an edge.  The sweeps
-    and the search scan all 2^C(n,s) ids through blocks()."""
+    """The C(n,s) s-sets of [n] in colex order, and exact counts over family
+    ids: bit j of an id says that universe[j] is an edge.  The sweeps and the
+    search scan all 2^C(n,s) ids through blocks(), 2^bits ids at a time."""
 
     def __init__(self, n: int, s: int):
         U = comb(n, s)
@@ -120,11 +122,13 @@ class _Kernel:
             raise ValueError(f"universe C({n},{s}) = {U} exceeds sweep cap {MAX_UNIVERSE}")
         self.n, self.s, self.U = n, s, U
         self.universe = list(_colex_masks(n, s))
+        self.bits = min(U, BLOCK_BITS)
+        self._levels: dict[tuple[int, bool], tuple] = {}
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """Every family id in ascending order, 2^BLOCK_BITS ids at a time."""
+        """Every family id in ascending order, 2^bits ids at a time."""
         import numpy as np
-        step = 1 << min(self.U, BLOCK_BITS)
+        step = 1 << self.bits
         for lo in range(0, 1 << self.U, step):
             yield np.arange(lo, lo + step, dtype=np.uint32)
 
@@ -153,30 +157,78 @@ class _Kernel:
         bits = 1 << np.searchsorted(self.universe, imgs)
         return np.unique(np.bitwise_or.reduce(bits, axis=1)), tuple(least.tolist())
 
-    def edge_bits_meeting(self, vset: tuple[int, ...], contains: bool) -> int:
-        vm = sum(1 << v for v in vset)
-        out = 0
+    def masks(self, k: int) -> np.ndarray:
+        """The edge mask of every k-set of [n], in colex order: the edges
+        containing it when k < s, the edges inside it when k >= s."""
+        import numpy as np
+        ks = np.fromiter(_colex_masks(self.n, k), dtype=np.uint32, count=comb(self.n, k))
+        km = np.zeros_like(ks)
         for j, e in enumerate(self.universe):
-            hit = (e & vm) == vm if contains else (e & vm) == e
-            if hit:
-                out |= 1 << j
-        return out
+            km |= ((ks & e) == (ks if k < self.s else e)).astype(np.uint32) << j
+        return km
+
+    def _level(self, k: int, full: bool) -> tuple:
+        """Per k-set, its (mid, low) pattern index and its bits above a block;
+        and the tables [a <= x] (full) or [a & x == 0] (meet) of every mid and
+        low half x of a block against the patterns a that occur."""
+        import numpy as np
+        key = (k, full)
+        if key not in self._levels:
+            km = self.masks(k)
+            lb = self.bits // 2
+            mb = self.bits - lb
+
+            def table(part: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+                pats, inv = np.unique(part & ((1 << width) - 1), return_inverse=True)
+                # at least two patterns: numpy's matmul is slow for an inner dimension of 1
+                pats = np.pad(pats, (0, max(0, 2 - len(pats))))
+                x = np.arange(1 << width, dtype=np.uint32)[:, None] & pats
+                return (x == pats if full else x == 0).astype(np.float64), inv
+            zm, mi = table(km >> lb, mb)
+            zl, li = table(km, lb)
+            self._levels[key] = (mi * zl.shape[1] + li, km >> self.bits, zm,
+                                 np.ascontiguousarray(zl.T))
+        return self._levels[key]
 
     def counts(self, F: np.ndarray, k: int, full: bool) -> np.ndarray:
-        """Per id in F, the number of k-sets whose edge mask is fully present
-        (full) or meets the family (not full).
+        """Per id in F (strictly ascending), the number of k-sets whose edge
+        mask is fully present (full) or meets the family (not full).
 
         The edge mask of a k-set holds the edges containing it when k < s and
         the edges inside it when k >= s, so the counts are |shadow_k| (k < s,
-        meets), k^k (full) and |upshadow_k| (k > s, meets).  The dtype is the
-        narrowest that holds C(n,k), so no count wraps.
+        meets), k^k (full) and |upshadow_k| (k > s, meets).
+
+        Counts come a whole block at a time, as a subset-sum split in two
+        halves over the mask patterns that occur.  An id of the block with
+        high bits H is H | mid << lb | low, and a k-set counts for it when its
+        high part is inside H and its mid and low patterns a, c are inside mid
+        and low.  So the block's full counts are Zm @ N_H @ Zl.T, with
+        Zm[mid, a] = [a <= mid], Zl[low, c] = [c <= low] and N_H[a, c] the
+        number of k-sets with patterns a, c whose high part is inside H; meet
+        counts are C(n,k) minus the same product of disjointness tables, over
+        the k-sets whose high part misses H.  Every factor is a non-negative
+        integer and every partial sum is at most C(n,k) <= C(24,12) < 2^53, so
+        the float64 products are exact in any summation order.  The dtype is
+        the narrowest that holds C(n,k), so no count wraps.
         """
         import numpy as np
-        cnt = np.zeros(len(F), dtype=np.min_scalar_type(comb(self.n, k)))
-        for K in combinations(range(self.n), k):
-            km = np.uint32(self.edge_bits_meeting(K, contains=k < self.s))
-            cnt += (F & km) == km if full else (F & km) != 0
-        return cnt
+        idx, high, zm, zlT = self._level(k, full)
+        nK = comb(self.n, k)
+        out = np.empty(len(F), dtype=np.min_scalar_type(nK))
+        step = 1 << self.bits
+        i = 0
+        while i < len(F):
+            lo = int(F[i]) & -step
+            j = len(F) if int(F[-1]) < lo + step else int(np.searchsorted(F, lo + step))
+            H = lo >> self.bits
+            w = (high | H) == H if full else (high & H) == 0
+            N = np.bincount(idx, weights=w, minlength=zm.shape[1] * zlT.shape[0])
+            c = (zm @ N.reshape(zm.shape[1], zlT.shape[0]) @ zlT).ravel()
+            if not full:
+                np.subtract(nK, c, out=c)
+            out[i:j] = c if j - i == step else c[F[i:j] - lo]
+            i = j
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +297,7 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     if threads < 1:
         raise ValueError("threads must be >= 1")
     ker = _Kernel(spec.n, spec.s)
-    caps = [] if spec.i is None else [
-        np.uint32(ker.edge_bits_meeting(I, contains=True))
-        for I in combinations(range(spec.n), spec.i)
-    ]
+    caps = [] if spec.i is None else ker.masks(spec.i)
 
     best: Optional[int] = None
     attainers: list[np.ndarray] = []
@@ -299,6 +348,16 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
 # ---------------------------------------------------------------------------
 # whole-space sweeps
 
+def _by_popcount(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the offsets 0 .. 2^bits - 1 of a block: their popcounts in ascending
+    order, the stable order that sorts them so, and where each popcount
+    0 .. bits starts in it."""
+    import numpy as np
+    pc = np.bitwise_count(np.arange(1 << bits, dtype=np.uint32))
+    order = np.argsort(pc, kind="stable")
+    return pc[order], order, np.searchsorted(pc[order], np.arange(bits + 1))
+
+
 @dataclass
 class SweepReport:
     kind: str                      # "kkt" | "uniqueness"
@@ -337,8 +396,10 @@ def verify_kkt(n: int, s: int, check_upshadow: Optional[bool] = None) -> SweepRe
     table += [("cliques", "max cliques t", t, True, "colex", colex_ids,
                [k_colex(m, s, t) for m in ms]) for t in range(s, n + 1)]
     if check_upshadow:
+        # complementing every edge maps the retlex s-segment to the colex
+        # (n-s)-segment and its t-upshadow to the (n-t)-shadow of that
         table += [("upshadow", "min upshadow t", t, False, "retlex", retlex_ids,
-                   [len(upshadow(retlex_segment(n, m, s), t).edges) for m in ms])
+                   [shadow_colex(m, n - s, n - t) for m in ms])
                   for t in range(s + 1, n + 1)]
 
     # per level, merged over the blocks: the extreme count per m and the
@@ -346,14 +407,18 @@ def verify_kkt(n: int, s: int, check_upshadow: Optional[bool] = None) -> SweepRe
     extreme = [np.full(ker.U + 1, -1 if full else np.iinfo(np.int64).max)
                for _, _, _, full, _, _, _ in table]
     at_seg = [np.zeros(ker.U + 1, dtype=np.int64) for _ in table]
+    pcs, order, starts = _by_popcount(ker.bits)
     for F in ker.blocks():
-        m_of = np.bitwise_count(F)
         lo = int(F[0])
+        # ids with offset popcount p in this block have p + popcount(lo) edges
+        m_sl = slice(lo.bit_count(), lo.bit_count() + ker.bits + 1)
         for (kind, _, level, full, _, seg_ids, _), ext, got in zip(table, extreme, at_seg):
             cnt = ker.counts(F, level, full)
-            if kind == "cliques" and level == s and not np.array_equal(cnt, m_of):
+            srt = cnt[order]
+            if kind == "cliques" and level == s and not np.array_equal(srt, pcs + m_sl.start):
                 raise InternalCheckError("kernel self-test failed: k^s != edge count")
-            (np.maximum if full else np.minimum).at(ext, m_of, cnt.astype(np.int64))
+            best = np.maximum if full else np.minimum
+            ext[m_sl] = best(ext[m_sl], best.reduceat(srt, starts))
             here = (seg_ids >= lo) & (seg_ids < lo + len(F))
             got[here] = cnt[seg_ids[here] - lo]
 
@@ -400,22 +465,27 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
                np.array([k_colex(m, s, t) for m in ms]), is_clique_unique)
               for t in range(s + 1, n + 1)]
 
-    # per level, the number of attainers with m edges, merged over the blocks
-    attainers = [np.zeros(ker.U + 1, dtype=np.int64) for _ in table]
-    for F in ker.blocks():
-        m_of = np.bitwise_count(F)
-        for (_, _, _, level, full, ext, _), n_att in zip(table, attainers):
-            hit = ker.counts(F, level, full) == ext[m_of]
-            n_att += np.bincount(m_of[hit], minlength=ker.U + 1)
-
     orbits = [ker.orbit((1 << m) - 1)[0] for m in ms]   # id 2^m - 1 is C_s(m)
     sizes = np.array([len(o) for o in orbits])
     orbit_ids = np.concatenate(orbits)
     orbit_m = np.bitwise_count(orbit_ids)
-    # per level, the number of orbit ids with m edges that attain the extremum
-    in_orbit = [np.bincount(orbit_m[ker.counts(orbit_ids, level, full) == ext[orbit_m]],
-                            minlength=ker.U + 1)
-                for _, _, _, level, full, ext, _ in table]
+
+    # per level, merged over the blocks: the number of attainers with m edges,
+    # and the number of orbit ids with m edges that attain the extremum
+    attainers = [np.zeros(ker.U + 1, dtype=np.int64) for _ in table]
+    in_orbit = [np.zeros(ker.U + 1, dtype=np.int64) for _ in table]
+    _, order, starts = _by_popcount(ker.bits)
+    widths = np.diff(starts, append=len(order))
+    for F in ker.blocks():
+        lo = int(F[0])
+        m_sl = slice(lo.bit_count(), lo.bit_count() + ker.bits + 1)
+        here = (orbit_ids >= lo) & (orbit_ids < lo + len(F))
+        orb, orb_m = orbit_ids[here] - lo, orbit_m[here]
+        for (_, _, _, level, full, ext, _), n_att, n_orb in zip(table, attainers, in_orbit):
+            cnt = ker.counts(F, level, full)
+            n_att[m_sl] += np.add.reduceat(cnt[order] == np.repeat(ext[m_sl], widths), starts,
+                                           dtype=np.int64)
+            n_orb += np.bincount(orb_m[cnt[orb] == ext[orb_m]], minlength=ker.U + 1)
 
     for m in ms:
         for (kind, var, goal, level, full, ext, predicate), n_att, n_orb in zip(

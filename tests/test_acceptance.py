@@ -283,8 +283,7 @@ def test_criterion_8_bound_soundness():
         for i in range(1, s):
             dmax = comb(n - i, s - i)
             d_of = np.zeros(len(F), dtype=np.int16)
-            for I in combinations(range(n), i):
-                im = np.uint32(kern.edge_bits_meeting(I, contains=True))
+            for im in kern.masks(i):
                 np.maximum(d_of, np.bitwise_count(F & im).astype(np.int16),
                            out=d_of)
             vb_u = np.array([ivalue("v", n, i, s, u, d) for d in range(dmax + 1)])

@@ -159,6 +159,13 @@ def test_verify_kkt_sweeps_every_graph_on_7_vertices():
     assert r.exit_status == 1 and "exceeds sweep cap 24" in r.payload["message"]
 
 
+def test_verify_kkt_sweeps_18_singletons():
+    # C(18,9) = 48,620 9-sets: counting them one numpy pass each took about 55 s
+    r = run(["verify", "kkt", "18", "1"])
+    assert r.exit_status == 0 and r.payload["ok"] is True
+    assert r.payload["families"] == 2 ** 18
+
+
 def test_domain_error_exit_1(tmp_path):
     r = run(["bound", "edge", "5", "1", "2", "2", "3"])  # t = s
     assert r.exit_status == 1

@@ -186,13 +186,15 @@ def test_retlex_segment_complement_duality():
 
 def test_upshadow_of_retlex_via_complement_shadow():
     # complementing each edge maps the retlex s-segment to the colex
-    # (n-s)-segment, and t-supersets to (n-t)-subsets
-    n, s = 6, 3
-    for m in range(0, comb(n, s) + 1):
-        R = retlex_segment(n, m, s)
-        for t in range(s + 1, n + 1):
-            got = len(upshadow(R, t).edges)
-            assert got == shadow_colex(m, n - s, n - t)
+    # (n-s)-segment, and t-supersets to (n-t)-subsets; verify_kkt takes its
+    # expected minimum upshadow from this identity
+    pairs = [(n, s) for n in range(1, 13) for s in range(1, n + 1) if comb(n, s) <= 15]
+    for n, s in pairs + [(6, 3)]:
+        for m in range(0, comb(n, s) + 1):
+            R = retlex_segment(n, m, s)
+            for t in range(s + 1, n + 1):
+                got = len(upshadow(R, t).edges)
+                assert got == shadow_colex(m, n - s, n - t)
 
 
 def test_segment_counts_match_formulas():

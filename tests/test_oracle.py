@@ -157,6 +157,16 @@ def test_search_widest_universe():
     assert (r.optimum, r.families_scanned, r.class_count) == (1, 276, 276)
 
 
+def test_wide_universes_do_not_count_k_sets_one_by_one():
+    # C(20,10) = 184,756 10-sets and C(18,9) = 48,620 9-sets: a numpy pass per
+    # k-set took about 18 s for the first search and about 55 s for the sweep
+    r = exhaustive_search(SearchSpec(20, 1, 10, m=2))
+    assert (r.status, r.optimum, r.class_count, r.families_scanned) == ("ok", 0, 190, 190)
+    assert exhaustive_search(SearchSpec(20, 1, 2, m=2)).optimum == 1
+    rep = verify_kkt(18, 1)
+    assert rep.ok and rep.families == 2 ** 18
+
+
 def test_search_canonicalises_once_per_class():
     # every 7-vertex graph has no 7-clique, so each is an attainer; the class
     # counts are the numbers of graphs on 7 vertices with 4 and 10 edges
@@ -190,6 +200,41 @@ def test_kernel_counts_do_not_wrap():
     whole = np.array([(1 << ker.U) - 1], dtype=np.uint32)
     cnt = ker.counts(whole, 9, full=True)
     assert cnt.tolist() == [comb(18, 9)]
+
+
+def _direct_counts(n, s, F, k):
+    """Per id in F, the full and the meet count of level k: the tests
+    (F & km) == km and (F & km) != 0 against the edge mask km of every k-set
+    from combinations, summed over the k-sets."""
+    universe = sorted(sum(1 << v for v in e) for e in combinations(range(n), s))
+    kms = []
+    for K in combinations(range(n), k):
+        km = sum(1 << v for v in K)
+        kms.append(sum(1 << j for j, e in enumerate(universe)
+                       if (e & km == km if k < s else e & km == e)))
+    hits = F[:, None] & np.array(kms, dtype=np.uint32)
+    return (hits == np.array(kms, dtype=np.uint32)).sum(axis=1), (hits != 0).sum(axis=1)
+
+
+@pytest.mark.parametrize("n,s", [(n, s) for n in range(1, 17) for s in range(1, n + 1)
+                                 if comb(n, s) <= 16])
+def test_kernel_counts_match_direct_passes(monkeypatch, n, s):
+    # every id when U <= 12, else a seeded sample that includes both ends
+    U = comb(n, s)
+    if U <= 12:
+        F = np.arange(1 << U, dtype=np.uint32)
+    else:
+        pick = random.Random(U).sample(range(1, (1 << U) - 1), 254)
+        F = np.array(sorted(pick + [0, (1 << U) - 1]), dtype=np.uint32)
+    want = {k: _direct_counts(n, s, F, k) for k in range(n + 1)}
+    for bits in (oracle.BLOCK_BITS, 3):
+        monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
+        ker = _Kernel(n, s)
+        for k, (full, meet) in want.items():
+            for is_full, ref in ((True, full), (False, meet)):
+                got = ker.counts(F, k, is_full)
+                assert got.dtype == np.min_scalar_type(comb(n, k))
+                assert got.tolist() == ref.tolist(), (bits, k, is_full)
 
 
 def test_perm_mask_tables_peak_memory(monkeypatch):
