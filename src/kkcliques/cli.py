@@ -194,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = leaf(vsub, "kkt")
     v.add_argument("n", type=int)
     v.add_argument("s", type=int)
-    v.add_argument("--no-upshadow", action="store_true")
+    v.add_argument("--no-upshadow", action="store_true",
+                   help="skip the min upshadow checks, made by default when C(n,s) <= 15")
     v = leaf(vsub, "uniqueness")
     v.add_argument("n", type=int)
     v.add_argument("s", type=int)

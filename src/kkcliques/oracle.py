@@ -17,21 +17,19 @@ closed-form operations by raw enumeration:
   * tightness_sweep: worst-case ratio data for the non-divisible regime.
 
 The numpy kernel indexes families by an integer whose bit j says whether the
-j-th edge of the colex-sorted universe is present, so family id 2^m - 1 is
-the colex segment C_s(m) and the top-run id is the retlex segment.  Search
-and sweeps share one kernel class, _Kernel, for universes of up to
-MAX_UNIVERSE = 24 edges: its blocks() streams the 2^C(n,s) ids 2^BLOCK_BITS
-at a time, masks() builds the edge masks of the k-sets of each level once,
-and counts() is the one counting engine: it counts every id of a block at
-once with one bincount over the k-sets and two small exact matrix products
-(a subset-sum transform split in halves), not one pass per k-set.  The
-sweeps group each block's counts by popcount to merge per-m extremes and
-attainer counts across blocks, check the colex orbits from the same counts,
-and rescan for a failure row's family (_Kernel.first_id) only when a row
-fails.  One relabelling helper, _relabellings, serves both: canonical_form
-takes its least row, and _Kernel.orbit maps a family id to the ids of its
-whole relabelling orbit, so the search canonicalises once per isomorphism
-class and verify_uniqueness compares orbit sizes with attainer counts.
+j-th edge of the colex-sorted universe is present, so id 2^m - 1 is C_s(m),
+the top-run id is the retlex segment and 2^U - 1 - id is the complement.
+Search and sweeps share one kernel, _Kernel, for universes of up to
+MAX_UNIVERSE = 24 edges: blocks() streams the ids 2^BLOCK_BITS at a time,
+masks() builds the k-sets' edge masks once per level, and counts() counts
+the k-sets whose mask lies inside each id of a block with one bincount and
+two small exact matrix products.  A mask meets a family unless it lies in
+the complement, so every shadow and upshadow count is C(n,k) minus a full
+count of the complement (Kruskal 1963; Katona 1968).  Both sweeps run on one
+block scan, _scan, and read their meet rows at U - m; a failure row's family
+is found by a rescan (_Kernel.first_id).  One relabelling helper serves
+canonical_form (its least row) and _Kernel.orbit (the ids of a family's
+orbit), so the search canonicalises once per isomorphism class.
 """
 
 from __future__ import annotations
@@ -117,13 +115,15 @@ class _Kernel:
     search scan all 2^C(n,s) ids through blocks(), 2^bits ids at a time."""
 
     def __init__(self, n: int, s: int):
+        if not 1 <= s <= n:
+            raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
         U = comb(n, s)
         if U > MAX_UNIVERSE:
             raise ValueError(f"universe C({n},{s}) = {U} exceeds sweep cap {MAX_UNIVERSE}")
         self.n, self.s, self.U = n, s, U
         self.universe = list(_colex_masks(n, s))
         self.bits = min(U, BLOCK_BITS)
-        self._levels: dict[tuple[int, bool], tuple] = {}
+        self._levels: dict[int, tuple] = {}
 
     def blocks(self) -> Iterator[np.ndarray]:
         """Every family id in ascending order, 2^bits ids at a time."""
@@ -167,13 +167,11 @@ class _Kernel:
             km |= ((ks & e) == (ks if k < self.s else e)).astype(np.uint32) << j
         return km
 
-    def _level(self, k: int, full: bool) -> tuple:
+    def _level(self, k: int) -> tuple:
         """Per k-set, its (mid, low) pattern index and its bits above a block;
-        and the tables [a <= x] (full) or [a & x == 0] (meet) of every mid and
-        low half x of a block against the patterns a that occur."""
+        and the tables [a <= x] of every mid and low half x against the patterns a."""
         import numpy as np
-        key = (k, full)
-        if key not in self._levels:
+        if k not in self._levels:
             km = self.masks(k)
             lb = self.bits // 2
             mb = self.bits - lb
@@ -183,37 +181,39 @@ class _Kernel:
                 # at least two patterns: numpy's matmul is slow for an inner dimension of 1
                 pats = np.pad(pats, (0, max(0, 2 - len(pats))))
                 x = np.arange(1 << width, dtype=np.uint32)[:, None] & pats
-                return (x == pats if full else x == 0).astype(np.float64), inv
+                return (x == pats).astype(np.float64), inv
             zm, mi = table(km >> lb, mb)
             zl, li = table(km, lb)
-            self._levels[key] = (mi * zl.shape[1] + li, km >> self.bits, zm,
-                                 np.ascontiguousarray(zl.T))
-        return self._levels[key]
+            self._levels[k] = (mi * zl.shape[1] + li, km >> self.bits, zm,
+                               np.ascontiguousarray(zl.T))
+        return self._levels[k]
 
     def counts(self, F: np.ndarray, k: int, full: bool) -> np.ndarray:
         """Per id in F (strictly ascending), the number of k-sets whose edge
-        mask is fully present (full) or meets the family (not full).
+        mask lies inside the family (full) or meets it (not full).
 
         The edge mask of a k-set holds the edges containing it when k < s and
-        the edges inside it when k >= s, so the counts are |shadow_k| (k < s,
-        meets), k^k (full) and |upshadow_k| (k > s, meets).
+        the edges inside it when k >= s, so the counts are k^k (full),
+        |shadow_k| (k < s) and |upshadow_k| (k > s).  A meet count is C(n,k)
+        minus the full count of the complement id; the sweeps take it so.
 
-        Counts come a whole block at a time, as a subset-sum split in two
+        Full counts come a whole block at a time, as a subset-sum split in two
         halves over the mask patterns that occur.  An id of the block with
         high bits H is H | mid << lb | low, and a k-set counts for it when its
         high part is inside H and its mid and low patterns a, c are inside mid
-        and low.  So the block's full counts are Zm @ N_H @ Zl.T, with
+        and low.  So the block's counts are Zm @ N_H @ Zl.T, with
         Zm[mid, a] = [a <= mid], Zl[low, c] = [c <= low] and N_H[a, c] the
-        number of k-sets with patterns a, c whose high part is inside H; meet
-        counts are C(n,k) minus the same product of disjointness tables, over
-        the k-sets whose high part misses H.  Every factor is a non-negative
-        integer and every partial sum is at most C(n,k) <= C(24,12) < 2^53, so
-        the float64 products are exact in any summation order.  The dtype is
-        the narrowest that holds C(n,k), so no count wraps.
+        number of k-sets with patterns a, c whose high part is inside H.
+        Every factor is a non-negative integer and every partial sum is at
+        most C(n,k) <= C(24,12) < 2^53, so the float64 products are exact in
+        any summation order.  The dtype is the narrowest that holds C(n,k),
+        so no count wraps.
         """
         import numpy as np
-        idx, high, zm, zlT = self._level(k, full)
         nK = comb(self.n, k)
+        if not full:
+            return nK - self.counts((1 << self.U) - 1 - F[::-1], k, True)[::-1]
+        idx, high, zm, zlT = self._level(k)
         out = np.empty(len(F), dtype=np.min_scalar_type(nK))
         step = 1 << self.bits
         i = 0
@@ -221,11 +221,9 @@ class _Kernel:
             lo = int(F[i]) & -step
             j = len(F) if int(F[-1]) < lo + step else int(np.searchsorted(F, lo + step))
             H = lo >> self.bits
-            w = (high | H) == H if full else (high & H) == 0
-            N = np.bincount(idx, weights=w, minlength=zm.shape[1] * zlT.shape[0])
+            N = np.bincount(idx, weights=(high | H) == H,
+                            minlength=zm.shape[1] * zlT.shape[0])
             c = (zm @ N.reshape(zm.shape[1], zlT.shape[0]) @ zlT).ravel()
-            if not full:
-                np.subtract(nK, c, out=c)
             out[i:j] = c if j - i == step else c[F[i:j] - lo]
             i = j
         return out
@@ -348,14 +346,31 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
 # ---------------------------------------------------------------------------
 # whole-space sweeps
 
-def _by_popcount(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For the offsets 0 .. 2^bits - 1 of a block: their popcounts in ascending
-    order, the stable order that sorts them so, and where each popcount
-    0 .. bits starts in it."""
+def _scan(ker: _Kernel, levels: list[tuple]) -> list[tuple]:
+    """Per (k, watched ids ascending, target per m or None) in levels, merged
+    over one pass through the blocks: the largest full count of level k over
+    the ids with m edges, how many of those count target[m], and the counts
+    of the watched ids."""
     import numpy as np
-    pc = np.bitwise_count(np.arange(1 << bits, dtype=np.uint32))
+    pc = np.bitwise_count(np.arange(1 << ker.bits, dtype=np.uint32))
     order = np.argsort(pc, kind="stable")
-    return pc[order], order, np.searchsorted(pc[order], np.arange(bits + 1))
+    starts = np.searchsorted(pc[order], np.arange(ker.bits + 1))
+    widths = np.diff(starts, append=len(order))
+    out = [(np.zeros(ker.U + 1, dtype=np.int64), np.zeros(ker.U + 1, dtype=np.int64),
+            np.zeros(len(watched), dtype=np.int64)) for _, watched, _ in levels]
+    for F in ker.blocks():
+        lo = int(F[0])
+        # ids with offset popcount p in this block have p + popcount(lo) edges
+        m_sl = slice(lo.bit_count(), lo.bit_count() + ker.bits + 1)
+        for (k, watched, target), (top, hits, seen) in zip(levels, out):
+            srt = (cnt := ker.counts(F, k, full=True))[order]
+            top[m_sl] = np.maximum(top[m_sl], np.maximum.reduceat(srt, starts))
+            if target is not None:
+                hits[m_sl] += np.add.reduceat(srt == np.repeat(target[m_sl], widths), starts,
+                                              dtype=np.int64)
+            a, b = np.searchsorted(watched, (lo, lo + len(F)))
+            seen[a:b] = cnt[watched[a:b] - lo]
+    return out
 
 
 @dataclass
@@ -377,20 +392,27 @@ def verify_kkt(n: int, s: int, check_upshadow: Optional[bool] = None) -> SweepRe
 
     For each edge count m: the minimum q-shadow equals the cascade formula for
     every q < s, the maximum t-clique count equals k_colex for every t >= s,
-    and (optionally, default on for universes up to 2^15) the minimum
-    t-upshadow is attained by the retlex segment.
+    and (optionally, default on for universes up to 15 edges) the minimum
+    t-upshadow is attained by the retlex segment.  By complements, the least
+    shadow or upshadow at m is C(n,k) minus the largest full count at U - m.
     """
     import numpy as np
     ker = _Kernel(n, s)
-    report = SweepReport("kkt", n, s, 1 << ker.U)
+    U = ker.U
+    report = SweepReport("kkt", n, s, 1 << U)
     if check_upshadow is None:
-        check_upshadow = ker.U <= 15
-    ms = range(ker.U + 1)
-    colex_ids = (1 << np.arange(ker.U + 1, dtype=np.int64)) - 1
-    retlex_ids = np.array([((1 << m) - 1) << (ker.U - m) for m in ms], dtype=np.int64)
+        check_upshadow = U <= 15
+    ms = range(U + 1)
+    colex_ids = (1 << np.arange(U + 1, dtype=np.int64)) - 1
+    # the retlex id with m edges is the complement of the colex id with U - m,
+    # so a shadow row reads the retlex ids; level s counts the edges (self-test)
+    retlex_ids = (1 << U) - 1 - colex_ids[::-1]
+    scan = _scan(ker, [(k, retlex_ids if k < s else colex_ids, np.array(ms) if k == s else None)
+                       for k in range(n + 1)])
+    if not np.array_equal(scan[s][1], [comb(U, m) for m in ms]):
+        raise InternalCheckError("kernel self-test failed: k^s != edge count")
 
-    # (kind, check label, level, full, segment name, segment ids, expected per m):
-    # full-presence counts (cliques) are maximised, meet counts minimised.
+    # (kind, check label, level, full, segment name, segment ids, expected per m)
     table = [("shadow", "min shadow q", q, False, "colex", colex_ids,
               [shadow_colex(m, s, q) for m in ms]) for q in range(s)]
     table += [("cliques", "max cliques t", t, True, "colex", colex_ids,
@@ -399,31 +421,12 @@ def verify_kkt(n: int, s: int, check_upshadow: Optional[bool] = None) -> SweepRe
         # complementing every edge maps the retlex s-segment to the colex
         # (n-s)-segment and its t-upshadow to the (n-t)-shadow of that
         table += [("upshadow", "min upshadow t", t, False, "retlex", retlex_ids,
-                   [shadow_colex(m, n - s, n - t) for m in ms])
-                  for t in range(s + 1, n + 1)]
+                   [shadow_colex(m, n - s, n - t) for m in ms]) for t in range(s + 1, n + 1)]
 
-    # per level, merged over the blocks: the extreme count per m and the
-    # counts of the segment ids
-    extreme = [np.full(ker.U + 1, -1 if full else np.iinfo(np.int64).max)
-               for _, _, _, full, _, _, _ in table]
-    at_seg = [np.zeros(ker.U + 1, dtype=np.int64) for _ in table]
-    pcs, order, starts = _by_popcount(ker.bits)
-    for F in ker.blocks():
-        lo = int(F[0])
-        # ids with offset popcount p in this block have p + popcount(lo) edges
-        m_sl = slice(lo.bit_count(), lo.bit_count() + ker.bits + 1)
-        for (kind, _, level, full, _, seg_ids, _), ext, got in zip(table, extreme, at_seg):
-            cnt = ker.counts(F, level, full)
-            srt = cnt[order]
-            if kind == "cliques" and level == s and not np.array_equal(srt, pcs + m_sl.start):
-                raise InternalCheckError("kernel self-test failed: k^s != edge count")
-            best = np.maximum if full else np.minimum
-            ext[m_sl] = best(ext[m_sl], best.reduceat(srt, starts))
-            here = (seg_ids >= lo) & (seg_ids < lo + len(F))
-            got[here] = cnt[seg_ids[here] - lo]
-
-    for (kind, label, level, full, seg, seg_ids, expected), ext, got in zip(
-            table, extreme, at_seg):
+    for kind, label, level, full, seg, seg_ids, expected in table:
+        ext, _, got = scan[level]   # per m: the extreme count and the segment's count
+        if not full:
+            ext, got = comb(n, level) - ext[::-1], comb(n, level) - got[::-1]
         expected = np.array(expected, dtype=np.int64)
         report.checks.append(f"{label}={level}")
         for m in np.flatnonzero(ext != expected):
@@ -465,31 +468,27 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
                np.array([k_colex(m, s, t) for m in ms]), is_clique_unique)
               for t in range(s + 1, n + 1)]
 
-    orbits = [ker.orbit((1 << m) - 1)[0] for m in ms]   # id 2^m - 1 is C_s(m)
-    sizes = np.array([len(o) for o in orbits])
-    orbit_ids = np.concatenate(orbits)
-    orbit_m = np.bitwise_count(orbit_ids)
+    # the orbits of all C_s(m) at once: column m - 1 of the accumulated row p
+    # is the id of C_s(m) relabelled by p, and id 0 is C_s(0)
+    pos = np.searchsorted(ker.universe, _perm_mask_tables(n)[:, ker.universe])
+    orbit_ids = np.unique(np.append(0, np.bitwise_or.accumulate(1 << pos, axis=1)))
+    sizes = np.bincount(np.bitwise_count(orbit_ids), minlength=ker.U + 1)
 
-    # per level, merged over the blocks: the number of attainers with m edges,
-    # and the number of orbit ids with m edges that attain the extremum
-    attainers = [np.zeros(ker.U + 1, dtype=np.int64) for _ in table]
-    in_orbit = [np.zeros(ker.U + 1, dtype=np.int64) for _ in table]
-    _, order, starts = _by_popcount(ker.bits)
-    widths = np.diff(starts, append=len(order))
-    for F in ker.blocks():
-        lo = int(F[0])
-        m_sl = slice(lo.bit_count(), lo.bit_count() + ker.bits + 1)
-        here = (orbit_ids >= lo) & (orbit_ids < lo + len(F))
-        orb, orb_m = orbit_ids[here] - lo, orbit_m[here]
-        for (_, _, _, level, full, ext, _), n_att, n_orb in zip(table, attainers, in_orbit):
-            cnt = ker.counts(F, level, full)
-            n_att[m_sl] += np.add.reduceat(cnt[order] == np.repeat(ext[m_sl], widths), starts,
-                                           dtype=np.int64)
-            n_orb += np.bincount(orb_m[cnt[orb] == ext[orb_m]], minlength=ker.U + 1)
+    # a meet level counts the complements with C(n,q) - shadow_colex at U - m
+    levels = [(level, orbit_ids, ext) if full else
+              (level, (1 << ker.U) - 1 - orbit_ids[::-1], comb(n, level) - ext[::-1])
+              for _, _, _, level, full, ext, _ in table]
+    # per level and m: the attainers, and the orbit ids that attain
+    counts = []
+    for (_, watched, target), (_, hits, seen), (*_, full, _, _) in zip(
+            levels, _scan(ker, levels), table):
+        wm = np.bitwise_count(watched)
+        n_orb = np.bincount(wm[seen == target[wm]], minlength=ker.U + 1)
+        counts.append((hits, n_orb) if full else (hits[::-1], n_orb[::-1]))
 
     for m in ms:
-        for (kind, var, goal, level, full, ext, predicate), n_att, n_orb in zip(
-                table, attainers, in_orbit):
+        for (kind, var, goal, level, full, ext, predicate), (n_att, n_orb) in zip(
+                table, counts):
             if n_orb[m] != sizes[m]:
                 raise InternalCheckError(
                     f"colex orbit not attaining {goal} at m={m}, {var}={level}"
@@ -501,7 +500,7 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
             if verdict != unique and (verdict or (kind == "colex" and m > s + 1)):
                 extra = None if unique else ker.first_id(
                     m, level, full,
-                    lambda F, c: (c == ext[m]) & np.isin(F, orbits[m], invert=True))
+                    lambda F, c: (c == ext[m]) & np.isin(F, orbit_ids, invert=True))
                 report.failures.append({
                     "kind": f"{kind}_unique", "m": m, "level": level,
                     "verdict": verdict, "attainers": int(n_att[m]), "orbit": int(sizes[m]),

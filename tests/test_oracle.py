@@ -13,9 +13,11 @@ import pytest
 from conftest import random_family
 
 import kkcliques.oracle as oracle
-from kkcliques.cascade import k_colex
+from kkcliques.cascade import k_colex, shadow_colex
+from kkcliques.cli import run
 from kkcliques.errors import InternalCheckError
-from kkcliques.families import SetFamily, cliques, colex_segment, mask_of, max_degree, relabel
+from kkcliques.families import (
+    SetFamily, cliques, colex_segment, mask_of, max_degree, relabel, shadow, upshadow)
 from kkcliques.oracle import (
     MAX_CANON_GROUND,
     SearchSpec,
@@ -269,6 +271,34 @@ def test_search_spec_validation(kwargs):
         SearchSpec(**kwargs)
 
 
+@pytest.mark.parametrize("n,s", [(3, 5), (5, 0), (40, 41)])
+def test_sweep_domain(n, s):
+    # C(n,s) = 0 for s > n passed the universe cap and then counted every
+    # q-set of [n]: verify kkt 40 41 overflowed uint32 masks
+    with pytest.raises(ValueError, match="need 1 <= s <= n"):
+        verify_kkt(n, s)
+    r = run(["verify", "kkt", str(n), str(s)])
+    assert r.exit_status == 1 and r.payload["error"] == "ValueError"
+
+
+def test_kkt_sweep_builds_each_level_once(monkeypatch):
+    # levels 0..5 on [5]; shadows and upshadows come from the full counts
+    calls = []
+    masks = oracle._Kernel.masks
+    monkeypatch.setattr(oracle._Kernel, "masks", lambda self, k: calls.append(k) or masks(self, k))
+    assert verify_kkt(5, 2).ok
+    assert sorted(calls) == list(range(6))
+
+
+def test_kkt_sweep_self_test(monkeypatch):
+    # level s counts the edges of every family
+    counts = oracle._Kernel.counts
+    monkeypatch.setattr(oracle._Kernel, "counts", lambda self, F, k, full: counts(
+        self, F, k, full) + ((F == 5) & (k == self.s)))
+    with pytest.raises(InternalCheckError, match="kernel self-test"):
+        verify_kkt(4, 2)
+
+
 def test_search_rejects_bad_threads():
     with pytest.raises(ValueError):
         exhaustive_search(SearchSpec(4, 2, 3), threads=0)
@@ -343,6 +373,10 @@ def test_failure_rows_agree_across_block_sizes(monkeypatch, shift):
         with monkeypatch.context() as mp:
             mp.setattr(oracle, "k_colex", lambda m, s, t: max(real_k(m, s, t) + shift, 0))
             kkt = [verify_kkt(n, s).failures for n, s in pairs]
+        # shadow_colex also gives the upshadow rows' expected values
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, "shadow_colex", _shifted_shadow(shift))
+            kkt += [verify_kkt(n, s).failures for n, s in pairs]
         with monkeypatch.context() as mp:
             for name, real in zip(("is_colex_unique", "is_clique_unique"), real_unique):
                 mp.setattr(oracle, name, lambda m, s, level, n, real=real: dataclasses.replace(
@@ -355,6 +389,46 @@ def test_failure_rows_agree_across_block_sizes(monkeypatch, shift):
     assert any(families) and None in families
     monkeypatch.setattr(oracle, "BLOCK_BITS", 3)
     assert rows() == whole
+
+
+def _shifted_shadow(shift):
+    return lambda m, s, q: max(shadow_colex(m, s, q) + shift, 0)
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_meet_failure_rows_match_brute_force(monkeypatch, shift):
+    # with the expected values shifted every shadow and upshadow row fails;
+    # its got and family must match shadow/upshadow taken on every family
+    monkeypatch.setattr(oracle, "shadow_colex", _shifted_shadow(shift))
+    for n, s in [(4, 2), (4, 3)]:
+        universe = sorted(mask_of(c) for c in combinations(range(1, n + 1), s))
+        U = len(universe)
+        fams = [SetFamily(n, s, frozenset(e for j, e in enumerate(universe) if fid >> j & 1))
+                for fid in range(1 << U)]
+        seg = {"colex": [(1 << m) - 1 for m in range(U + 1)],
+               "retlex": [(1 << U) - (1 << (U - m)) for m in range(U + 1)]}
+        rows = verify_kkt(n, s).failures
+        shifted = oracle.shadow_colex
+        for kind, levels, size, segment, expected in (
+                ("shadow", range(s), shadow, "colex", lambda m, q: shifted(m, s, q)),
+                ("upshadow", range(s + 1, n + 1), upshadow, "retlex",
+                 lambda m, t: shifted(m, n - s, n - t))):
+            for level in levels:
+                val = [len(size(H, level).edges) for H in fams]
+                want = [min(v for fid, v in enumerate(val) if fid.bit_count() == m)
+                        for m in range(U + 1)]
+                got = [r for r in rows if r["kind"] == kind and r["level"] == level]
+                assert [r["m"] for r in got] == [
+                    m for m in range(U + 1) if want[m] != expected(m, level)]
+                for r in got:
+                    m, e = r["m"], expected(r["m"], level)
+                    assert r["expected"] == e
+                    beat = [fid for fid, v in enumerate(val) if fid.bit_count() == m and v < e]
+                    fid = beat[0] if beat else seg[segment][m]
+                    assert (r["got"], r["family"]) == (want[m], fams[fid].edge_lists())
+                attain = [r for r in rows if r["kind"] == f"{kind}-{segment}-attain"
+                          and r["level"] == level]
+                assert [r["got"] for r in attain] == [[val[f] for f in seg[segment]]]
 
 
 def _flip_verdict(monkeypatch, name, m, level):
