@@ -16,7 +16,9 @@ Subcommands:
     construct NAME [--shadow S]
     recognize FILE I R
     search N S T [--edges M] [--degree I DELTA] [--cliques U P]
-    verify kkt N S [--no-upshadow] | verify uniqueness N S | verify equality
+    verify kkt N S
+    verify uniqueness N S
+    verify equality
 
 Output is the payload JSON object (default), a plain key/value table, or CSV
 (--format).  Computed scalars that may exceed 2^53 are serialized as decimal
@@ -56,8 +58,6 @@ from .uniqueness import (
 
 @dataclass
 class CommandResult:
-    command: str
-    parameters: dict[str, Any]
     payload: dict[str, Any]
     exit_status: int
 
@@ -194,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = leaf(vsub, "kkt")
     v.add_argument("n", type=int)
     v.add_argument("s", type=int)
-    v.add_argument("--no-upshadow", action="store_true",
-                   help="skip the min upshadow checks, made by default when C(n,s) <= 15")
     v = leaf(vsub, "uniqueness")
     v.add_argument("n", type=int)
     v.add_argument("s", type=int)
@@ -303,11 +301,8 @@ def _dispatch(args: argparse.Namespace) -> dict[str, Any]:
                     for r in rep.rows
                 ],
             }
-        if args.verify_kind == "kkt":
-            rep = verify_kkt(args.n, args.s,
-                             check_upshadow=False if args.no_upshadow else None)
-        else:
-            rep = verify_uniqueness(args.n, args.s)
+        verify = verify_kkt if args.verify_kind == "kkt" else verify_uniqueness
+        rep = verify(args.n, args.s)
         return {
             "kind": rep.kind, "n": rep.n, "s": rep.s, "ok": rep.ok,
             "families": rep.families, "checks": rep.checks,
@@ -351,8 +346,6 @@ def render(payload: dict[str, Any], fmt: str) -> str:
 
 
 def _execute(args: argparse.Namespace) -> CommandResult:
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("format", "out", "threads")}
     try:
         payload = _dispatch(args)
         status = 0
@@ -362,7 +355,7 @@ def _execute(args: argparse.Namespace) -> CommandResult:
     except (UnsupportedError, ValueError, OSError, OverflowError) as e:
         payload = {"error": type(e).__name__, "message": str(e)}
         status = 1
-    return CommandResult(args.command, params, payload, status)
+    return CommandResult(payload, status)
 
 
 def run(argv: Optional[list[str]] = None) -> CommandResult:
@@ -375,8 +368,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     res = _execute(args)
     text = render(res.payload, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            sys.stdout.write(render({"error": "OSError", "message": str(e)}, args.format))
+            return 1
     else:
         sys.stdout.write(text)
     return res.exit_status

@@ -27,15 +27,16 @@ two small exact matrix products.  A mask meets a family unless it lies in
 the complement, so every shadow and upshadow count is C(n,k) minus a full
 count of the complement (Kruskal 1963; Katona 1968).  Both sweeps run on one
 block scan, _scan, and read their meet rows at U - m; a failure row's family
-is found by a rescan (_Kernel.first_id).  One relabelling helper serves
-canonical_form (its least row) and _Kernel.orbit (the ids of a family's
-orbit), so the search canonicalises once per isomorphism class.
+is found by a rescan (_Kernel.first_id).  One table per (n, s), _edge_perms,
+maps each edge to its image under every relabelling of [n]; canonical_form,
+_Kernel.orbit and the colex orbits of verify_uniqueness all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import comb
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
@@ -70,29 +71,29 @@ MAX_UNIVERSE = 24
 # block of ids and its counts at a time, whatever the universe.
 BLOCK_BITS = 16
 
-_perm_tables: dict[int, np.ndarray] = {}
 
-
-def _perm_mask_tables(n: int) -> np.ndarray:
-    """(n!, 2^n) array: row p maps each vertex mask to its relabelling under p."""
+@cache
+def _edge_perms(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The s-sets of [n] in colex order, and the (n!, C(n,s)) uint8 array
+    whose row p gives the index of each edge's image under relabelling p."""
     import numpy as np
-    tab = _perm_tables.get(n)
-    if tab is None:
-        perms = np.array(list(permutations(range(n))), dtype=np.int32)
-        bits = (np.arange(1 << n, dtype=np.int32)[:, None] >> np.arange(n, dtype=np.int32)) & 1
-        # mask m goes to sum over set bits j of 2^(p[j])
-        tab = (1 << perms) @ bits.T
-        _perm_tables[n] = tab
-    return tab
+    universe = np.fromiter(_colex_masks(n, s), dtype=np.uint8)
+    perms = np.array(list(permutations(range(n))), dtype=np.uint8)
+    bits = (universe[:, None] >> np.arange(n, dtype=np.uint8)) & 1
+    index = np.zeros(1 << n, dtype=np.uint8)
+    index[universe] = np.arange(len(universe))
+    # edge e goes to the sum of 2^p[v] over its vertices v: no uint8 sum wraps
+    return universe, index[(np.uint8(1) << perms) @ bits.T]
 
 
-def _relabellings(n: int, masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The edge masks under every relabelling of [n], one sorted row per
-    permutation, and the lexicographically least row."""
+def _images(n: int, s: int, edges: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The edge indices of a family under every relabelling of [n], one sorted
+    row per permutation, and the edge masks of the lexicographically least row."""
     import numpy as np
-    imgs = _perm_mask_tables(n)[:, masks]
-    imgs.sort(axis=1)
-    return imgs, imgs[np.lexsort(imgs.T[::-1])[0]] if masks else imgs[0]
+    universe, P = _edge_perms(n, s)
+    rows = P[:, np.isin(universe, edges)]
+    rows.sort(axis=1)
+    return rows, universe[rows[np.lexsort(rows.T[::-1])[0]] if edges else rows[0]]
 
 
 def canonical_form(H: SetFamily) -> bytes:
@@ -100,10 +101,11 @@ def canonical_form(H: SetFamily) -> bytes:
 
     Two families on the same n with the same arity are isomorphic iff their
     canonical forms are equal.  Requires n <= 8 so each edge mask fits a byte.
+    Edge indices follow the colex-sorted universe, so they sort as the masks do.
     """
     if H.n > MAX_CANON_GROUND:
         raise ValueError(f"canonical_form supports n <= {MAX_CANON_GROUND}, got {H.n}")
-    return bytes((H.n, H.s)) + bytes(_relabellings(H.n, sorted(H.edges))[1].tolist())
+    return bytes((H.n, H.s)) + _images(H.n, H.s, list(H.edges))[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +155,9 @@ class _Kernel:
         """The sorted ids of every relabelling of family fid, and the masks of
         its canonical (lexicographically least sorted) relabelling."""
         import numpy as np
-        imgs, least = _relabellings(self.n, list(self.masks_of(fid)))
-        bits = 1 << np.searchsorted(self.universe, imgs)
-        return np.unique(np.bitwise_or.reduce(bits, axis=1)), tuple(least.tolist())
+        rows, least = _images(self.n, self.s, list(self.masks_of(fid)))
+        ids = np.unique(np.bitwise_or.reduce(np.uint32(1) << rows, axis=1))
+        return ids, tuple(least.tolist())
 
     def masks(self, k: int) -> np.ndarray:
         """The edge mask of every k-set of [n], in colex order: the edges
@@ -387,21 +389,19 @@ class SweepReport:
         return not self.failures
 
 
-def verify_kkt(n: int, s: int, check_upshadow: Optional[bool] = None) -> SweepReport:
+def verify_kkt(n: int, s: int) -> SweepReport:
     """Exhaustively confirm the extremal formulas over every family on [n].
 
     For each edge count m: the minimum q-shadow equals the cascade formula for
     every q < s, the maximum t-clique count equals k_colex for every t >= s,
-    and (optionally, default on for universes up to 15 edges) the minimum
-    t-upshadow is attained by the retlex segment.  By complements, the least
-    shadow or upshadow at m is C(n,k) minus the largest full count at U - m.
+    and the minimum t-upshadow for every t > s is attained by the retlex
+    segment.  By complements, the least shadow or upshadow at m is C(n,k)
+    minus the largest full count at U - m.
     """
     import numpy as np
     ker = _Kernel(n, s)
     U = ker.U
     report = SweepReport("kkt", n, s, 1 << U)
-    if check_upshadow is None:
-        check_upshadow = U <= 15
     ms = range(U + 1)
     colex_ids = (1 << np.arange(U + 1, dtype=np.int64)) - 1
     # the retlex id with m edges is the complement of the colex id with U - m,
@@ -417,11 +417,10 @@ def verify_kkt(n: int, s: int, check_upshadow: Optional[bool] = None) -> SweepRe
               [shadow_colex(m, s, q) for m in ms]) for q in range(s)]
     table += [("cliques", "max cliques t", t, True, "colex", colex_ids,
                [k_colex(m, s, t) for m in ms]) for t in range(s, n + 1)]
-    if check_upshadow:
-        # complementing every edge maps the retlex s-segment to the colex
-        # (n-s)-segment and its t-upshadow to the (n-t)-shadow of that
-        table += [("upshadow", "min upshadow t", t, False, "retlex", retlex_ids,
-                   [shadow_colex(m, n - s, n - t) for m in ms]) for t in range(s + 1, n + 1)]
+    # complementing every edge maps the retlex s-segment to the colex
+    # (n-s)-segment and its t-upshadow to the (n-t)-shadow of that
+    table += [("upshadow", "min upshadow t", t, False, "retlex", retlex_ids,
+               [shadow_colex(m, n - s, n - t) for m in ms]) for t in range(s + 1, n + 1)]
 
     for kind, label, level, full, seg, seg_ids, expected in table:
         ext, _, got = scan[level]   # per m: the extreme count and the segment's count
@@ -470,8 +469,8 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
 
     # the orbits of all C_s(m) at once: column m - 1 of the accumulated row p
     # is the id of C_s(m) relabelled by p, and id 0 is C_s(0)
-    pos = np.searchsorted(ker.universe, _perm_mask_tables(n)[:, ker.universe])
-    orbit_ids = np.unique(np.append(0, np.bitwise_or.accumulate(1 << pos, axis=1)))
+    orbit_ids = np.unique(np.append(
+        0, np.bitwise_or.accumulate(np.uint32(1) << _edge_perms(n, s)[1], axis=1)))
     sizes = np.bincount(np.bitwise_count(orbit_ids), minlength=ker.U + 1)
 
     # a meet level counts the complements with C(n,q) - shadow_colex at U - m

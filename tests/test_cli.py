@@ -218,6 +218,18 @@ def test_main_renders_formats(capsys):
     assert out.splitlines()[0] == "key,value"
 
 
+def test_unwritable_out_is_a_domain_error(tmp_path, capsys):
+    # the error payload goes to stdout in the chosen format, not a traceback
+    target = tmp_path / "missing" / "x.json"
+    assert main(["--out", str(target), "cascade", "7", "3"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "OSError" and str(target) in payload["message"]
+    check_schema(payload, "error")
+    assert main(["cascade", "7", "3", "--out", str(target), "--format", "csv"]) == 1
+    assert capsys.readouterr().out.splitlines()[:2] == ["key,value", "error,OSError"]
+    assert not target.parent.exists()
+
+
 def test_flag_position_equivalent(capsys):
     main(["cascade", "9", "4", "--format", "json"])
     after = capsys.readouterr().out

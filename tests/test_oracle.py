@@ -239,23 +239,41 @@ def test_kernel_counts_match_direct_passes(monkeypatch, n, s):
                 assert got.tolist() == ref.tolist(), (bits, k, is_full)
 
 
-def test_perm_mask_tables_peak_memory(monkeypatch):
-    # the (8!, 2^8) int32 table itself is 41 MB; building it through an int64
-    # product and a transposed copy peaked at about 120 MB
-    monkeypatch.setattr(oracle, "_perm_tables", {})
+def test_edge_perms_table():
+    # (8,4) has the widest universe, C(8,4) = 70 edges
+    oracle._edge_perms.cache_clear()
     tracemalloc.start()
     try:
-        tab = oracle._perm_mask_tables(8)
+        universe, P = oracle._edge_perms(8, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
-    assert tab.dtype == np.int32 and tab.flags.c_contiguous
+    assert peak < 20 * 2**20
+    assert P.dtype == np.uint8 and P.shape == (40320, 70)
+    edges = universe.tolist()
+    assert edges == sorted(mask_of(c) for c in combinations(range(1, 9), 4))
     perms = list(permutations(range(8)))
-    for p in (0, 1, 777, len(perms) - 1):
-        assert tab[p].tolist() == [
-            sum(1 << perms[p][j] for j in range(8) if m >> j & 1) for m in range(256)
-        ]
+    for p in (0, 1, 777, 20000, len(perms) - 1):
+        images = [sum(1 << perms[p][v] for v in range(8) if e >> v & 1) for e in edges]
+        assert P[p].tolist() == [edges.index(e) for e in images]
+
+
+def test_canonical_form_matches_brute_force():
+    # the least sorted edge list over all relabellings, by families.relabel
+    def brute(H):
+        return min(bytes((H.n, H.s)) + bytes(sorted(relabel(H, p).edges))
+                   for p in permutations(range(1, H.n + 1)))
+
+    rng = random.Random(11)
+    for n, s in ((4, 2), (4, 3)):
+        sets = [mask_of(c) for c in combinations(range(1, n + 1), s)]
+        for fid in range(1 << len(sets)):
+            H = SetFamily(n, s, frozenset(e for j, e in enumerate(sets) if fid >> j & 1))
+            assert canonical_form(H) == brute(H)
+    for n, s in ((5, 2), (6, 3)):
+        for _ in range(40):
+            H = random_family(rng, n, s, density=rng.random())
+            assert canonical_form(H) == brute(H)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -326,7 +344,8 @@ def test_kkt_sweep_on_21_edge_universe(n, s):
     rep = verify_kkt(n, s)
     assert rep.ok and rep.families == 2 ** 21
     assert rep.checks == [f"min shadow q={q}" for q in range(s)] + [
-        f"max cliques t={t}" for t in range(s, 8)]
+        f"max cliques t={t}" for t in range(s, 8)] + [
+        f"min upshadow t={t}" for t in range(s + 1, 8)]
 
 
 def test_uniqueness_sweep_on_every_graph_on_7_vertices():
