@@ -124,6 +124,8 @@ def _binom_floor_index(m: int, k: int) -> int:
     """
     if k == 1:
         return m
+    if m <= k:          # C(k, k) = 1 <= m < k + 1 = C(k + 1, k)
+        return k
     if k == 2:
         a = (isqrt(8 * m + 1) + 1) >> 1
         if a * (a - 1) // 2 > m:

@@ -20,11 +20,12 @@ Subcommands:
     verify uniqueness N S
     verify equality
 
-Output is the payload JSON object (default), a plain key/value table, or CSV
-(--format).  Computed scalars that may exceed 2^53 are serialized as decimal
-strings; structural parameters stay JSON numbers.  Exit codes: 0 success,
-1 domain error (invalid parameters, unsupported case), 2 usage error,
-3 internal cross-check failure.
+Each leaf is declared once, in _LEAVES.  Output is the payload JSON object
+(default), a plain key/value table, or CSV (--format), written to stdout or,
+by both run() and main(), to --out FILE.  Computed scalars that may exceed
+2^53 are serialized as decimal strings; structural parameters stay JSON
+numbers.  Exit codes: 0 success, 1 domain error (invalid parameters,
+unsupported case), 2 usage error, 3 internal cross-check failure.
 """
 
 from __future__ import annotations
@@ -33,63 +34,178 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 from .bounds import BoundReport, clique_bound, edge_bound, graph_clique_bound, jung_scan, vertex_bound
 from .cascade import cascade_of, k_colex, shadow_colex
 from .designs import builtin_design, recognize_packing_shadow, shadow_of_design, verify_design
 from .errors import InternalCheckError, UnsupportedError
 from .families import colex_segment, from_text, to_json_obj
-from .oracle import (
-    SearchSpec,
-    exhaustive_search,
-    verify_equality_theorems,
-    verify_kkt,
-    verify_uniqueness,
-)
-from .uniqueness import (
-    UniquenessVerdict,
-    is_clique_jumping,
-    is_clique_unique,
-    is_colex_unique,
-    is_jumping,
-)
+from .oracle import (SearchSpec, exhaustive_search, verify_equality_theorems, verify_kkt,
+                     verify_uniqueness)
+from .uniqueness import (UniquenessVerdict, is_clique_jumping, is_clique_unique, is_colex_unique,
+                         is_jumping)
 
 
 @dataclass
 class CommandResult:
     payload: dict[str, Any]
     exit_status: int
+    text: str = ""      # the rendering, unless it went to --out
 
 
 def _s(v) -> Optional[str]:
     """Decimal-string serialization for possibly-big exact scalars."""
-    if v is None:
-        return None
-    return str(v)
+    return None if v is None else str(v)
 
 
 def _bound_payload(rep: BoundReport) -> dict[str, Any]:
-    return {
-        "value": _s(rep.value),
-        "integer_value": _s(rep.integer_value),
-        "source": rep.source,
-        "x": _s(rep.x),
-        "equality_possible": rep.equality_possible,
-        "notes": list(rep.notes),
-    }
+    return {"value": _s(rep.value), "integer_value": _s(rep.integer_value),
+            "source": rep.source, "x": _s(rep.x),
+            "equality_possible": rep.equality_possible, "notes": list(rep.notes)}
 
 
 def _verdict_payload(v: UniquenessVerdict) -> dict[str, Any]:
+    return {"predicate": v.predicate, "m": _s(v.m), "s": v.s, "level": v.level, "n": v.n,
+            "verdict": v.verdict, "triggered_condition": v.triggered_condition}
+
+
+def _sweep_payload(rep) -> dict[str, Any]:
     return {
-        "predicate": v.predicate,
-        "m": _s(v.m),
-        "s": v.s,
-        "level": v.level,
-        "n": v.n,
-        "verdict": v.verdict,
-        "triggered_condition": v.triggered_condition,
+        "kind": rep.kind, "n": rep.n, "s": rep.s, "ok": rep.ok,
+        "families": rep.families, "checks": rep.checks,
+        "failures": [
+            {k: (v if isinstance(v, (int, bool, list, type(None))) else _s(v))
+             for k, v in f.items()}
+            for f in rep.failures
+        ],
     }
+
+
+def _cascade(args) -> dict[str, Any]:
+    c = cascade_of(args.m, args.s)
+    return {"entries": list(c.entries), "level": c.level}
+
+
+def _colex_count(args) -> dict[str, Any]:
+    level = args.s if args.level is None else args.level
+    if level >= args.s:
+        value, kind = k_colex(args.m, args.s, level), "cliques"
+    else:
+        value, kind = shadow_colex(args.m, args.s, level), "shadow"
+    return {"m": _s(args.m), "s": args.s, "level": level, "kind": kind, "value": _s(value)}
+
+
+def _colex_segment(args) -> dict[str, Any]:
+    return {"m": _s(args.m), "family": to_json_obj(colex_segment(args.m, args.s))}
+
+
+def _jung(args) -> dict[str, Any]:
+    ms = jung_scan(args.s, args.t, args.m_max)
+    return {"s": args.s, "t": args.t, "m_max": _s(args.m_max),
+            "qualifying": [_s(m) for m in ms]}
+
+
+def _construct(args) -> dict[str, Any]:
+    d = builtin_design(args.name)
+    H = d.blocks if args.shadow is None else shadow_of_design(d, args.shadow)
+    return {"design": args.name, "n": d.n, "r": d.r, "blocks": len(d.blocks.edges),
+            "shadow_level": args.shadow, "family": to_json_obj(H)}
+
+
+def _recognize(args) -> dict[str, Any]:
+    with open(args.file, "r", encoding="utf-8") as fh:
+        H = from_text(fh.read())
+    res = recognize_packing_shadow(H, args.i, args.r)
+    return {
+        "ok": res.ok, "i": args.i, "r": args.r,
+        "blocks": res.design.blocks.edge_lists() if res.ok else None,
+        "certificate": verify_design(res.design, args.i).kind if res.ok else None,
+        "witness": None if res.ok else list(res.witness),
+    }
+
+
+def _search(args) -> dict[str, Any]:
+    i, max_degree = args.degree or (None, None)
+    u, p = args.cliques or (None, None)
+    res = exhaustive_search(SearchSpec(n=args.n, s=args.s, t=args.t, m=args.edges,
+                                       i=i, max_degree=max_degree, u=u, p=p))
+    return {"status": res.status, "optimum": _s(res.optimum), "class_count": res.class_count,
+            "families_scanned": res.families_scanned,
+            "witnesses": [to_json_obj(w) for w in res.witnesses]}
+
+
+def _verify_equality(args) -> dict[str, Any]:
+    rep = verify_equality_theorems()
+    return {
+        "kind": "equality", "ok": rep.ok,
+        "rows": [{"name": r["name"], "expected": _s(r["expected"]),
+                  "got": _s(r["got"]), "ok": r["ok"]} for r in rep.rows],
+    }
+
+
+def _call(fn: str, payload: Callable, ints: list[str], args) -> dict[str, Any]:
+    # fn is looked up in this module's globals when the leaf runs, so a
+    # rebound global (a tracer's wrapper, a test's stub) is the one called
+    return payload(globals()[fn](*(getattr(args, a) for a in ints)))
+
+
+def _arg(*flags: str, **kw) -> tuple:
+    return flags, kw
+
+
+# Subcommand groups: name -> (dest, help).
+_GROUPS = {
+    "colex": ("colex_op", "colex initial segment counts and edges"),
+    "bound": ("bound_kind", "signpost upper bounds on clique counts"),
+    "jumping": ("jumping_kind", "does the extremal count strictly increase at m+1?"),
+    "unique": ("unique_kind", "is the colex segment the unique extremal family?"),
+    "verify": ("verify_kind", "whole-space verification sweeps"),
+}
+
+# Every leaf, in help order: (path, help, arguments, run).  A bare name in
+# the arguments is an int positional; an _arg(...) is any other argument.
+# run is a handler of the parsed Namespace, or (function name, payload
+# builder) for a leaf that passes its int positionals, in order, to one
+# library function and wraps the result.
+_LEAVES = (
+    ("cascade", "strict cascade representation of m at level s", "m s", _cascade),
+    ("colex count", "clique/shadow count of the colex segment",
+     ("m", "s", _arg("level", type=int, nargs="?", default=None,
+                     help="target level (>= s: cliques, < s: shadow); default s")),
+     _colex_count),
+    ("colex segment", "the first m s-sets in colex order", "m s", _colex_segment),
+    ("bound vertex", "n vertices, max i-degree Delta", "n i s t delta",
+     ("vertex_bound", _bound_payload)),
+    ("bound edge", "m edges, max i-degree Delta", "m i s t delta",
+     ("edge_bound", _bound_payload)),
+    ("bound clique", "p u-cliques, max i-degree Delta", "p i s u t delta",
+     ("clique_bound", _bound_payload)),
+    ("bound graph", "graph case: p u-cliques, clique number <= r", "p u t r",
+     ("graph_clique_bound", _bound_payload)),
+    ("jumping shadow", None, "m s q", ("is_jumping", _verdict_payload)),
+    ("jumping clique", None, "m s t n", ("is_clique_jumping", _verdict_payload)),
+    ("unique colex", None, "m s q n", ("is_colex_unique", _verdict_payload)),
+    ("unique clique", None, "m s t n", ("is_clique_unique", _verdict_payload)),
+    ("jung", "edge counts where the Lovász ratio k^t/m peaks", "s t m_max", _jung),
+    ("construct", "emit a built-in design or its shadow",
+     (_arg("name", help="fano | s348 | pg23 | ag23 | disjoint(a,r)"),
+      _arg("--shadow", type=int, default=None, metavar="S",
+           help="emit the s-shadow of the blocks instead of the blocks")),
+     _construct),
+    ("recognize", "recover packing blocks from a shadow file",
+     (_arg("file", help="family in text format ('n s' header, one edge per line)"), "i", "r"),
+     _recognize),
+    ("search", "exhaustive maximization of k^t under constraints",
+     ("n", "s", "t", _arg("--edges", type=int, default=None, metavar="M"),
+      _arg("--degree", type=int, nargs=2, default=None, metavar=("I", "DELTA")),
+      _arg("--cliques", type=int, nargs=2, default=None, metavar=("U", "P"))),
+     _search),
+    ("verify kkt", None, "n s", ("verify_kkt", _sweep_payload)),
+    ("verify uniqueness", None, "n s", ("verify_uniqueness", _sweep_payload)),
+    ("verify equality", None, (), _verify_equality),
+)
 
 
 def _add_common_flags(p: argparse.ArgumentParser, leaf: bool) -> None:
@@ -113,207 +229,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_flags(ap, leaf=False)
     sub = ap.add_subparsers(dest="command", required=True)
-    leaves: list[argparse.ArgumentParser] = []
-
-    def leaf(parent, name: str, **kw) -> argparse.ArgumentParser:
-        p = parent.add_parser(name, **kw)
-        leaves.append(p)
-        return p
-
-    p = leaf(sub, "cascade", help="strict cascade representation of m at level s")
-    p.add_argument("m", type=int)
-    p.add_argument("s", type=int)
-
-    p = sub.add_parser("colex", help="colex initial segment counts and edges")
-    csub = p.add_subparsers(dest="colex_op", required=True)
-    c = leaf(csub, "count", help="clique/shadow count of the colex segment")
-    c.add_argument("m", type=int)
-    c.add_argument("s", type=int)
-    c.add_argument("level", type=int, nargs="?", default=None,
-                   help="target level (>= s: cliques, < s: shadow); default s")
-    c = leaf(csub, "segment", help="the first m s-sets in colex order")
-    c.add_argument("m", type=int)
-    c.add_argument("s", type=int)
-
-    p = sub.add_parser("bound", help="signpost upper bounds on clique counts")
-    bsub = p.add_subparsers(dest="bound_kind", required=True)
-    b = leaf(bsub, "vertex", help="n vertices, max i-degree Delta")
-    for name in ("n", "i", "s", "t", "delta"):
-        b.add_argument(name, type=int)
-    b = leaf(bsub, "edge", help="m edges, max i-degree Delta")
-    for name in ("m", "i", "s", "t", "delta"):
-        b.add_argument(name, type=int)
-    b = leaf(bsub, "clique", help="p u-cliques, max i-degree Delta")
-    for name in ("p", "i", "s", "u", "t", "delta"):
-        b.add_argument(name, type=int)
-    b = leaf(bsub, "graph", help="graph case: p u-cliques, clique number <= r")
-    for name in ("p", "u", "t", "r"):
-        b.add_argument(name, type=int)
-
-    p = sub.add_parser("jumping", help="does the extremal count strictly increase at m+1?")
-    jsub = p.add_subparsers(dest="jumping_kind", required=True)
-    j = leaf(jsub, "shadow")
-    for name in ("m", "s", "q"):
-        j.add_argument(name, type=int)
-    j = leaf(jsub, "clique")
-    for name in ("m", "s", "t", "n"):
-        j.add_argument(name, type=int)
-
-    p = sub.add_parser("unique", help="is the colex segment the unique extremal family?")
-    usub = p.add_subparsers(dest="unique_kind", required=True)
-    u = leaf(usub, "colex")
-    for name in ("m", "s", "q", "n"):
-        u.add_argument(name, type=int)
-    u = leaf(usub, "clique")
-    for name in ("m", "s", "t", "n"):
-        u.add_argument(name, type=int)
-
-    p = leaf(sub, "jung", help="edge counts where the Lovász ratio k^t/m peaks")
-    for name in ("s", "t", "m_max"):
-        p.add_argument(name, type=int)
-
-    p = leaf(sub, "construct", help="emit a built-in design or its shadow")
-    p.add_argument("name", help="fano | s348 | pg23 | ag23 | disjoint(a,r)")
-    p.add_argument("--shadow", type=int, default=None, metavar="S",
-                   help="emit the s-shadow of the blocks instead of the blocks")
-
-    p = leaf(sub, "recognize", help="recover packing blocks from a shadow file")
-    p.add_argument("file", help="family in text format ('n s' header, one edge per line)")
-    p.add_argument("i", type=int)
-    p.add_argument("r", type=int)
-
-    p = leaf(sub, "search", help="exhaustive maximization of k^t under constraints")
-    for name in ("n", "s", "t"):
-        p.add_argument(name, type=int)
-    p.add_argument("--edges", type=int, default=None, metavar="M")
-    p.add_argument("--degree", type=int, nargs=2, default=None, metavar=("I", "DELTA"))
-    p.add_argument("--cliques", type=int, nargs=2, default=None, metavar=("U", "P"))
-
-    p = sub.add_parser("verify", help="whole-space verification sweeps")
-    vsub = p.add_subparsers(dest="verify_kind", required=True)
-    v = leaf(vsub, "kkt")
-    v.add_argument("n", type=int)
-    v.add_argument("s", type=int)
-    v = leaf(vsub, "uniqueness")
-    v.add_argument("n", type=int)
-    v.add_argument("s", type=int)
-    leaf(vsub, "equality")
-
-    for lp in leaves:
-        _add_common_flags(lp, leaf=True)
+    groups: dict[str, Any] = {}
+    for path, summary, arguments, run in _LEAVES:
+        *group, name = path.split()
+        parent = sub
+        if group:
+            if group[0] not in groups:
+                dest, ghelp = _GROUPS[group[0]]
+                gp = sub.add_parser(group[0], help=ghelp)
+                groups[group[0]] = gp.add_subparsers(dest=dest, required=True)
+            parent = groups[group[0]]
+        p = parent.add_parser(name, **({"help": summary} if summary else {}))
+        if isinstance(arguments, str):
+            arguments = arguments.split()
+        for a in arguments:
+            if isinstance(a, str):
+                p.add_argument(a, type=int)
+            else:
+                p.add_argument(*a[0], **a[1])
+        _add_common_flags(p, leaf=True)
+        if isinstance(run, tuple):
+            run = partial(_call, *run, [a for a in arguments if isinstance(a, str)])
+        p.set_defaults(run=run)
     return ap
 
 
 def _dispatch(args: argparse.Namespace) -> dict[str, Any]:
-    cmd = args.command
-    if cmd == "cascade":
-        c = cascade_of(args.m, args.s)
-        return {"entries": list(c.entries), "level": c.level}
-
-    if cmd == "colex":
-        if args.colex_op == "count":
-            level = args.s if args.level is None else args.level
-            if level >= args.s:
-                value, kind = k_colex(args.m, args.s, level), "cliques"
-            else:
-                value, kind = shadow_colex(args.m, args.s, level), "shadow"
-            return {"m": _s(args.m), "s": args.s, "level": level,
-                    "kind": kind, "value": _s(value)}
-        H = colex_segment(args.m, args.s)
-        return {"m": _s(args.m), "family": to_json_obj(H)}
-
-    if cmd == "bound":
-        kind = args.bound_kind
-        if kind == "vertex":
-            rep = vertex_bound(args.n, args.i, args.s, args.t, args.delta)
-        elif kind == "edge":
-            rep = edge_bound(args.m, args.i, args.s, args.t, args.delta)
-        elif kind == "clique":
-            rep = clique_bound(args.p, args.i, args.s, args.u, args.t, args.delta)
-        else:
-            rep = graph_clique_bound(args.p, args.u, args.t, args.r)
-        return _bound_payload(rep)
-
-    if cmd == "jumping":
-        if args.jumping_kind == "shadow":
-            return _verdict_payload(is_jumping(args.m, args.s, args.q))
-        return _verdict_payload(is_clique_jumping(args.m, args.s, args.t, args.n))
-
-    if cmd == "unique":
-        if args.unique_kind == "colex":
-            return _verdict_payload(is_colex_unique(args.m, args.s, args.q, args.n))
-        return _verdict_payload(is_clique_unique(args.m, args.s, args.t, args.n))
-
-    if cmd == "jung":
-        ms = jung_scan(args.s, args.t, args.m_max)
-        return {"s": args.s, "t": args.t, "m_max": _s(args.m_max),
-                "qualifying": [_s(m) for m in ms]}
-
-    if cmd == "construct":
-        d = builtin_design(args.name)
-        H = d.blocks if args.shadow is None else shadow_of_design(d, args.shadow)
-        return {
-            "design": args.name, "n": d.n, "r": d.r,
-            "blocks": len(d.blocks.edges), "shadow_level": args.shadow,
-            "family": to_json_obj(H),
-        }
-
-    if cmd == "recognize":
-        with open(args.file, "r", encoding="utf-8") as fh:
-            H = from_text(fh.read())
-        res = recognize_packing_shadow(H, args.i, args.r)
-        payload: dict[str, Any] = {"ok": res.ok, "i": args.i, "r": args.r}
-        if res.ok:
-            payload["blocks"] = res.design.blocks.edge_lists()
-            payload["certificate"] = verify_design(res.design, args.i).kind
-            payload["witness"] = None
-        else:
-            payload["blocks"] = None
-            payload["certificate"] = None
-            payload["witness"] = list(res.witness)
-        return payload
-
-    if cmd == "search":
-        spec = SearchSpec(
-            n=args.n, s=args.s, t=args.t, m=args.edges,
-            i=args.degree[0] if args.degree else None,
-            max_degree=args.degree[1] if args.degree else None,
-            u=args.cliques[0] if args.cliques else None,
-            p=args.cliques[1] if args.cliques else None,
-        )
-        res = exhaustive_search(spec)
-        return {
-            "status": res.status,
-            "optimum": _s(res.optimum),
-            "class_count": res.class_count,
-            "families_scanned": res.families_scanned,
-            "witnesses": [to_json_obj(w) for w in res.witnesses],
-        }
-
-    if cmd == "verify":
-        if args.verify_kind == "equality":
-            rep = verify_equality_theorems()
-            return {
-                "kind": "equality", "ok": rep.ok,
-                "rows": [
-                    {"name": r["name"], "expected": _s(r["expected"]),
-                     "got": _s(r["got"]), "ok": r["ok"]}
-                    for r in rep.rows
-                ],
-            }
-        verify = verify_kkt if args.verify_kind == "kkt" else verify_uniqueness
-        rep = verify(args.n, args.s)
-        return {
-            "kind": rep.kind, "n": rep.n, "s": rep.s, "ok": rep.ok,
-            "families": rep.families, "checks": rep.checks,
-            "failures": [
-                {k: (v if isinstance(v, (int, bool, list, type(None))) else _s(v))
-                 for k, v in f.items()}
-                for f in rep.failures
-            ],
-        }
-
-    raise AssertionError(f"unhandled command {cmd}")
+    return args.run(args)
 
 
 def _flatten(prefix: str, obj: Any, rows: list[tuple[str, str]]) -> None:
@@ -359,23 +301,28 @@ def _execute(args: argparse.Namespace) -> CommandResult:
 
 
 def run(argv: Optional[list[str]] = None) -> CommandResult:
-    """Parse argv, execute, and capture payload + exit status without printing."""
-    return _execute(build_parser().parse_args(argv))
+    """Parse argv and execute it, writing the rendered payload to --out if given.
 
-
-def main(argv: Optional[list[str]] = None) -> int:
+    Nothing is printed: ``text`` holds the rendering that was not written to
+    a file.  An unwritable --out replaces the payload with an OSError one.
+    """
     args = build_parser().parse_args(argv)
     res = _execute(args)
-    text = render(res.payload, args.format)
+    res.text = render(res.payload, args.format)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(res.text)
+            res.text = ""
         except OSError as e:
-            sys.stdout.write(render({"error": "OSError", "message": str(e)}, args.format))
-            return 1
-    else:
-        sys.stdout.write(text)
+            res = CommandResult({"error": "OSError", "message": str(e)}, 1)
+            res.text = render(res.payload, args.format)
+    return res
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    res = run(argv)
+    sys.stdout.write(res.text)
     return res.exit_status
 
 

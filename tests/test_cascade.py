@@ -1,5 +1,6 @@
 """Cascade arithmetic: representations, evaluation, complements, Lovász form."""
 
+import time
 from fractions import Fraction
 from math import comb
 
@@ -78,6 +79,14 @@ def test_binom_floor_index_bracket(m, k):
     a = _binom_floor_index(m, k)
     assert a >= k
     assert comb(a, k) <= m < comb(a + 1, k)
+
+
+def test_cascade_of_small_m_at_a_huge_level():
+    # m <= k answers k at once: the k-th root of m * k! is never taken
+    start = time.perf_counter()
+    assert cascade_of(5, 20000).entries == (20000, 19999, 19998, 19997, 19996)
+    assert time.perf_counter() - start < 1.0
+    assert _binom_floor_index(7, 7) == 7 and _binom_floor_index(8, 7) == 8
 
 
 def test_k_colex_known_values():

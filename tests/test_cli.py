@@ -1,5 +1,8 @@
 """CLI grammar, payload schemas, rendering, and exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,11 +11,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kkcliques
 import kkcliques.cli as cli
 from kkcliques.cascade import Cascade, cascade_eval
-from kkcliques.cli import main, run
+from kkcliques.cli import main, render, run
 from kkcliques.designs import builtin_design, shadow_of_design
 from kkcliques.errors import InternalCheckError
 from kkcliques.families import from_json_obj, to_text
@@ -24,6 +29,38 @@ DATA = Path(__file__).parent / "data"
 def check_schema(payload, name):
     schema = json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
     jsonschema.validate(payload, schema)
+
+
+def _leaves(parser, path=()):
+    """(path, parser) of every leaf subcommand below parser, in help order."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(" ".join(path), parser)]
+    return [leaf for name, p in subs[0].choices.items() for leaf in _leaves(p, path + (name,))]
+
+
+LEAVES = dict(_leaves(cli.build_parser()))
+
+
+def schema_of(leaf):
+    """Success schema of a leaf: its own, its group's, or the shared verdict one."""
+    for name in (leaf, leaf.split()[0], leaf.split()[-1]):
+        name = {"jumping": "verdict", "unique": "verdict"}.get(name, name)
+        if (SCHEMA_DIR / f"{name}.schema.json").exists():
+            return name
+    raise AssertionError(f"no payload schema for leaf {leaf!r}")
+
+
+@pytest.fixture(scope="module")
+def family_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("families")
+    files = {"shadow.txt": to_text(shadow_of_design(builtin_design("disjoint(2,4)"), 3)),
+             "fano.txt": to_text(shadow_of_design(builtin_design("fano"), 2)),
+             "colex.txt": to_text(from_json_obj(run(["colex", "segment", "7", "3"]).payload["family"])),
+             "junk.txt": "not a family\n"}
+    for name, text in files.items():
+        (d / name).write_text(text)
+    return [str(d / name) for name in files] + [str(d / "missing.txt")]
 
 
 def test_cascade_examples():
@@ -196,14 +233,78 @@ def test_usage_error_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_internal_check_exit_3(monkeypatch):
-    def boom(m, s):
+# One argv per leaf and the library function it calls; FILE is a family file.
+INTERNAL_CALLS = {
+    "cascade": ("cascade_of", "cascade 7 3"),
+    "colex count": ("k_colex", "colex count 9 3 4"),
+    "colex segment": ("colex_segment", "colex segment 7 3"),
+    "bound vertex": ("vertex_bound", "bound vertex 13 2 3 4 2"),
+    "bound edge": ("edge_bound", "bound edge 12 1 2 3 3"),
+    "bound clique": ("clique_bound", "bound clique 8 1 2 3 4 3"),
+    "bound graph": ("graph_clique_bound", "bound graph 8 3 4 4"),
+    "jumping shadow": ("is_jumping", "jumping shadow 10 3 2"),
+    "jumping clique": ("is_clique_jumping", "jumping clique 6 3 4 9"),
+    "unique colex": ("is_colex_unique", "unique colex 9 3 2 9"),
+    "unique clique": ("is_clique_unique", "unique clique 7 3 4 5"),
+    "jung": ("jung_scan", "jung 2 3 10"),
+    "construct": ("builtin_design", "construct fano"),
+    "recognize": ("recognize_packing_shadow", "recognize FILE 1 4"),
+    "search": ("exhaustive_search", "search 5 2 3 --edges 7"),
+    "verify kkt": ("verify_kkt", "verify kkt 4 2"),
+    "verify uniqueness": ("verify_uniqueness", "verify uniqueness 4 2"),
+    "verify equality": ("verify_equality_theorems", "verify equality"),
+}
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_internal_check_exit_3(leaf, monkeypatch, family_files):
+    # the library function is looked up in kkcliques.cli when the leaf runs,
+    # so a rebound global is the one called
+    def boom(*args, **kwargs):
         raise InternalCheckError("forced for testing")
-    monkeypatch.setattr(cli, "cascade_of", boom)
-    r = run(["cascade", "7", "3"])
+    fn, argv = INTERNAL_CALLS[leaf]
+    monkeypatch.setattr(cli, fn, boom)
+    r = run([family_files[0] if a == "FILE" else a for a in argv.split()])
     assert r.exit_status == 3
     assert r.payload["error"] == "InternalCheckError"
     check_schema(r.payload, "error")
+
+
+DESIGN_NAMES = ("fano", "pg23", "disjoint(2,4)", "disjoint(0,2)", "bogus")
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_every_leaf_keeps_the_exit_code_contract(leaf, data, family_files):
+    # every argv ends in a schema-valid payload with exit 0, 1 or 3, or, when
+    # a required positional is missing, in a usage error (SystemExit(2))
+    words, options, required = leaf.split(), [], 0
+    for a in LEAVES[leaf]._actions:
+        if a.default is argparse.SUPPRESS:
+            continue                            # -h, --format, --out, --threads
+        if a.option_strings:
+            if a.type is int and data.draw(st.booleans()):
+                options += [a.option_strings[0]] + [str(data.draw(st.integers(-2, 8)))
+                                                    for _ in range(a.nargs or 1)]
+        elif a.nargs != "?" or data.draw(st.booleans()):
+            values = (st.integers(-2, 8) if a.type is int else
+                      st.sampled_from(DESIGN_NAMES if a.dest == "name" else family_files))
+            words.append(str(data.draw(values)))
+            required += a.nargs != "?"
+    short = required > 0 and data.draw(st.booleans())
+    if short:
+        words = words[:len(leaf.split()) + required - 1]
+    argv = words + options
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            r = run(argv)
+    except SystemExit as e:
+        assert short and e.code == 2, argv
+        return
+    assert not short, argv
+    assert r.exit_status in (0, 1, 3), argv
+    check_schema(json.loads(json.dumps(r.payload)), "error" if r.exit_status else schema_of(leaf))
 
 
 def test_main_renders_formats(capsys):
@@ -228,6 +329,35 @@ def test_unwritable_out_is_a_domain_error(tmp_path, capsys):
     assert main(["cascade", "7", "3", "--out", str(target), "--format", "csv"]) == 1
     assert capsys.readouterr().out.splitlines()[:2] == ["key,value", "error,OSError"]
     assert not target.parent.exists()
+
+
+def test_run_writes_out_like_main(tmp_path, capsys):
+    by_run, by_main = tmp_path / "run.csv", tmp_path / "main.csv"
+    r = run(["--out", str(by_run), "--format", "csv", "cascade", "7", "3"])
+    assert r.exit_status == 0 and r.text == ""
+    assert main(["--out", str(by_main), "--format", "csv", "cascade", "7", "3"]) == 0
+    assert capsys.readouterr().out == ""
+    assert by_run.read_bytes() == by_main.read_bytes() == render(r.payload, "csv").encode()
+    target = tmp_path / "missing" / "x.json"
+    r = run(["--out", str(target), "cascade", "7", "3"])
+    assert r.exit_status == 1
+    assert r.payload["error"] == "OSError" and str(target) in r.payload["message"]
+    check_schema(r.payload, "error")
+    assert r.text == render(r.payload, "json")
+
+
+def test_docstring_grammar_matches_parser():
+    # each "Subcommands:" line of the module docstring names one leaf and its
+    # required positionals, in parser order
+    lines = cli.__doc__.split("Subcommands:\n")[1].split("\n\n")[0].splitlines()
+    documented = []
+    for line in lines:
+        words = line.split("(")[0].split("[")[0].split()
+        path = [w for w in words if w.islower()]
+        documented.append((" ".join(path), len(words) - len(path)))
+    parsed = [(leaf, sum(1 for a in p._actions if not a.option_strings and a.nargs != "?"))
+              for leaf, p in LEAVES.items()]
+    assert documented == parsed
 
 
 def test_flag_position_equivalent(capsys):
