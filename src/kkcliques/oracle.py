@@ -23,13 +23,22 @@ Search and sweeps share one kernel, _Kernel, for universes of up to
 MAX_UNIVERSE = 24 edges: blocks() streams the ids 2^BLOCK_BITS at a time,
 masks() builds the k-sets' edge masks once per level, and counts() counts
 the k-sets whose mask lies inside each id of a block with one bincount and
-two small exact matrix products.  A mask meets a family unless it lies in
-the complement, so every shadow and upshadow count is C(n,k) minus a full
-count of the complement (Kruskal 1963; Katona 1968).  Both sweeps run on one
-block scan, _scan, and read their meet rows at U - m; a failure row's family
-is found by a rescan (_Kernel.first_id).  One table per (n, s), _edge_perms,
-maps each edge to its image under every relabelling of [n]; canonical_form,
-_Kernel.orbit and the colex orbits of verify_uniqueness all read it.
+two small exact matrix products.  There is one kernel per (n, s) and block
+size: _kernel keeps it for the process when n <= KEEP_KERNEL_N = 16, so a
+process that sweeps or searches a shape again builds none of its levels
+again; a single CLI command sweeps each shape once and gains nothing from
+it.  A kept kernel holds its level tables: about 10 MB once every level of
+(16, 1) is built, 42 MB for all 53 shapes that can be kept.  Above 16 points
+the per-k-set arrays alone take 12 bytes per k-set, 12 * 2^n at s = 1, so
+those kernels are built per call; the cut rests on memory, as the build is
+still about 30% of a (17, 1) sweep.  A mask meets a family unless it lies
+in the complement, so every shadow and upshadow count is C(n,k) minus a full
+count of the complement (Kruskal 1963; Katona 1968).  Both sweeps run on
+one block scan, _scan, and read their meet rows at U - m; a failure row's
+family is found by a rescan (_Kernel.first_id).  One table per (n, s),
+_edge_perms, maps each edge to its image under every relabelling of [n];
+canonical_form, _Kernel.orbit and the colex orbits of verify_uniqueness all
+read it.
 """
 
 from __future__ import annotations
@@ -70,6 +79,9 @@ MAX_UNIVERSE = 24
 # Ids are scanned in blocks of 2^BLOCK_BITS, so a sweep or a search holds one
 # block of ids and its counts at a time, whatever the universe.
 BLOCK_BITS = 16
+# Kernels on at most this many points are kept for the process by _kernel
+# (about 10 MB of tables each at most, see the module docstring).
+KEEP_KERNEL_N = 16
 
 
 @cache
@@ -110,6 +122,27 @@ def canonical_form(H: SetFamily) -> bytes:
 
 # ---------------------------------------------------------------------------
 # family-id kernel
+
+def _colex_array(n: int, k: int) -> np.ndarray:
+    """The k-subsets of [n] as uint32 masks in colex (= ascending) order.
+
+    The j-subsets of the first i + 1 points are those of the first i points,
+    then the (j-1)-subsets of the first i points with point i added.  Row j
+    holds the j-subsets of the points seen so far; rows that can no longer
+    reach k with the points left are dropped, so at most a few times C(n,k)
+    masks are held at once.
+    """
+    import numpy as np
+    if not 0 <= k <= n:
+        return np.zeros(0, dtype=np.uint32)
+    empty = np.zeros(0, dtype=np.uint32)
+    rows = {0: np.zeros(1, dtype=np.uint32)}
+    for i in range(n):
+        point = np.uint32(1 << i)
+        rows = {j: np.concatenate((rows.get(j, empty), rows[j - 1] | point)) if j else rows[0]
+                for j in range(max(0, k - n + i + 1), min(k, i + 1) + 1)}
+    return rows[k]
+
 
 class _Kernel:
     """The C(n,s) s-sets of [n] in colex order, and exact counts over family
@@ -163,7 +196,7 @@ class _Kernel:
         """The edge mask of every k-set of [n], in colex order: the edges
         containing it when k < s, the edges inside it when k >= s."""
         import numpy as np
-        ks = np.fromiter(_colex_masks(self.n, k), dtype=np.uint32, count=comb(self.n, k))
+        ks = _colex_array(self.n, k)
         km = np.zeros_like(ks)
         for j, e in enumerate(self.universe):
             km |= ((ks & e) == (ks if k < self.s else e)).astype(np.uint32) << j
@@ -179,7 +212,10 @@ class _Kernel:
             mb = self.bits - lb
 
             def table(part: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-                pats, inv = np.unique(part & ((1 << width) - 1), return_inverse=True)
+                # the patterns that occur, ascending, and each k-set's rank among them
+                part = part & ((1 << width) - 1)
+                seen = np.bincount(part, minlength=1 << width) > 0
+                pats, inv = np.flatnonzero(seen).astype(np.uint32), (np.cumsum(seen) - 1)[part]
                 # at least two patterns: numpy's matmul is slow for an inner dimension of 1
                 pats = np.pad(pats, (0, max(0, 2 - len(pats))))
                 x = np.arange(1 << width, dtype=np.uint32)[:, None] & pats
@@ -229,6 +265,32 @@ class _Kernel:
             out[i:j] = c if j - i == step else c[F[i:j] - lo]
             i = j
         return out
+
+
+@cache
+def _popcount_runs(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The popcount of each offset in a block of 2^bits ids, the offsets in
+    popcount order, and where each popcount's run of them starts and how wide
+    it is.  One per block size, shared by every kernel; the int64 order is
+    0.5 MB at 16 bits, but a narrower one makes _scan's gather 2x slower."""
+    import numpy as np
+    pc = np.bitwise_count(np.arange(1 << bits, dtype=np.uint32))
+    order = np.argsort(pc, kind="stable")
+    starts = np.searchsorted(pc[order], np.arange(bits + 1))
+    return pc, order, starts, np.diff(starts, append=len(order))
+
+
+def _kernel(n: int, s: int) -> _Kernel:
+    """The kernel of (n, s) at the current BLOCK_BITS: kept for the process
+    when n <= KEEP_KERNEL_N, built afresh otherwise."""
+    return _kept_kernel(n, s, BLOCK_BITS) if n <= KEEP_KERNEL_N else _Kernel(n, s)
+
+
+@cache
+def _kept_kernel(n: int, s: int, bits: int) -> _Kernel:
+    # bits is the BLOCK_BITS the kernel reads when built: a kernel's tables
+    # depend on its block size, so the size is part of the key
+    return _Kernel(n, s)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +358,7 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     import numpy as np
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    ker = _Kernel(spec.n, spec.s)
+    ker = _kernel(spec.n, spec.s)
     caps = [] if spec.i is None else ker.masks(spec.i)
 
     best: Optional[int] = None
@@ -352,12 +414,10 @@ def _scan(ker: _Kernel, levels: list[tuple]) -> list[tuple]:
     """Per (k, watched ids ascending, target per m or None) in levels, merged
     over one pass through the blocks: the largest full count of level k over
     the ids with m edges, how many of those count target[m], and the counts
-    of the watched ids."""
+    of the watched ids.  Level s counts each id's edges, so when it is
+    scanned every id's count there is checked against its popcount."""
     import numpy as np
-    pc = np.bitwise_count(np.arange(1 << ker.bits, dtype=np.uint32))
-    order = np.argsort(pc, kind="stable")
-    starts = np.searchsorted(pc[order], np.arange(ker.bits + 1))
-    widths = np.diff(starts, append=len(order))
+    pc, order, starts, widths = _popcount_runs(ker.bits)
     out = [(np.zeros(ker.U + 1, dtype=np.int64), np.zeros(ker.U + 1, dtype=np.int64),
             np.zeros(len(watched), dtype=np.int64)) for _, watched, _ in levels]
     for F in ker.blocks():
@@ -365,7 +425,11 @@ def _scan(ker: _Kernel, levels: list[tuple]) -> list[tuple]:
         # ids with offset popcount p in this block have p + popcount(lo) edges
         m_sl = slice(lo.bit_count(), lo.bit_count() + ker.bits + 1)
         for (k, watched, target), (top, hits, seen) in zip(levels, out):
-            srt = (cnt := ker.counts(F, k, full=True))[order]
+            cnt = ker.counts(F, k, full=True)
+            # an id's offset in the block holds its bits below the block's
+            if k == ker.s and not np.array_equal(cnt, pc + lo.bit_count()):
+                raise InternalCheckError("kernel self-test failed: k^s != edge count")
+            srt = cnt[order]
             top[m_sl] = np.maximum(top[m_sl], np.maximum.reduceat(srt, starts))
             if target is not None:
                 hits[m_sl] += np.add.reduceat(srt == np.repeat(target[m_sl], widths), starts,
@@ -399,18 +463,15 @@ def verify_kkt(n: int, s: int) -> SweepReport:
     minus the largest full count at U - m.
     """
     import numpy as np
-    ker = _Kernel(n, s)
+    ker = _kernel(n, s)
     U = ker.U
     report = SweepReport("kkt", n, s, 1 << U)
     ms = range(U + 1)
     colex_ids = (1 << np.arange(U + 1, dtype=np.int64)) - 1
     # the retlex id with m edges is the complement of the colex id with U - m,
-    # so a shadow row reads the retlex ids; level s counts the edges (self-test)
+    # so a shadow row reads the retlex ids
     retlex_ids = (1 << U) - 1 - colex_ids[::-1]
-    scan = _scan(ker, [(k, retlex_ids if k < s else colex_ids, np.array(ms) if k == s else None)
-                       for k in range(n + 1)])
-    if not np.array_equal(scan[s][1], [comb(U, m) for m in ms]):
-        raise InternalCheckError("kernel self-test failed: k^s != edge count")
+    scan = _scan(ker, [(k, retlex_ids if k < s else colex_ids, None) for k in range(n + 1)])
 
     # (kind, check label, level, full, segment name, segment ids, expected per m)
     table = [("shadow", "min shadow q", q, False, "colex", colex_ids,
@@ -456,7 +517,7 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
     import numpy as np
     if n > MAX_CANON_GROUND:
         raise ValueError(f"verify_uniqueness needs n <= {MAX_CANON_GROUND} for orbits")
-    ker = _Kernel(n, s)
+    ker = _kernel(n, s)
     report = SweepReport("uniqueness", n, s, 1 << ker.U)
     ms = range(ker.U + 1)
     # (kind, level name, goal, level, full, extremal value per m, verdict predicate)

@@ -17,7 +17,7 @@ from kkcliques.cascade import k_colex, shadow_colex
 from kkcliques.cli import run
 from kkcliques.errors import InternalCheckError
 from kkcliques.families import (
-    SetFamily, cliques, colex_segment, mask_of, max_degree, relabel, shadow, upshadow)
+    SetFamily, _colex_masks, cliques, colex_segment, mask_of, max_degree, relabel, shadow, upshadow)
 from kkcliques.oracle import (
     MAX_CANON_GROUND,
     SearchSpec,
@@ -301,11 +301,55 @@ def test_sweep_domain(n, s):
 
 def test_kkt_sweep_builds_each_level_once(monkeypatch):
     # levels 0..5 on [5]; shadows and upshadows come from the full counts
+    oracle._kept_kernel.cache_clear()
     calls = []
     masks = oracle._Kernel.masks
     monkeypatch.setattr(oracle._Kernel, "masks", lambda self, k: calls.append(k) or masks(self, k))
     assert verify_kkt(5, 2).ok
     assert sorted(calls) == list(range(6))
+
+
+def test_second_kkt_sweep_builds_no_masks(monkeypatch):
+    # the (6,3) kernel and its level tables are kept for the process
+    verify_kkt(6, 3)
+    calls = []
+    masks = oracle._Kernel.masks
+    monkeypatch.setattr(oracle._Kernel, "masks", lambda self, k: calls.append(k) or masks(self, k))
+    assert verify_kkt(6, 3).ok
+    assert calls == []
+
+
+def test_kernel_cache_is_keyed_by_block_size(monkeypatch):
+    # blocks of 8 ids need their own tables, so the block-size tests still
+    # scan small blocks after a full-size kernel of the same shape is kept
+    whole = oracle._kernel(5, 2)
+    monkeypatch.setattr(oracle, "BLOCK_BITS", 3)
+    small = oracle._kernel(5, 2)
+    assert small is not whole and (whole.bits, small.bits) == (10, 3)
+    assert oracle._kernel(5, 2) is small
+    used = set()
+    counts = oracle._Kernel.counts
+    monkeypatch.setattr(oracle._Kernel, "counts", lambda self, F, k, full: used.add(
+        id(self)) or counts(self, F, k, full))
+    assert verify_kkt(5, 2).ok and verify_uniqueness(5, 2).ok
+    assert exhaustive_search(SearchSpec(5, 2, 3, m=4)).optimum == 1
+    assert used == {id(small)}
+
+
+def test_kernels_above_16_points_are_not_kept():
+    oracle._kept_kernel.cache_clear()
+    assert verify_kkt(17, 1).ok
+    assert oracle._kept_kernel.cache_info().currsize == 0
+    assert oracle._kernel(17, 1) is not oracle._kernel(17, 1)
+    assert oracle._kernel(16, 1) is oracle._kernel(16, 1)
+
+
+def test_colex_array_matches_colex_masks():
+    for n in range(13):
+        for k in range(n + 3):
+            got = oracle._colex_array(n, k)
+            assert got.dtype == np.uint32
+            assert got.tolist() == list(_colex_masks(n, k)), (n, k)
 
 
 def test_kkt_sweep_self_test(monkeypatch):
