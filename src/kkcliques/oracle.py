@@ -23,22 +23,24 @@ Search and sweeps share one kernel, _Kernel, for universes of up to
 MAX_UNIVERSE = 24 edges: blocks() streams the ids 2^BLOCK_BITS at a time,
 masks() builds the k-sets' edge masks once per level, and counts() counts
 the k-sets whose mask lies inside each id of a block with one bincount and
-two small exact matrix products.  There is one kernel per (n, s) and block
-size: _kernel keeps it for the process when n <= KEEP_KERNEL_N = 16, so a
-process that sweeps or searches a shape again builds none of its levels
-again; a single CLI command sweeps each shape once and gains nothing from
-it.  A kept kernel holds its level tables: about 10 MB once every level of
-(16, 1) is built, 42 MB for all 53 shapes that can be kept.  Above 16 points
-the per-k-set arrays alone take 12 bytes per k-set, 12 * 2^n at s = 1, so
-those kernels are built per call; the cut rests on memory, as the build is
-still about 30% of a (17, 1) sweep.  A mask meets a family unless it lies
-in the complement, so every shadow and upshadow count is C(n,k) minus a full
-count of the complement (Kruskal 1963; Katona 1968).  Both sweeps run on
-one block scan, _scan, and read their meet rows at U - m; a failure row's
-family is found by a rescan (_Kernel.first_id).  One table per (n, s),
-_edge_perms, maps each edge to its image under every relabelling of [n];
-canonical_form, _Kernel.orbit and the colex orbits of verify_uniqueness all
-read it.
+two small matrix products, exact in float32 since no count reaches 2^24.
+There is one kernel per (n, s) and block size: _kernel keeps it for the
+process when n <= KEEP_KERNEL_N = 16, so a process that sweeps or searches a
+shape again builds none of its levels again; a single CLI command sweeps
+each shape once and gains nothing from it.  A kept kernel holds its level
+tables: about 5 MB once every level of (16, 1) is built, 23 MB for all 53
+shapes that can be kept.  Above 16 points the per-k-set arrays alone take
+12 bytes per k-set, 12 * 2^n at s = 1, so those kernels are built per call;
+the cut rests on memory, as the build is still about 40% of a (17, 1)
+sweep.  A mask meets a family unless it lies in the complement, so every
+shadow and upshadow count is C(n,k) minus a full count of the complement
+(Kruskal 1963; Katona 1968).  Both sweeps run on one block scan, _scan, and
+read their meet rows at U - m.  It takes the blocks in classes of equal
+high popcount, in which each offset has one edge count, so it sorts counts
+by edge count once per class, not per block.  A failure row's family is
+found by a rescan (_Kernel.first_id) of the ids with m edges.  One table per (n, s), _edge_perms, maps each edge to
+its image under every relabelling of [n]; canonical_form, _Kernel.orbit and
+the colex orbits of verify_uniqueness all read it.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ MAX_UNIVERSE = 24
 # block of ids and its counts at a time, whatever the universe.
 BLOCK_BITS = 16
 # Kernels on at most this many points are kept for the process by _kernel
-# (about 10 MB of tables each at most, see the module docstring).
+# (about 5 MB of tables each at most, see the module docstring).
 KEEP_KERNEL_N = 16
 
 
@@ -155,24 +157,32 @@ class _Kernel:
         U = comb(n, s)
         if U > MAX_UNIVERSE:
             raise ValueError(f"universe C({n},{s}) = {U} exceeds sweep cap {MAX_UNIVERSE}")
+        # counts() sums in float32
+        if comb(n, n // 2) >= 1 << 24:
+            raise ValueError(f"C({n},{n // 2}) = {comb(n, n // 2)} reaches 2^24: "
+                             "float32 block counts would not be exact")
         self.n, self.s, self.U = n, s, U
         self.universe = list(_colex_masks(n, s))
         self.bits = min(U, BLOCK_BITS)
         self._levels: dict[int, tuple] = {}
 
-    def blocks(self) -> Iterator[np.ndarray]:
-        """Every family id in ascending order, 2^bits ids at a time."""
+    def blocks(self, m: Optional[int] = None) -> Iterator[np.ndarray]:
+        """Every family id in ascending order, 2^bits ids at a time; when m is
+        given, only the ids with m edges, read off each block's popcount run."""
         import numpy as np
         step = 1 << self.bits
+        _, order, starts, widths = _popcount_runs(self.bits)
         for lo in range(0, 1 << self.U, step):
-            yield np.arange(lo, lo + step, dtype=np.uint32)
+            if m is None:
+                yield np.arange(lo, lo + step, dtype=np.uint32)
+            elif 0 <= (p := m - lo.bit_count()) <= self.bits:
+                yield (order[starts[p]:starts[p] + widths[p]] + lo).astype(np.uint32)
 
     def first_id(self, m: int, level: int, full: bool,
                  keep: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Optional[int]:
         """The lowest id with m edges whose level count passes keep(ids, counts)."""
         import numpy as np
-        for F in self.blocks():
-            F = F[np.bitwise_count(F) == m]
+        for F in self.blocks(m):
             hit = np.flatnonzero(keep(F, self.counts(F, level, full)))
             if len(hit):
                 return int(F[hit[0]])
@@ -219,7 +229,7 @@ class _Kernel:
                 # at least two patterns: numpy's matmul is slow for an inner dimension of 1
                 pats = np.pad(pats, (0, max(0, 2 - len(pats))))
                 x = np.arange(1 << width, dtype=np.uint32)[:, None] & pats
-                return (x == pats).astype(np.float64), inv
+                return (x == pats).astype(np.float32), inv
             zm, mi = table(km >> lb, mb)
             zl, li = table(km, lb)
             self._levels[k] = (mi * zl.shape[1] + li, km >> self.bits, zm,
@@ -243,9 +253,10 @@ class _Kernel:
         Zm[mid, a] = [a <= mid], Zl[low, c] = [c <= low] and N_H[a, c] the
         number of k-sets with patterns a, c whose high part is inside H.
         Every factor is a non-negative integer and every partial sum is at
-        most C(n,k) <= C(24,12) < 2^53, so the float64 products are exact in
-        any summation order.  The dtype is the narrowest that holds C(n,k),
-        so no count wraps.
+        most C(n,k) <= C(24,12) = 2,704,156 < 2^24, so the float32 products
+        are exact in any summation order; __init__ refuses a shape whose
+        C(n, n // 2) reaches 2^24.  The dtype is the narrowest that holds
+        C(n,k), so no count wraps.
         """
         import numpy as np
         nK = comb(self.n, k)
@@ -260,7 +271,7 @@ class _Kernel:
             j = len(F) if int(F[-1]) < lo + step else int(np.searchsorted(F, lo + step))
             H = lo >> self.bits
             N = np.bincount(idx, weights=(high | H) == H,
-                            minlength=zm.shape[1] * zlT.shape[0])
+                            minlength=zm.shape[1] * zlT.shape[0]).astype(np.float32)
             c = (zm @ N.reshape(zm.shape[1], zlT.shape[0]) @ zlT).ravel()
             out[i:j] = c if j - i == step else c[F[i:j] - lo]
             i = j
@@ -270,9 +281,11 @@ class _Kernel:
 @cache
 def _popcount_runs(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The popcount of each offset in a block of 2^bits ids, the offsets in
-    popcount order, and where each popcount's run of them starts and how wide
-    it is.  One per block size, shared by every kernel; the int64 order is
-    0.5 MB at 16 bits, but a narrower one makes _scan's gather 2x slower."""
+    popcount order (each run ascending), and where each popcount's run of them
+    starts and how wide it is.  One per block size, shared by every kernel:
+    _scan gathers into popcount order once per class of blocks and level, and
+    blocks(m) reads a block's ids with m edges off one run.  The int64 order
+    is 0.5 MB at 16 bits, but a narrower one makes the gather 2x slower."""
     import numpy as np
     pc = np.bitwise_count(np.arange(1 << bits, dtype=np.uint32))
     order = np.argsort(pc, kind="stable")
@@ -364,9 +377,7 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     best: Optional[int] = None
     attainers: list[np.ndarray] = []
     scanned = 0
-    for F in ker.blocks():
-        if spec.m is not None:
-            F = F[np.bitwise_count(F) == spec.m]
+    for F in ker.blocks(spec.m):
         for im in caps:
             F = F[np.bitwise_count(F & im) <= spec.max_degree]
         if spec.u is not None:
@@ -415,27 +426,54 @@ def _scan(ker: _Kernel, levels: list[tuple]) -> list[tuple]:
     over one pass through the blocks: the largest full count of level k over
     the ids with m edges, how many of those count target[m], and the counts
     of the watched ids.  Level s counts each id's edges, so when it is
-    scanned every id's count there is checked against its popcount."""
+    scanned every id's count there is checked against its popcount.
+
+    Offset p of a block whose high bits have popcount h is an id with
+    h + popcount(p) edges, so the blocks of each h form a class whose counts
+    are folded per offset and gathered into popcount order once."""
     import numpy as np
     pc, order, starts, widths = _popcount_runs(ker.bits)
     out = [(np.zeros(ker.U + 1, dtype=np.int64), np.zeros(ker.U + 1, dtype=np.int64),
             np.zeros(len(watched), dtype=np.int64)) for _, watched, _ in levels]
-    for F in ker.blocks():
-        lo = int(F[0])
-        # ids with offset popcount p in this block have p + popcount(lo) edges
-        m_sl = slice(lo.bit_count(), lo.bit_count() + ker.bits + 1)
-        for (k, watched, target), (top, hits, seen) in zip(levels, out):
-            cnt = ker.counts(F, k, full=True)
-            # an id's offset in the block holds its bits below the block's
-            if k == ker.s and not np.array_equal(cnt, pc + lo.bit_count()):
-                raise InternalCheckError("kernel self-test failed: k^s != edge count")
-            srt = cnt[order]
+    step, high = 1 << ker.bits, ker.U - ker.bits
+    # a class holds at most C(high, high // 2) blocks, so no hit tally wraps
+    tally = np.min_scalar_type(comb(high, high // 2))
+    for h in range(high + 1):
+        los = [H << ker.bits for H in range(1 << high) if H.bit_count() == h]
+        m_sl = slice(h, h + ker.bits + 1)
+        # per level: the targets in the counts' dtype (C(n,k) + 1, which no
+        # count takes, for one out of range); over several blocks, each
+        # offset's target and hit tally; and each offset's largest count
+        wants, tallies = [], []
+        for k, _, target in levels:
+            nK = comb(ker.n, k)
+            want = None if target is None else np.where(
+                (target[m_sl] >= 0) & (target[m_sl] <= nK), target[m_sl], nK + 1
+            ).astype(np.min_scalar_type(nK + 1))
+            wants.append(want)
+            tallies.append(None if want is None or len(los) == 1 else
+                           (want.take(pc), np.zeros(step, dtype=tally)))
+        peaks = [None] * len(levels)
+        for lo in los:
+            F = np.arange(lo, lo + step, dtype=np.uint32)
+            for i, ((k, watched, _), (_, _, seen)) in enumerate(zip(levels, out)):
+                cnt = ker.counts(F, k, full=True)
+                # an id's offset in the block holds its bits below the block's
+                if k == ker.s and not np.array_equal(cnt, pc + h):
+                    raise InternalCheckError("kernel self-test failed: k^s != edge count")
+                peaks[i] = cnt if peaks[i] is None else np.maximum(peaks[i], cnt, out=peaks[i])
+                if tallies[i] is not None:
+                    per_offset, hit = tallies[i]
+                    np.add(hit, cnt == per_offset, out=hit)
+                a, b = np.searchsorted(watched, (lo, lo + step))
+                seen[a:b] = cnt[watched[a:b] - lo]
+        for (top, hits, _), peak, want, kept in zip(out, peaks, wants, tallies):
+            srt = peak[order]
             top[m_sl] = np.maximum(top[m_sl], np.maximum.reduceat(srt, starts))
-            if target is not None:
-                hits[m_sl] += np.add.reduceat(srt == np.repeat(target[m_sl], widths), starts,
-                                              dtype=np.int64)
-            a, b = np.searchsorted(watched, (lo, lo + len(F)))
-            seen[a:b] = cnt[watched[a:b] - lo]
+            if want is not None:
+                # a one-block class is compared in popcount order, one target per run
+                hit = srt == np.repeat(want, widths) if kept is None else kept[1][order]
+                hits[m_sl] += np.add.reduceat(hit, starts, dtype=np.int64)
     return out
 
 

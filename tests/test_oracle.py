@@ -239,6 +239,47 @@ def test_kernel_counts_match_direct_passes(monkeypatch, n, s):
                 assert got.tolist() == ref.tolist(), (bits, k, is_full)
 
 
+def test_kernel_float32_counts_are_exact_at_the_widest_level(monkeypatch):
+    # C(24,12) = 2,704,156 < 2^24 is the largest count a block product sums
+    ker = _Kernel(24, 1)
+    F = np.array([0, 2**12 - 1, 2**24 - 1], dtype=np.uint32)
+    top = comb(24, 12)
+    assert ker.counts(F, 12, True).tolist() == [0, 1, top]
+    assert ker.counts(F, 12, False).tolist() == [0, top - 1, top]
+    # C(27,13) = 20,058,300 would not be exact in float32
+    monkeypatch.setattr(oracle, "MAX_UNIVERSE", 27)
+    with pytest.raises(ValueError, match="reaches 2\\^24"):
+        _Kernel(27, 1)
+
+
+@pytest.mark.parametrize("n,s", [(5, 3), (6, 2)])
+def test_scan_hit_tallies_match_direct_counts(monkeypatch, n, s):
+    # the sweeps only pass extreme counts as targets; top - (m mod 2) is hit
+    # by some ids and missed by others at odd m, and at every third m a
+    # target past C(n,k) must not wrap onto a count in the counts' uint8
+    U = comb(n, s)
+    F = np.arange(1 << U, dtype=np.uint32)
+    m = np.bitwise_count(F)
+    watched = F[::37]
+    want = []
+    for k in range(n + 1):
+        full = _direct_counts(n, s, F, k)[0]
+        top = np.zeros(U + 1, dtype=np.int64)
+        np.maximum.at(top, m, full)
+        target = top - np.arange(U + 1) % 2
+        target[::3] += 256
+        want.append((k, target, top, np.bincount(m[full == target[m]], minlength=U + 1),
+                     full[watched]))
+    assert sum(hits[1::2].sum() for *_, hits, _ in want) > 0
+    for bits in (oracle.BLOCK_BITS, 3):
+        monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
+        got = oracle._scan(_Kernel(n, s), [(k, watched, target) for k, target, *_ in want])
+        for (k, _, top, hits, seen), (g_top, g_hits, g_seen) in zip(want, got):
+            assert g_top.tolist() == top.tolist(), (bits, k)
+            assert g_hits.tolist() == hits.tolist(), (bits, k)
+            assert g_seen.tolist() == seen.tolist(), (bits, k)
+
+
 def test_edge_perms_table():
     # (8,4) has the widest universe, C(8,4) = 70 edges
     oracle._edge_perms.cache_clear()
