@@ -5,11 +5,12 @@ the block form C(x-i, s-i) for integer x:
 
   * vertex_bound  -- n vertices, max i-degree Delta;
   * edge_bound    -- m edges, max i-degree Delta;
-  * clique_bound  -- p u-cliques, max i-degree Delta (u = s reduces to edge_bound);
+  * clique_bound  -- p u-cliques, max i-degree Delta.
 
-plus the 2-graph specialization graph_clique_bound, the per-neighborhood
-clique/edge ratio, and a scanner for the ratio-maximality condition on
-k_colex(m,s,t)/m.
+The edge bound is the clique bound at u = s, and both run on one engine.
+Also here: the 2-graph specialization graph_clique_bound, the
+per-neighborhood clique/edge ratio, and a scanner for the ratio-maximality
+condition on k_colex(m,s,t)/m.
 
 Each bound returns a BoundReport carrying the exact value, its floor (the
 operative integer bound), and a tri-state equality_possible verdict with the
@@ -134,59 +135,68 @@ def vertex_bound(n: int, i: int, s: int, t: int, delta: int) -> BoundReport:
     return BoundReport(value, _floor(value), "vertex", x, eq, tuple(notes))
 
 
+def _ratio_bound(p: int, i: int, s: int, u: int, t: int, delta: int,
+                 source: str) -> BoundReport:
+    """k^t <= p * C(x,t) / C(x,u) for s-graphs with p u-cliques (p edges at
+    u = s) and max i-degree at most Delta = C(x-i, s-i), x >= s real; 0 when
+    x < t.  The equality analysis differs at u = s only where a note names
+    edges, and when C(x,u) does not divide p: beyond u = s the u-clique edges
+    form a packing shadow, at u = s that is forced only for s >= i+2."""
+    if p == 0:
+        return BoundReport(0, 0, source, None, "yes", (
+            "no edges, no cliques" if u == s else "no u-cliques, no t-cliques",))
+    if delta == 0:
+        return BoundReport(0, 0, source, None, "no", (
+            "max i-degree 0 admits no nonempty family, so the bound is vacuous",))
+
+    x = i + binom_inverse(delta, s - i)
+    # x >= s and the callers take u = t = s, so these two arise only for u > s
+    if x < u:
+        return BoundReport(0, 0, source, x, "no", (
+            "x < u: the degree bound forbids any u-clique, so no family has p > 0",))
+    if u == t:
+        return BoundReport(p, p, source, x, "yes", ("u = t: the ratio of binomials is 1",))
+    if x < t:
+        return BoundReport(0, 0, source, x, "yes", (
+            "x < t: the degree bound rules out any t-clique; m pairwise disjoint edges attain 0"
+            if u == s else
+            "u <= x < t: no t-clique can occur; p disjoint copies of K^(s)_u attain 0",))
+    if not isinstance(x, int):
+        value: Real = p * binom_real(x, t) / binom_real(x, u)
+        note = "degree parameter is not C(x-i, s-i) for integer x; tightness is open"
+        return BoundReport(value, _floor(value), source, x, "unknown", (note,))
+    value = _ratio(p * comb(x, t), comb(x, u))
+    bu = comb(x, u)
+    if p % bu == 0:
+        eq, note = "yes", f"{p // bu} disjoint complete blocks K^({s})_{x} attain equality"
+    elif u > s:
+        eq, note = "no", (f"equality forces the edges lying in u-cliques to form a packing shadow, "
+                          f"so C({x},{u}) = {bu} must divide p")
+    elif s >= i + 2:
+        eq, note = "no", (f"equality forces a packing shadow, whose edge count is a "
+                          f"multiple of C({x},{s}) = {bu}")
+    else:
+        eq, note = "unknown", (f"C({x},{s}) does not divide m, but at s = i+1 "
+                               f"non-packing extremal families are not ruled out")
+    return BoundReport(value, _floor(value), source, x, eq, (note,))
+
+
 def edge_bound(m: int, i: int, s: int, t: int, delta: int) -> BoundReport:
     """k^t <= m * C(x,t) / C(x,s) for m-edge s-graphs with max i-degree at most
-    Delta = C(x-i, s-i), x >= s real; 0 when x < t."""
+    Delta = C(x-i, s-i), x >= s real; 0 when x < t.  The clique bound at u = s."""
     if not 1 <= i < s < t:
         raise ValueError(f"need 1 <= i < s < t, got i={i}, s={s}, t={t}")
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
     if delta < 0:
         raise ValueError(f"need Delta >= 0, got {delta}")
-
-    if m == 0:
-        return BoundReport(0, 0, "edge", None, "yes", ("no edges, no cliques",))
-    if delta == 0:
-        return BoundReport(
-            0, 0, "edge", None, "no",
-            ("max i-degree 0 admits no nonempty family, so the bound is vacuous",),
-        )
-
-    x = i + binom_inverse(delta, s - i)
-    if x < t:
-        return BoundReport(
-            0, 0, "edge", x, "yes",
-            ("x < t: the degree bound rules out any t-clique; "
-             "m pairwise disjoint edges attain 0",),
-        )
-    notes: list[str] = []
-    if isinstance(x, int):
-        value: Real = _ratio(m * comb(x, t), comb(x, s))
-        bs = comb(x, s)
-        if m % bs == 0:
-            eq = "yes"
-            notes.append(f"{m // bs} disjoint complete blocks K^({s})_{x} attain equality")
-        elif s >= i + 2:
-            eq = "no"
-            notes.append(
-                f"equality forces a packing shadow, whose edge count is a multiple of C({x},{s}) = {bs}"
-            )
-        else:
-            eq = "unknown"
-            notes.append(
-                f"C({x},{s}) does not divide m, but at s = i+1 non-packing extremal families are not ruled out"
-            )
-    else:
-        value = m * binom_real(x, t) / binom_real(x, s)
-        eq = "unknown"
-        notes.append("degree parameter is not C(x-i, s-i) for integer x; tightness is open")
-    return BoundReport(value, _floor(value), "edge", x, eq, tuple(notes))
+    return _ratio_bound(m, i, s, s, t, delta, "edge")
 
 
 def clique_bound(p: int, i: int, s: int, u: int, t: int, delta: int) -> BoundReport:
     """k^t <= p * C(x,t) / C(x,u) for s-graphs with exactly p u-cliques and max
     i-degree at most Delta = C(x-i, s-i); 0 when x < u (no u-clique exists) or
-    u <= x < t.  u = s delegates to the edge bound."""
+    u <= x < t.  At u = s this is the edge bound."""
     if not 1 <= i < s <= u <= t:
         raise ValueError(f"need 1 <= i < s <= u <= t, got i={i}, s={s}, u={u}, t={t}")
     if p < 0:
@@ -194,54 +204,12 @@ def clique_bound(p: int, i: int, s: int, u: int, t: int, delta: int) -> BoundRep
     if delta < 0:
         raise ValueError(f"need Delta >= 0, got {delta}")
 
-    if u == s:
-        if t == s:
-            # Degenerate u = t = s: the count bounded is the edge count itself.
-            return BoundReport(p, p, "clique", None, "yes",
-                               ("u = t = s: the bound is the edge count",))
-        rep = edge_bound(p, i, s, t, delta)
-        return replace(rep, source="clique", notes=rep.notes + ("u = s reduces to the edge bound",))
-
-    if p == 0:
-        return BoundReport(0, 0, "clique", None, "yes", ("no u-cliques, no t-cliques",))
-    if delta == 0:
-        return BoundReport(
-            0, 0, "clique", None, "no",
-            ("max i-degree 0 admits no nonempty family, so the bound is vacuous",),
-        )
-
-    x = i + binom_inverse(delta, s - i)
-    if x < u:
-        return BoundReport(
-            0, 0, "clique", x, "no",
-            ("x < u: the degree bound forbids any u-clique, so no family has p > 0",),
-        )
-    if u == t:
-        return BoundReport(p, p, "clique", x, "yes",
-                           ("u = t: the ratio of binomials is 1",))
-    if x < t:
-        return BoundReport(
-            0, 0, "clique", x, "yes",
-            ("u <= x < t: no t-clique can occur; p disjoint copies of K^(s)_u attain 0",),
-        )
-    notes = []
-    if isinstance(x, int):
-        value: Real = _ratio(p * comb(x, t), comb(x, u))
-        bu = comb(x, u)
-        if p % bu == 0:
-            eq = "yes"
-            notes.append(f"{p // bu} disjoint complete blocks K^({s})_{x} attain equality")
-        else:
-            eq = "no"
-            notes.append(
-                f"equality forces the edges lying in u-cliques to form a packing shadow, "
-                f"so C({x},{u}) = {bu} must divide p"
-            )
-    else:
-        value = p * binom_real(x, t) / binom_real(x, u)
-        eq = "unknown"
-        notes.append("degree parameter is not C(x-i, s-i) for integer x; tightness is open")
-    return BoundReport(value, _floor(value), "clique", x, eq, tuple(notes))
+    if u == t == s:
+        # Degenerate u = t = s: the count bounded is the edge count itself.
+        return BoundReport(p, p, "clique", None, "yes",
+                           ("u = t = s: the bound is the edge count",))
+    rep = _ratio_bound(p, i, s, u, t, delta, "clique")
+    return replace(rep, notes=rep.notes + ("u = s reduces to the edge bound",)) if u == s else rep
 
 
 def graph_clique_bound(p: int, u: int, t: int, r: int) -> BoundReport:

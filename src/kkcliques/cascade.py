@@ -131,7 +131,15 @@ def _binom_floor_index(m: int, k: int) -> int:
         if a * (a - 1) // 2 > m:
             a -= 1
         return a
-    prod = m * (_FACT[k] if k < len(_FACT) else math.factorial(k))
+    if k < len(_FACT):
+        prod = m * _FACT[k]
+    elif m.bit_length() < k:
+        # no root: prod = 0 guesses below k, so the climb starts from a = k,
+        # and C(k+j+1, k) / C(k+j, k) = (k+j+1)/(j+1) >= 2 while j < k, so
+        # it takes at most bit_length(m) unit steps
+        prod = 0
+    else:
+        prod = m * math.factorial(k)
     if prod.bit_length() <= (50 * k if k <= 20 else 1000):
         a = int(prod ** (1.0 / k) + (k - 1) * 0.5)
     else:

@@ -423,57 +423,58 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
 
 def _scan(ker: _Kernel, levels: list[tuple]) -> list[tuple]:
     """Per (k, watched ids ascending, target per m or None) in levels, merged
-    over one pass through the blocks: the largest full count of level k over
-    the ids with m edges, how many of those count target[m], and the counts
-    of the watched ids.  Level s counts each id's edges, so when it is
-    scanned every id's count there is checked against its popcount.
+    over one pass through the blocks: per m, the largest full count of level
+    k over the ids with m edges, or with a target how many of those ids
+    count target[m]; and the counts of the watched ids.  Level s counts each
+    id's edges, so when it is scanned every id's count there is checked
+    against its popcount.
 
     Offset p of a block whose high bits have popcount h is an id with
     h + popcount(p) edges, so the blocks of each h form a class whose counts
-    are folded per offset and gathered into popcount order once."""
+    are folded per offset, by maximum or by hit tally, and gathered into
+    popcount order once."""
     import numpy as np
-    pc, order, starts, widths = _popcount_runs(ker.bits)
-    out = [(np.zeros(ker.U + 1, dtype=np.int64), np.zeros(ker.U + 1, dtype=np.int64),
-            np.zeros(len(watched), dtype=np.int64)) for _, watched, _ in levels]
+    pc, order, starts, _ = _popcount_runs(ker.bits)
+    out = [(np.zeros(ker.U + 1, dtype=np.int64), np.zeros(len(watched), dtype=np.int64))
+           for _, watched, _ in levels]
     step, high = 1 << ker.bits, ker.U - ker.bits
     # a class holds at most C(high, high // 2) blocks, so no hit tally wraps
     tally = np.min_scalar_type(comb(high, high // 2))
     for h in range(high + 1):
         los = [H << ker.bits for H in range(1 << high) if H.bit_count() == h]
         m_sl = slice(h, h + ker.bits + 1)
-        # per level: the targets in the counts' dtype (C(n,k) + 1, which no
-        # count takes, for one out of range); over several blocks, each
-        # offset's target and hit tally; and each offset's largest count
-        wants, tallies = [], []
+        # per level with a target: each offset's target in the counts' dtype
+        # (C(n,k) + 1, which no count takes, for one out of range) and its
+        # hit tally; the levels without one fold each offset's largest count
+        wants, folds = [], []
         for k, _, target in levels:
             nK = comb(ker.n, k)
             want = None if target is None else np.where(
                 (target[m_sl] >= 0) & (target[m_sl] <= nK), target[m_sl], nK + 1
-            ).astype(np.min_scalar_type(nK + 1))
+            ).astype(np.min_scalar_type(nK + 1)).take(pc)
             wants.append(want)
-            tallies.append(None if want is None or len(los) == 1 else
-                           (want.take(pc), np.zeros(step, dtype=tally)))
-        peaks = [None] * len(levels)
+            folds.append(None if want is None else np.zeros(step, dtype=tally))
         for lo in los:
             F = np.arange(lo, lo + step, dtype=np.uint32)
-            for i, ((k, watched, _), (_, _, seen)) in enumerate(zip(levels, out)):
+            for i, ((k, watched, _), want, (_, seen)) in enumerate(zip(levels, wants, out)):
                 cnt = ker.counts(F, k, full=True)
                 # an id's offset in the block holds its bits below the block's
                 if k == ker.s and not np.array_equal(cnt, pc + h):
                     raise InternalCheckError("kernel self-test failed: k^s != edge count")
-                peaks[i] = cnt if peaks[i] is None else np.maximum(peaks[i], cnt, out=peaks[i])
-                if tallies[i] is not None:
-                    per_offset, hit = tallies[i]
-                    np.add(hit, cnt == per_offset, out=hit)
+                if want is not None:
+                    np.add(folds[i], cnt == want, out=folds[i])
+                elif folds[i] is None:
+                    folds[i] = cnt
+                else:
+                    np.maximum(folds[i], cnt, out=folds[i])
                 a, b = np.searchsorted(watched, (lo, lo + step))
                 seen[a:b] = cnt[watched[a:b] - lo]
-        for (top, hits, _), peak, want, kept in zip(out, peaks, wants, tallies):
-            srt = peak[order]
-            top[m_sl] = np.maximum(top[m_sl], np.maximum.reduceat(srt, starts))
-            if want is not None:
-                # a one-block class is compared in popcount order, one target per run
-                hit = srt == np.repeat(want, widths) if kept is None else kept[1][order]
-                hits[m_sl] += np.add.reduceat(hit, starts, dtype=np.int64)
+        for (per_m, _), fold, want in zip(out, folds, wants):
+            srt = fold[order]
+            if want is None:
+                per_m[m_sl] = np.maximum(per_m[m_sl], np.maximum.reduceat(srt, starts))
+            else:
+                per_m[m_sl] += np.add.reduceat(srt, starts, dtype=np.int64)
     return out
 
 
@@ -522,7 +523,7 @@ def verify_kkt(n: int, s: int) -> SweepReport:
                [shadow_colex(m, n - s, n - t) for m in ms]) for t in range(s + 1, n + 1)]
 
     for kind, label, level, full, seg, seg_ids, expected in table:
-        ext, _, got = scan[level]   # per m: the extreme count and the segment's count
+        ext, got = scan[level]   # per m: the extreme count and the segment's count
         if not full:
             ext, got = comb(n, level) - ext[::-1], comb(n, level) - got[::-1]
         expected = np.array(expected, dtype=np.int64)
@@ -578,7 +579,7 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
               for _, _, _, level, full, ext, _ in table]
     # per level and m: the attainers, and the orbit ids that attain
     counts = []
-    for (_, watched, target), (_, hits, seen), (*_, full, _, _) in zip(
+    for (_, watched, target), (hits, seen), (*_, full, _, _) in zip(
             levels, _scan(ker, levels), table):
         wm = np.bitwise_count(watched)
         n_orb = np.bincount(wm[seen == target[wm]], minlength=ker.U + 1)

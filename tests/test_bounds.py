@@ -1,5 +1,6 @@
 """Signpost bounds: frozen values, equality verdicts, ratio forms, scanner."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -71,11 +72,67 @@ def test_clique_bound_nondivisible():
 
 
 def test_clique_bound_u_equals_s_reduces_to_edge_bound():
-    r = clique_bound(12, 1, 2, 2, 3, 3)
-    e = edge_bound(12, 1, 2, 3, 3)
-    assert r.value == e.value and r.integer_value == e.integer_value
-    assert r.source == "clique"
-    assert any("edge bound" in note for note in r.notes)
+    for m in range(31):
+        for s in range(2, 6):
+            for i in range(1, s):
+                for t in range(s + 1, 8):
+                    for delta in range(16):
+                        e = edge_bound(m, i, s, t, delta)
+                        r = clique_bound(m, i, s, s, t, delta)
+                        assert r == replace(e, source="clique", notes=e.notes + (
+                            "u = s reduces to the edge bound",)), (m, i, s, t, delta)
+
+
+# One pinned report per branch of the shared edge/clique engine, from both
+# callers where the branch serves both: (bound, args, value, integer_value,
+# x, equality_possible, notes).
+ENGINE_BRANCHES = [
+    (edge_bound, (0, 1, 2, 3, 3), 0, 0, None, "yes",
+     ("no edges, no cliques",)),
+    (clique_bound, (0, 1, 2, 3, 4, 3), 0, 0, None, "yes",
+     ("no u-cliques, no t-cliques",)),
+    (edge_bound, (5, 1, 2, 3, 0), 0, 0, None, "no",
+     ("max i-degree 0 admits no nonempty family, so the bound is vacuous",)),
+    (clique_bound, (5, 1, 2, 3, 4, 0), 0, 0, None, "no",
+     ("max i-degree 0 admits no nonempty family, so the bound is vacuous",)),
+    (clique_bound, (3, 1, 2, 4, 5, 2), 0, 0, 3, "no",
+     ("x < u: the degree bound forbids any u-clique, so no family has p > 0",)),
+    (clique_bound, (5, 1, 2, 3, 3, 3), 5, 5, 4, "yes",
+     ("u = t: the ratio of binomials is 1",)),
+    (edge_bound, (4, 1, 3, 5, 1), 0, 0, 3, "yes",
+     ("x < t: the degree bound rules out any t-clique; m pairwise disjoint edges attain 0",)),
+    (clique_bound, (3, 1, 2, 3, 5, 3), 0, 0, 4, "yes",
+     ("u <= x < t: no t-clique can occur; p disjoint copies of K^(s)_u attain 0",)),
+    (edge_bound, (1, 1, 3, 4, 4), 0.3430703308174543, 0, 4.372281323269817, "unknown",
+     ("degree parameter is not C(x-i, s-i) for integer x; tightness is open",)),
+    (clique_bound, (5, 1, 3, 4, 5, 7), 1.2749172176354477, 1, 5.274917217635448, "unknown",
+     ("degree parameter is not C(x-i, s-i) for integer x; tightness is open",)),
+    (edge_bound, (12, 1, 2, 3, 3), 8, 8, 4, "yes",
+     ("2 disjoint complete blocks K^(2)_4 attain equality",)),
+    (clique_bound, (8, 1, 2, 3, 4, 3), 2, 2, 4, "yes",
+     ("2 disjoint complete blocks K^(2)_4 attain equality",)),
+    (clique_bound, (9, 1, 2, 3, 4, 3), Fraction(9, 4), 2, 4, "no",
+     ("equality forces the edges lying in u-cliques to form a packing shadow, "
+      "so C(4,3) = 4 must divide p",)),
+    (edge_bound, (5, 1, 3, 4, 3), Fraction(5, 4), 1, 4, "no",
+     ("equality forces a packing shadow, whose edge count is a multiple of C(4,3) = 4",)),
+    (edge_bound, (7, 1, 2, 3, 3), Fraction(14, 3), 4, 4, "unknown",
+     ("C(4,2) does not divide m, but at s = i+1 non-packing extremal families "
+      "are not ruled out",)),
+]
+
+
+@pytest.mark.parametrize(
+    "bound,args,value,integer_value,x,eq,notes", ENGINE_BRANCHES,
+    ids=["edge p=0", "clique p=0", "edge delta=0", "clique delta=0", "clique x<u",
+         "clique u=t", "edge x<t", "clique x<t", "edge irrational x", "clique irrational x",
+         "edge divisible", "clique divisible", "clique not divisible u>s",
+         "edge not divisible s>=i+2", "edge not divisible s=i+1"])
+def test_engine_branch_reports(bound, args, value, integer_value, x, eq, notes):
+    r = bound(*args)
+    assert r.source == bound.__name__.removesuffix("_bound")
+    assert (type(r.value), r.value, r.integer_value) == (type(value), value, integer_value)
+    assert (type(r.x), r.x, r.equality_possible, r.notes) == (type(x), x, eq, notes)
 
 
 def test_clique_bound_u_equals_t_is_identity():

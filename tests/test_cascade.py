@@ -75,6 +75,7 @@ def test_cascade_round_trip_property(m, s):
 @given(m=st.integers(min_value=1, max_value=10**400), k=st.integers(min_value=1, max_value=40))
 @example(m=10**65 + 7, k=3)
 @example(m=1, k=40)
+@example(m=10**6, k=33)
 def test_binom_floor_index_bracket(m, k):
     a = _binom_floor_index(m, k)
     assert a >= k
@@ -87,6 +88,17 @@ def test_cascade_of_small_m_at_a_huge_level():
     assert cascade_of(5, 20000).entries == (20000, 19999, 19998, 19997, 19996)
     assert time.perf_counter() - start < 1.0
     assert _binom_floor_index(7, 7) == 7 and _binom_floor_index(8, 7) == 8
+
+
+def test_cascade_of_mid_m_at_a_huge_level():
+    # m < 2^k climbs from a = k instead of taking a root of m * k! per level
+    m = 10**6
+    start = time.perf_counter()
+    c = cascade_of(m, 3000)
+    assert time.perf_counter() - start < 1.0
+    assert all(a > b for a, b in zip(c.entries, c.entries[1:]))
+    assert c.entries[-1] >= 3000 - (c.length - 1)
+    assert cascade_eval(c, 3000) == m
 
 
 def test_k_colex_known_values():

@@ -273,11 +273,14 @@ def test_scan_hit_tallies_match_direct_counts(monkeypatch, n, s):
     assert sum(hits[1::2].sum() for *_, hits, _ in want) > 0
     for bits in (oracle.BLOCK_BITS, 3):
         monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
-        got = oracle._scan(_Kernel(n, s), [(k, watched, target) for k, target, *_ in want])
-        for (k, _, top, hits, seen), (g_top, g_hits, g_seen) in zip(want, got):
+        ker = _Kernel(n, s)
+        # a level without a target yields its maxima, one with a target its hits
+        tops = oracle._scan(ker, [(k, watched, None) for k, *_ in want])
+        hits = oracle._scan(ker, [(k, watched, target) for k, target, *_ in want])
+        for (k, _, top, hit, seen), (g_top, t_seen), (g_hit, h_seen) in zip(want, tops, hits):
             assert g_top.tolist() == top.tolist(), (bits, k)
-            assert g_hits.tolist() == hits.tolist(), (bits, k)
-            assert g_seen.tolist() == seen.tolist(), (bits, k)
+            assert g_hit.tolist() == hit.tolist(), (bits, k)
+            assert t_seen.tolist() == h_seen.tolist() == seen.tolist(), (bits, k)
 
 
 def test_edge_perms_table():
