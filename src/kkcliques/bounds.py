@@ -9,8 +9,9 @@ the block form C(x-i, s-i) for integer x:
 
 The edge bound is the clique bound at u = s, and both run on one engine.
 Also here: the 2-graph specialization graph_clique_bound, the
-per-neighborhood clique/edge ratio, and a scanner for the ratio-maximality
-condition on k_colex(m,s,t)/m.
+per-neighborhood clique/edge ratio, a scanner for the ratio-maximality
+condition on k_colex(m,s,t)/m, and the Steiner-system divisibility test the
+equality verdicts rest on (designs re-exports steiner_divisibility).
 
 Each bound returns a BoundReport carrying the exact value, its floor (the
 operative integer bound), and a tri-state equality_possible verdict with the
@@ -26,7 +27,6 @@ from math import comb
 from typing import Optional, Union
 
 from .cascade import _ratio, binom_inverse, binom_real, falling_factorial, k_colex
-from .designs import _steiner_existence
 from .errors import InternalCheckError
 
 Real = Union[int, float, Fraction]
@@ -59,6 +59,49 @@ def _floor(value: Real) -> int:
     if isinstance(value, float):
         return math.floor(value + _FLOAT_FLOOR_EPS)
     return math.floor(value)
+
+
+def steiner_divisibility(i: int, r: int, n: int) -> tuple[bool, list[tuple[int, int, int, bool]]]:
+    """Necessary divisibility conditions for S(i, r, n):
+
+        (r-j)_(i-j) divides (n-j)_(i-j)   for 0 <= j < i.
+
+    Returns (all hold, per-j breakdown of (j, divisor, dividend, ok)).
+    Sufficient only for large n; never a proof of existence here.
+    """
+    if not i <= r <= n:
+        raise ValueError(f"need i <= r <= n, got i={i}, r={r}, n={n}")
+    rows = []
+    ok = True
+    for j in range(i):
+        d = falling_factorial(r - j, i - j)
+        target = falling_factorial(n - j, i - j)
+        hit = target % d == 0
+        rows.append((j, d, target, hit))
+        ok = ok and hit
+    return ok, rows
+
+
+def _steiner_existence(i: int, r: int, n: int) -> str:
+    """"yes" / "no" / "unknown" for existence of S(i, r, n).
+
+    Decidable cases: r = n (single block), i = 1 (r | n), and the classical
+    families S(2,3,n), S(2,4,n), S(3,4,n) where the divisibility conditions
+    are known to be sufficient.  Divisibility failure is always "no".
+    """
+    if r > n:
+        return "no"
+    if r == n:
+        return "yes"
+    if i == 1:
+        return "yes" if n % r == 0 else "no"
+    if not steiner_divisibility(i, r, n)[0]:
+        return "no"
+    if (i, r) in {(2, 3), (2, 4), (3, 4)}:
+        # Divisibility is sufficient for these block sizes (classical
+        # triple/quadruple system existence results).
+        return "yes"
+    return "unknown"
 
 
 def vertex_bound(n: int, i: int, s: int, t: int, delta: int) -> BoundReport:

@@ -153,7 +153,7 @@ def _binom_floor_index(m: int, k: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cascade:
     """Greedy expansion of an integer at a fixed level.
 

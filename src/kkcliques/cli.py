@@ -26,6 +26,11 @@ by both run() and main(), to --out FILE.  Computed scalars that may exceed
 2^53 are serialized as decimal strings; structural parameters stay JSON
 numbers.  Exit codes: 0 success, 1 domain error (invalid parameters,
 unsupported case), 2 usage error, 3 internal cross-check failure.
+
+Importing this module loads only the closed-form core (cascade, bounds,
+uniqueness, errors), which is all the leaves cascade, colex count, bound *,
+jumping *, unique * and jung use.  colex segment, construct, recognize,
+search and verify * load families, designs or oracle when they run.
 """
 
 from __future__ import annotations
@@ -35,17 +40,42 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import partial
+from importlib import import_module
 from typing import Any, Callable, Optional
 
 from .bounds import BoundReport, clique_bound, edge_bound, graph_clique_bound, jung_scan, vertex_bound
 from .cascade import cascade_of, k_colex, shadow_colex
-from .designs import builtin_design, recognize_packing_shadow, shadow_of_design, verify_design
 from .errors import InternalCheckError, UnsupportedError
-from .families import colex_segment, from_text, to_json_obj
-from .oracle import (SearchSpec, exhaustive_search, verify_equality_theorems, verify_kkt,
-                     verify_uniqueness)
 from .uniqueness import (UniquenessVerdict, is_clique_jumping, is_clique_unique, is_colex_unique,
                          is_jumping)
+
+# Home module of each library name a leaf uses beyond the closed-form core.
+# It loads when a leaf first needs it (PEP 562 __getattr__ below).
+_DEFERRED = {
+    name: home
+    for home, names in (
+        ("families", "colex_segment from_text to_json_obj"),
+        ("designs", "builtin_design recognize_packing_shadow shadow_of_design verify_design"),
+        ("oracle", "SearchSpec exhaustive_search verify_equality_theorems verify_kkt "
+                   "verify_uniqueness"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str) -> Any:
+    home = _DEFERRED.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{home}", __package__), name)
+
+
+def _lib(name: str) -> Any:
+    # Looked up when the leaf runs, in this module's globals first, so a
+    # rebound global (a tracer's wrapper, a test's stub) is the one called.
+    # Nothing is cached here: a deferred name is read from its home module.
+    g = globals()
+    return g[name] if name in g else __getattr__(name)
 
 
 @dataclass
@@ -98,7 +128,7 @@ def _colex_count(args) -> dict[str, Any]:
 
 
 def _colex_segment(args) -> dict[str, Any]:
-    return {"m": _s(args.m), "family": to_json_obj(colex_segment(args.m, args.s))}
+    return {"m": _s(args.m), "family": _lib("to_json_obj")(_lib("colex_segment")(args.m, args.s))}
 
 
 def _jung(args) -> dict[str, Any]:
@@ -108,20 +138,20 @@ def _jung(args) -> dict[str, Any]:
 
 
 def _construct(args) -> dict[str, Any]:
-    d = builtin_design(args.name)
-    H = d.blocks if args.shadow is None else shadow_of_design(d, args.shadow)
+    d = _lib("builtin_design")(args.name)
+    H = d.blocks if args.shadow is None else _lib("shadow_of_design")(d, args.shadow)
     return {"design": args.name, "n": d.n, "r": d.r, "blocks": len(d.blocks.edges),
-            "shadow_level": args.shadow, "family": to_json_obj(H)}
+            "shadow_level": args.shadow, "family": _lib("to_json_obj")(H)}
 
 
 def _recognize(args) -> dict[str, Any]:
     with open(args.file, "r", encoding="utf-8") as fh:
-        H = from_text(fh.read())
-    res = recognize_packing_shadow(H, args.i, args.r)
+        H = _lib("from_text")(fh.read())
+    res = _lib("recognize_packing_shadow")(H, args.i, args.r)
     return {
         "ok": res.ok, "i": args.i, "r": args.r,
         "blocks": res.design.blocks.edge_lists() if res.ok else None,
-        "certificate": verify_design(res.design, args.i).kind if res.ok else None,
+        "certificate": _lib("verify_design")(res.design, args.i).kind if res.ok else None,
         "witness": None if res.ok else list(res.witness),
     }
 
@@ -129,15 +159,16 @@ def _recognize(args) -> dict[str, Any]:
 def _search(args) -> dict[str, Any]:
     i, max_degree = args.degree or (None, None)
     u, p = args.cliques or (None, None)
-    res = exhaustive_search(SearchSpec(n=args.n, s=args.s, t=args.t, m=args.edges,
-                                       i=i, max_degree=max_degree, u=u, p=p))
+    spec = _lib("SearchSpec")(n=args.n, s=args.s, t=args.t, m=args.edges,
+                              i=i, max_degree=max_degree, u=u, p=p)
+    res = _lib("exhaustive_search")(spec)
     return {"status": res.status, "optimum": _s(res.optimum), "class_count": res.class_count,
             "families_scanned": res.families_scanned,
-            "witnesses": [to_json_obj(w) for w in res.witnesses]}
+            "witnesses": [_lib("to_json_obj")(w) for w in res.witnesses]}
 
 
 def _verify_equality(args) -> dict[str, Any]:
-    rep = verify_equality_theorems()
+    rep = _lib("verify_equality_theorems")()
     return {
         "kind": "equality", "ok": rep.ok,
         "rows": [{"name": r["name"], "expected": _s(r["expected"]),
@@ -146,9 +177,7 @@ def _verify_equality(args) -> dict[str, Any]:
 
 
 def _call(fn: str, payload: Callable, ints: list[str], args) -> dict[str, Any]:
-    # fn is looked up in this module's globals when the leaf runs, so a
-    # rebound global (a tracer's wrapper, a test's stub) is the one called
-    return payload(globals()[fn](*(getattr(args, a) for a in ints)))
+    return payload(_lib(fn)(*(getattr(args, a) for a in ints)))
 
 
 def _arg(*flags: str, **kw) -> tuple:

@@ -21,7 +21,7 @@ from importlib import resources
 from math import comb
 from typing import Optional
 
-from .cascade import falling_factorial
+from .bounds import steiner_divisibility  # noqa: F401  (still importable from here)
 from .errors import InternalCheckError, UnsupportedError
 from .families import (
     SetFamily,
@@ -93,49 +93,6 @@ def verify_design(A: BlockDesign, i: int) -> DesignCertificate:
     # lowest-colex uncovered i-set as the non-Steiner witness
     witness = next(c for c in _colex_masks(A.n, i) if c not in counts)
     return DesignCertificate("packing", i, A.r, A.n, vertices_of(witness))
-
-
-def steiner_divisibility(i: int, r: int, n: int) -> tuple[bool, list[tuple[int, int, int, bool]]]:
-    """Necessary divisibility conditions for S(i, r, n):
-
-        (r-j)_(i-j) divides (n-j)_(i-j)   for 0 <= j < i.
-
-    Returns (all hold, per-j breakdown of (j, divisor, dividend, ok)).
-    Sufficient only for large n; never a proof of existence here.
-    """
-    if not i <= r <= n:
-        raise ValueError(f"need i <= r <= n, got i={i}, r={r}, n={n}")
-    rows = []
-    ok = True
-    for j in range(i):
-        d = falling_factorial(r - j, i - j)
-        target = falling_factorial(n - j, i - j)
-        hit = target % d == 0
-        rows.append((j, d, target, hit))
-        ok = ok and hit
-    return ok, rows
-
-
-def _steiner_existence(i: int, r: int, n: int) -> str:
-    """"yes" / "no" / "unknown" for existence of S(i, r, n).
-
-    Decidable cases: r = n (single block), i = 1 (r | n), and the classical
-    families S(2,3,n), S(2,4,n), S(3,4,n) where the divisibility conditions
-    are known to be sufficient.  Divisibility failure is always "no".
-    """
-    if r > n:
-        return "no"
-    if r == n:
-        return "yes"
-    if i == 1:
-        return "yes" if n % r == 0 else "no"
-    if not steiner_divisibility(i, r, n)[0]:
-        return "no"
-    if (i, r) in {(2, 3), (2, 4), (3, 4)}:
-        # Divisibility is sufficient for these block sizes (classical
-        # triple/quadruple system existence results).
-        return "yes"
-    return "unknown"
 
 
 def shadow_of_design(A: BlockDesign, s: int) -> SetFamily:

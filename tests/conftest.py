@@ -1,11 +1,16 @@
-"""Shared helpers: seeded random families and data paths."""
+"""Shared helpers: seeded random families, data paths and fresh interpreters."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+import kkcliques
 from kkcliques.families import SetFamily
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -24,3 +29,16 @@ def random_family(rng: random.Random, n: int, s: int, density: float = 0.3) -> S
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0)
+
+
+def modules_loaded_by(code: str) -> list[str]:
+    """The kkcliques and numpy modules loaded after running code in a new
+    interpreter that imports the package from this checkout."""
+    code += ("\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('kkcliques', 'numpy'))))\n")
+    src = str(Path(kkcliques.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+    return json.loads(out.stdout)

@@ -21,6 +21,7 @@ from kkcliques.cli import main, render, run
 from kkcliques.designs import builtin_design, shadow_of_design
 from kkcliques.errors import InternalCheckError
 from kkcliques.families import from_json_obj, to_text
+from conftest import modules_loaded_by
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
 DATA = Path(__file__).parent / "data"
@@ -392,3 +393,19 @@ def test_closed_form_commands_leave_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+CLOSED_FORM_LEAVES = ("cascade", "colex count", "bound vertex", "bound edge", "bound clique",
+                      "bound graph", "jumping shadow", "jumping clique", "unique colex",
+                      "unique clique", "jung")
+
+
+def test_closed_form_leaves_load_only_the_core():
+    # families, designs and oracle load only for the leaves that use them
+    argvs = [INTERNAL_CALLS[leaf][1].split() for leaf in CLOSED_FORM_LEAVES]
+    code = ("import kkcliques.cli as cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert cli.run(argv).exit_status == 0, argv\n")
+    assert modules_loaded_by(code) == ["kkcliques", "kkcliques.bounds", "kkcliques.cascade",
+                                       "kkcliques.cli", "kkcliques.errors",
+                                       "kkcliques.uniqueness"]
