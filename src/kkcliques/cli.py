@@ -27,10 +27,12 @@ by both run() and main(), to --out FILE.  Computed scalars that may exceed
 numbers.  Exit codes: 0 success, 1 domain error (invalid parameters,
 unsupported case), 2 usage error, 3 internal cross-check failure.
 
+Library functions are called as attributes of their home module, looked up
+when the leaf runs, so a wrapper or stub bound there is the one called.
 Importing this module loads only the closed-form core (cascade, bounds,
 uniqueness, errors), which is all the leaves cascade, colex count, bound *,
 jumping *, unique * and jung use.  colex segment, construct, recognize,
-search and verify * load families, designs or oracle when they run.
+search and verify * import families, designs or oracle in their handlers.
 """
 
 from __future__ import annotations
@@ -43,39 +45,8 @@ from functools import partial
 from importlib import import_module
 from typing import Any, Callable, Optional
 
-from .bounds import BoundReport, clique_bound, edge_bound, graph_clique_bound, jung_scan, vertex_bound
-from .cascade import cascade_of, k_colex, shadow_colex
+from . import bounds, cascade, uniqueness
 from .errors import InternalCheckError, UnsupportedError
-from .uniqueness import (UniquenessVerdict, is_clique_jumping, is_clique_unique, is_colex_unique,
-                         is_jumping)
-
-# Home module of each library name a leaf uses beyond the closed-form core.
-# It loads when a leaf first needs it (PEP 562 __getattr__ below).
-_DEFERRED = {
-    name: home
-    for home, names in (
-        ("families", "colex_segment from_text to_json_obj"),
-        ("designs", "builtin_design recognize_packing_shadow shadow_of_design verify_design"),
-        ("oracle", "SearchSpec exhaustive_search verify_equality_theorems verify_kkt "
-                   "verify_uniqueness"),
-    )
-    for name in names.split()
-}
-
-
-def __getattr__(name: str) -> Any:
-    home = _DEFERRED.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{home}", __package__), name)
-
-
-def _lib(name: str) -> Any:
-    # Looked up when the leaf runs, in this module's globals first, so a
-    # rebound global (a tracer's wrapper, a test's stub) is the one called.
-    # Nothing is cached here: a deferred name is read from its home module.
-    g = globals()
-    return g[name] if name in g else __getattr__(name)
 
 
 @dataclass
@@ -90,13 +61,13 @@ def _s(v) -> Optional[str]:
     return None if v is None else str(v)
 
 
-def _bound_payload(rep: BoundReport) -> dict[str, Any]:
+def _bound_payload(rep: bounds.BoundReport) -> dict[str, Any]:
     return {"value": _s(rep.value), "integer_value": _s(rep.integer_value),
             "source": rep.source, "x": _s(rep.x),
             "equality_possible": rep.equality_possible, "notes": list(rep.notes)}
 
 
-def _verdict_payload(v: UniquenessVerdict) -> dict[str, Any]:
+def _verdict_payload(v: uniqueness.UniquenessVerdict) -> dict[str, Any]:
     return {"predicate": v.predicate, "m": _s(v.m), "s": v.s, "level": v.level, "n": v.n,
             "verdict": v.verdict, "triggered_condition": v.triggered_condition}
 
@@ -114,61 +85,67 @@ def _sweep_payload(rep) -> dict[str, Any]:
 
 
 def _cascade(args) -> dict[str, Any]:
-    c = cascade_of(args.m, args.s)
+    c = cascade.cascade_of(args.m, args.s)
     return {"entries": list(c.entries), "level": c.level}
 
 
 def _colex_count(args) -> dict[str, Any]:
     level = args.s if args.level is None else args.level
     if level >= args.s:
-        value, kind = k_colex(args.m, args.s, level), "cliques"
+        value, kind = cascade.k_colex(args.m, args.s, level), "cliques"
     else:
-        value, kind = shadow_colex(args.m, args.s, level), "shadow"
+        value, kind = cascade.shadow_colex(args.m, args.s, level), "shadow"
     return {"m": _s(args.m), "s": args.s, "level": level, "kind": kind, "value": _s(value)}
 
 
 def _colex_segment(args) -> dict[str, Any]:
-    return {"m": _s(args.m), "family": _lib("to_json_obj")(_lib("colex_segment")(args.m, args.s))}
+    from . import families
+    H = families.colex_segment(args.m, args.s)
+    return {"m": _s(args.m), "family": families.to_json_obj(H)}
 
 
 def _jung(args) -> dict[str, Any]:
-    ms = jung_scan(args.s, args.t, args.m_max)
+    ms = bounds.jung_scan(args.s, args.t, args.m_max)
     return {"s": args.s, "t": args.t, "m_max": _s(args.m_max),
             "qualifying": [_s(m) for m in ms]}
 
 
 def _construct(args) -> dict[str, Any]:
-    d = _lib("builtin_design")(args.name)
-    H = d.blocks if args.shadow is None else _lib("shadow_of_design")(d, args.shadow)
+    from . import designs, families
+    d = designs.builtin_design(args.name)
+    H = d.blocks if args.shadow is None else designs.shadow_of_design(d, args.shadow)
     return {"design": args.name, "n": d.n, "r": d.r, "blocks": len(d.blocks.edges),
-            "shadow_level": args.shadow, "family": _lib("to_json_obj")(H)}
+            "shadow_level": args.shadow, "family": families.to_json_obj(H)}
 
 
 def _recognize(args) -> dict[str, Any]:
+    from . import designs, families
     with open(args.file, "r", encoding="utf-8") as fh:
-        H = _lib("from_text")(fh.read())
-    res = _lib("recognize_packing_shadow")(H, args.i, args.r)
+        H = families.from_text(fh.read())
+    res = designs.recognize_packing_shadow(H, args.i, args.r)
     return {
         "ok": res.ok, "i": args.i, "r": args.r,
         "blocks": res.design.blocks.edge_lists() if res.ok else None,
-        "certificate": _lib("verify_design")(res.design, args.i).kind if res.ok else None,
+        "certificate": designs.verify_design(res.design, args.i).kind if res.ok else None,
         "witness": None if res.ok else list(res.witness),
     }
 
 
 def _search(args) -> dict[str, Any]:
+    from . import families, oracle
     i, max_degree = args.degree or (None, None)
     u, p = args.cliques or (None, None)
-    spec = _lib("SearchSpec")(n=args.n, s=args.s, t=args.t, m=args.edges,
-                              i=i, max_degree=max_degree, u=u, p=p)
-    res = _lib("exhaustive_search")(spec)
+    spec = oracle.SearchSpec(n=args.n, s=args.s, t=args.t, m=args.edges,
+                             i=i, max_degree=max_degree, u=u, p=p)
+    res = oracle.exhaustive_search(spec)
     return {"status": res.status, "optimum": _s(res.optimum), "class_count": res.class_count,
             "families_scanned": res.families_scanned,
-            "witnesses": [_lib("to_json_obj")(w) for w in res.witnesses]}
+            "witnesses": [families.to_json_obj(w) for w in res.witnesses]}
 
 
 def _verify_equality(args) -> dict[str, Any]:
-    rep = _lib("verify_equality_theorems")()
+    from . import oracle
+    rep = oracle.verify_equality_theorems()
     return {
         "kind": "equality", "ok": rep.ok,
         "rows": [{"name": r["name"], "expected": _s(r["expected"]),
@@ -177,7 +154,9 @@ def _verify_equality(args) -> dict[str, Any]:
 
 
 def _call(fn: str, payload: Callable, ints: list[str], args) -> dict[str, Any]:
-    return payload(_lib(fn)(*(getattr(args, a) for a in ints)))
+    home, name = fn.split(".")
+    f = getattr(import_module(f".{home}", __package__), name)
+    return payload(f(*(getattr(args, a) for a in ints)))
 
 
 def _arg(*flags: str, **kw) -> tuple:
@@ -195,7 +174,7 @@ _GROUPS = {
 
 # Every leaf, in help order: (path, help, arguments, run).  A bare name in
 # the arguments is an int positional; an _arg(...) is any other argument.
-# run is a handler of the parsed Namespace, or (function name, payload
+# run is a handler of the parsed Namespace, or ("module.function", payload
 # builder) for a leaf that passes its int positionals, in order, to one
 # library function and wraps the result.
 _LEAVES = (
@@ -206,17 +185,17 @@ _LEAVES = (
      _colex_count),
     ("colex segment", "the first m s-sets in colex order", "m s", _colex_segment),
     ("bound vertex", "n vertices, max i-degree Delta", "n i s t delta",
-     ("vertex_bound", _bound_payload)),
+     ("bounds.vertex_bound", _bound_payload)),
     ("bound edge", "m edges, max i-degree Delta", "m i s t delta",
-     ("edge_bound", _bound_payload)),
+     ("bounds.edge_bound", _bound_payload)),
     ("bound clique", "p u-cliques, max i-degree Delta", "p i s u t delta",
-     ("clique_bound", _bound_payload)),
+     ("bounds.clique_bound", _bound_payload)),
     ("bound graph", "graph case: p u-cliques, clique number <= r", "p u t r",
-     ("graph_clique_bound", _bound_payload)),
-    ("jumping shadow", None, "m s q", ("is_jumping", _verdict_payload)),
-    ("jumping clique", None, "m s t n", ("is_clique_jumping", _verdict_payload)),
-    ("unique colex", None, "m s q n", ("is_colex_unique", _verdict_payload)),
-    ("unique clique", None, "m s t n", ("is_clique_unique", _verdict_payload)),
+     ("bounds.graph_clique_bound", _bound_payload)),
+    ("jumping shadow", None, "m s q", ("uniqueness.is_jumping", _verdict_payload)),
+    ("jumping clique", None, "m s t n", ("uniqueness.is_clique_jumping", _verdict_payload)),
+    ("unique colex", None, "m s q n", ("uniqueness.is_colex_unique", _verdict_payload)),
+    ("unique clique", None, "m s t n", ("uniqueness.is_clique_unique", _verdict_payload)),
     ("jung", "edge counts where the Lovász ratio k^t/m peaks", "s t m_max", _jung),
     ("construct", "emit a built-in design or its shadow",
      (_arg("name", help="fano | s348 | pg23 | ag23 | disjoint(a,r)"),
@@ -231,8 +210,8 @@ _LEAVES = (
       _arg("--degree", type=int, nargs=2, default=None, metavar=("I", "DELTA")),
       _arg("--cliques", type=int, nargs=2, default=None, metavar=("U", "P"))),
      _search),
-    ("verify kkt", None, "n s", ("verify_kkt", _sweep_payload)),
-    ("verify uniqueness", None, "n s", ("verify_uniqueness", _sweep_payload)),
+    ("verify kkt", None, "n s", ("oracle.verify_kkt", _sweep_payload)),
+    ("verify uniqueness", None, "n s", ("oracle.verify_uniqueness", _sweep_payload)),
     ("verify equality", None, (), _verify_equality),
 )
 

@@ -38,9 +38,10 @@ shadow and upshadow count is C(n,k) minus a full count of the complement
 read their meet rows at U - m.  It takes the blocks in classes of equal
 high popcount, in which each offset has one edge count, so it sorts counts
 by edge count once per class, not per block.  A failure row's family is
-found by a rescan (_Kernel.first_id) of the ids with m edges.  One table per (n, s), _edge_perms, maps each edge to
-its image under every relabelling of [n]; canonical_form, _Kernel.orbit and
-the colex orbits of verify_uniqueness all read it.
+found by a rescan (_Kernel.first_id) of the ids with m edges.  One table
+per (n, s), _edge_perms, maps each edge to its image under every relabelling
+of [n]; canonical_form, _Kernel.orbit and the colex orbits of
+verify_uniqueness all read it.
 """
 
 from __future__ import annotations

@@ -2,12 +2,14 @@
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import jsonschema
 import pytest
@@ -259,12 +261,13 @@ INTERNAL_CALLS = {
 
 @pytest.mark.parametrize("leaf", LEAVES)
 def test_internal_check_exit_3(leaf, monkeypatch, family_files):
-    # the library function is looked up in kkcliques.cli when the leaf runs,
-    # so a rebound global is the one called
+    # the library function is looked up on its home module when the leaf
+    # runs, so a stub bound there is the one called
     def boom(*args, **kwargs):
         raise InternalCheckError("forced for testing")
     fn, argv = INTERNAL_CALLS[leaf]
-    monkeypatch.setattr(cli, fn, boom)
+    home = importlib.import_module(getattr(kkcliques, fn).__module__)
+    monkeypatch.setattr(home, fn, boom)
     r = run([family_files[0] if a == "FILE" else a for a in argv.split()])
     assert r.exit_status == 3
     assert r.payload["error"] == "InternalCheckError"
@@ -409,3 +412,46 @@ def test_closed_form_leaves_load_only_the_core():
     assert modules_loaded_by(code) == ["kkcliques", "kkcliques.bounds", "kkcliques.cascade",
                                        "kkcliques.cli", "kkcliques.errors",
                                        "kkcliques.uniqueness"]
+
+
+# What each leaf beyond the closed-form core loads, as README's Start-up
+# table lists it.
+LEAF_LOADS = {
+    "colex segment": ("families",),
+    "construct": ("designs", "families"),
+    "recognize": ("designs", "families"),
+    "search": ("designs", "families", "oracle", "numpy"),
+    "verify kkt": ("designs", "families", "oracle", "numpy"),
+    "verify uniqueness": ("designs", "families", "oracle", "numpy"),
+    "verify equality": ("designs", "families", "oracle", "numpy"),
+}
+
+
+@pytest.mark.parametrize("leaf", LEAF_LOADS)
+def test_leaf_loads_only_its_modules(leaf, family_files):
+    # each handler imports the modules it needs, and no others
+    argv = [family_files[0] if a == "FILE" else a for a in INTERNAL_CALLS[leaf][1].split()]
+    code = ("import kkcliques.cli as cli\n"
+            f"assert cli.run({argv!r}).exit_status == 0\n")
+    loaded = modules_loaded_by(code)
+    extra = [m for m in LEAF_LOADS[leaf] if m != "numpy"]
+    assert [m for m in loaded if m.startswith("kkcliques")] == sorted(
+        ["kkcliques", "kkcliques.bounds", "kkcliques.cascade", "kkcliques.cli",
+         "kkcliques.errors", "kkcliques.uniqueness"] + [f"kkcliques.{m}" for m in extra])
+    assert ("numpy" in loaded) == ("numpy" in LEAF_LOADS[leaf])
+
+
+def test_cli_calls_the_library_through_its_modules():
+    # cli binds library modules, never their objects (errors aside), and every
+    # "module.function" leaf names a callable defined in that module
+    for name, obj in vars(cli).items():
+        home = getattr(obj, "__module__", None)
+        if isinstance(obj, ModuleType) or not isinstance(home, str):
+            continue
+        assert home.split(".")[0] != "kkcliques" or home in (
+            "kkcliques.cli", "kkcliques.errors"), name
+    for path, _, _, leaf_run in cli._LEAVES:
+        if isinstance(leaf_run, tuple):
+            home, fn = leaf_run[0].split(".")
+            f = getattr(importlib.import_module(f"kkcliques.{home}"), fn)
+            assert callable(f) and f.__module__ == f"kkcliques.{home}", path
