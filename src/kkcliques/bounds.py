@@ -1,7 +1,8 @@
 """Signpost upper bounds on clique counts of bounded-degree uniform hypergraphs.
 
 Three bounds, each exact rational arithmetic wherever the degree parameter has
-the block form C(x-i, s-i) for integer x:
+the block form C(x-i, s-i) for integer x, and certified from an exact integer
+bracket of the root x otherwise:
 
   * vertex_bound  -- n vertices, max i-degree Delta;
   * edge_bound    -- m edges, max i-degree Delta;
@@ -22,43 +23,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
-from .cascade import _ratio, binom_inverse, binom_real, falling_factorial, k_colex
+from .cascade import (_binom_floor_index, _ratio, _root_bracket, _root_double, _scaled_falling,
+                      binom_real, falling_factorial, k_colex)
 from .errors import InternalCheckError
 
 Real = Union[int, float, Fraction]
 
-# Floor guard for the (irrational-x) float path: the true bound can sit within
-# one ulp of an integer, and flooring an under-rounded float would understate it.
-_FLOAT_FLOOR_EPS = 1e-9
+# Digits after the point kept in an irrational bound's value.
+DIGITS = 17
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """A certified upper bound on a t-clique count.
 
-    value is exact (int or Fraction) whenever the degree parameter has integer
-    block form; float otherwise.  integer_value = floor(value) is the operative
-    bound, since clique counts are integers.  equality_possible is "yes" when a
-    witness construction exists, "no" when the extremal characterisation rules
-    it out, "unknown" otherwise (non-integral x, or the open s = i+1 cases).
+    value is exact (int or Fraction) whenever x is an integer.  When x is
+    irrational it is a Decimal with DIGITS digits after the point: the bound
+    truncated toward -infinity, so value <= bound < value + 10^-DIGITS, and x
+    is the root rounded to the nearest double.  integer_value = floor(bound)
+    is the operative bound, since clique counts are integers, and is exact in
+    both cases.  equality_possible is "yes" when a witness construction
+    exists, "no" when the extremal characterisation rules it out, "unknown"
+    otherwise (non-integral x, or the open s = i+1 cases).
     """
 
-    value: Real
+    value: Union[Real, Decimal]
     integer_value: int
     source: str
     x: Optional[Real]
     equality_possible: str
     notes: tuple[str, ...] = ()
-
-
-def _floor(value: Real) -> int:
-    if isinstance(value, float):
-        return math.floor(value + _FLOAT_FLOOR_EPS)
-    return math.floor(value)
 
 
 def steiner_divisibility(i: int, r: int, n: int) -> tuple[bool, list[tuple[int, int, int, bool]]]:
@@ -108,9 +107,10 @@ def vertex_bound(n: int, i: int, s: int, t: int, delta: int) -> BoundReport:
     """k^t <= C(n,i) * k_colex(Delta, s-i, t-i) / C(t,i) for n-vertex s-graphs
     with max i-degree at most Delta.
 
-    Primary form is the exact cascade expression; when Delta = C(x-i, s-i) the
-    real form C(n,i)C(x-i,t-i)/C(t,i) is computed as a cross-check (equal at
-    integer x, dominating otherwise).
+    Primary form is the exact cascade expression; with Delta = C(x-i, s-i)
+    the real form C(n,i)C(x-i,t-i)/C(t,i) is computed as a cross-check: equal
+    at integer x; at irrational x (reported as the nearest double) the real
+    form at the upper end of an exact bracket of x must dominate.
     """
     if not 1 <= i < s <= t:
         raise ValueError(f"need 1 <= i < s <= t, got i={i}, s={s}, t={t}")
@@ -120,22 +120,29 @@ def vertex_bound(n: int, i: int, s: int, t: int, delta: int) -> BoundReport:
         raise ValueError(f"need Delta >= 0, got {delta}")
 
     kc = k_colex(delta, s - i, t - i)
-    value = _ratio(comb(n, i) * kc, comb(t, i)) if n >= i else 0
-    x = i + binom_inverse(delta, s - i) if delta > 0 else None
+    value = _ratio(comb(n, i) * kc, comb(t, i))
+    x = None
 
     # Real-form cross-check (Lovasz dominance; equality at integer x).
-    if x is not None:
-        if isinstance(x, int):
-            alt = _ratio(comb(n, i) * (comb(x - i, t - i) if x >= t else 0), comb(t, i)) if n >= i else 0
+    if delta > 0:
+        a = _binom_floor_index(delta, s - i)
+        if comb(a, s - i) == delta:
+            x = i + a
+            alt = _ratio(comb(n, i) * comb(a, t - i), comb(t, i))
             if alt != value:
                 raise InternalCheckError(
                     f"vertex bound forms disagree at integer x={x}: cascade {value} vs real {alt}"
                 )
         else:
-            alt = 0.0 if x < t else comb(n, i) * binom_real(x - i, t - i) / comb(t, i)
-            if alt + 1e-6 * max(1.0, alt) < float(value):
+            x, Y, K = _root_double(delta, s - i, a, i)
+            # The real form is 0 for x < t, else C(n,i)C(y,t-i)/C(t,i) with
+            # y = x - i < hi = (Y+1)/2^K; C(y, t-i) increases for y >= t-i-1,
+            # so C(hi, t-i) >= kc, or in integers 2^(K(t-i)) (hi)_(t-i) >= (t-i)! kc.
+            if kc and (i + a < t or _scaled_falling(Y + 1, K, t - i)
+                       < math.factorial(t - i) * kc << (K * (t - i))):
                 raise InternalCheckError(
-                    f"real vertex-bound form {alt} fell below the exact cascade form {value}"
+                    f"real vertex-bound form at the upper end of x fell below "
+                    f"the exact cascade form {value}"
                 )
 
     notes: list[str] = []
@@ -175,7 +182,72 @@ def vertex_bound(n: int, i: int, s: int, t: int, delta: int) -> BoundReport:
             notes.append(
                 f"divisibility conditions for S({i},{r},{n}) hold but existence is not decided here"
             )
-    return BoundReport(value, _floor(value), "vertex", x, eq, tuple(notes))
+    return BoundReport(value, math.floor(value), "vertex", x, eq, tuple(notes))
+
+
+def _shares_root(f: list[int], h: list[int], lo: Fraction, hi: Fraction) -> bool:
+    """Whether h vanishes at the one root of f in (lo, hi), for f with exactly
+    one root there, simple and irrational.  Coefficient lists run from the
+    constant term up.
+
+    The common roots of f and h are the roots of g = gcd(f, h) over the
+    rationals.  Every root of g is a root of f, so g has at most that one root
+    in (lo, hi) and it is simple: g has it iff g changes sign on [lo, hi].
+    """
+    f, g = [Fraction(c) for c in f], [Fraction(c) for c in h]
+    while g:                            # Euclid: (f, g) <- (g, f mod g)
+        while len(f) >= len(g):
+            q, shift = f[-1] / g[-1], len(f) - len(g)
+            f = [c - q * g[j - shift] if j >= shift else c for j, c in enumerate(f)]
+            while f and f[-1] == 0:
+                f.pop()
+        f, g = g, f
+    if len(f) < 2:
+        return False
+    at = [sum(c * z ** j for j, c in enumerate(f)) for z in (lo, hi)]
+    return (at[0] < 0) != (at[1] < 0)
+
+
+def _falling_poly(lead: int, roots: range, const: int) -> list[int]:
+    """Coefficients, constant term first, of lead * prod_{r in roots} (y - r) - const."""
+    c = [lead]
+    for r in roots:
+        c = [(c[j - 1] if j else 0) - r * (c[j] if j < len(c) else 0) for j in range(len(c) + 1)]
+    c[0] -= const
+    return c
+
+
+def _certified_digits(p: int, i: int, s: int, u: int, t: int, delta: int,
+                      Y: int, K: int) -> int:
+    """floor(10^DIGITS * V) for V = p * C(x,t) / C(x,u) = p u!/t! (x-u)...(x-t+1),
+    where x = i + y, y the irrational root of C(y, s-i) = Delta, x >= t, and
+    Y/2^K <= y < (Y+1)/2^K.
+
+    V increases for x >= t-1, so when the floors at the two ends of the
+    bracket agree they are the floor at x.  Otherwise K doubles.  The floors
+    never agree when 10^DIGITS * V is an integer N at the irrational x; a
+    polynomial gcd decides that case (at s - i = 2 it cannot happen: the
+    conjugate root 1 - y gives a larger |V|).
+    """
+    k, scale = s - i, p * math.factorial(u) * 10**DIGITS
+    den = math.factorial(t)
+
+    def floor_at(Yv: int) -> int:     # x - j = (Yv + (i << K))/2^K - j
+        return scale * _scaled_falling(Yv + (i << K), K, t - u, u) // den >> (K * (t - u))
+
+    checked = None
+    while True:
+        lo, hi = floor_at(Y), floor_at(Y + 1)
+        if lo == hi:
+            return lo
+        if hi == lo + 1 and hi != checked:
+            f = _falling_poly(1, range(k), math.factorial(k) * delta)
+            h = _falling_poly(scale, range(u - i, t - i), den * hi)
+            if _shares_root(f, h, Fraction(Y, 1 << K), Fraction(Y + 1, 1 << K)):
+                return hi
+            checked = hi
+        Y = _root_bracket(delta, k, 2 * K, (Y + 1) << K)[0]
+        K *= 2
 
 
 def _ratio_bound(p: int, i: int, s: int, u: int, t: int, delta: int,
@@ -192,22 +264,27 @@ def _ratio_bound(p: int, i: int, s: int, u: int, t: int, delta: int,
         return BoundReport(0, 0, source, None, "no", (
             "max i-degree 0 admits no nonempty family, so the bound is vacuous",))
 
-    x = i + binom_inverse(delta, s - i)
+    # floor(x) = i + a, so x < u iff i + a < u, and likewise for t
+    a = _binom_floor_index(delta, s - i)
+    if comb(a, s - i) == delta:
+        x: Real = i + a
+    else:
+        x, Y, K = _root_double(delta, s - i, a, i)
     # x >= s and the callers take u = t = s, so these two arise only for u > s
-    if x < u:
+    if i + a < u:
         return BoundReport(0, 0, source, x, "no", (
             "x < u: the degree bound forbids any u-clique, so no family has p > 0",))
     if u == t:
         return BoundReport(p, p, source, x, "yes", ("u = t: the ratio of binomials is 1",))
-    if x < t:
+    if i + a < t:
         return BoundReport(0, 0, source, x, "yes", (
             "x < t: the degree bound rules out any t-clique; m pairwise disjoint edges attain 0"
             if u == s else
             "u <= x < t: no t-clique can occur; p disjoint copies of K^(s)_u attain 0",))
     if not isinstance(x, int):
-        value: Real = p * binom_real(x, t) / binom_real(x, u)
+        q, r = divmod(_certified_digits(p, i, s, u, t, delta, Y, K), 10**DIGITS)
         note = "degree parameter is not C(x-i, s-i) for integer x; tightness is open"
-        return BoundReport(value, _floor(value), source, x, "unknown", (note,))
+        return BoundReport(Decimal(f"{q}.{r:0{DIGITS}d}"), q, source, x, "unknown", (note,))
     value = _ratio(p * comb(x, t), comb(x, u))
     bu = comb(x, u)
     if p % bu == 0:
@@ -221,7 +298,7 @@ def _ratio_bound(p: int, i: int, s: int, u: int, t: int, delta: int,
     else:
         eq, note = "unknown", (f"C({x},{s}) does not divide m, but at s = i+1 "
                                f"non-packing extremal families are not ruled out")
-    return BoundReport(value, _floor(value), source, x, eq, (note,))
+    return BoundReport(value, math.floor(value), source, x, eq, (note,))
 
 
 def edge_bound(m: int, i: int, s: int, t: int, delta: int) -> BoundReport:
@@ -285,25 +362,20 @@ def neighborhood_ratio_bound(i: int, s: int, t: int, x: Real) -> Real:
 
         (x-s)_(t-s) / (t-i)_(t-s)   [ = C(x-i,t-i) / C(x-i,s-i) ]
 
-    Exact for int/Fraction x, float otherwise; strictly increasing in x >= t-1.
+    Exact (int or Fraction) for every x: a float x is taken at its exact
+    binary value.  Strictly increasing in x >= t-1.
     """
     if not 1 <= i < s < t:
         raise ValueError(f"need 1 <= i < s < t, got i={i}, s={s}, t={t}")
     if x < t - 1:
         raise ValueError(f"need x >= t-1 = {t - 1}, got x={x}")
-    num = falling_factorial(x - s, t - s)
-    den = falling_factorial(t - i, t - s)
-    value: Real = num / den if isinstance(num, float) else _ratio(num, den)
-    # The two closed forms must agree (exactly for exact x).
+    x = Fraction(x)
+    value = _ratio(falling_factorial(x - s, t - s), falling_factorial(t - i, t - s))
+    # The two closed forms must agree exactly.
     alt_num = binom_real(x - i, t - i)
     alt_den = binom_real(x - i, s - i)
-    if isinstance(value, float):
-        alt = alt_num / alt_den
-        if abs(alt - value) > 1e-9 * max(1.0, abs(value)):
-            raise InternalCheckError(f"neighborhood ratio forms disagree: {value} vs {alt}")
-    else:
-        if Fraction(alt_num) != Fraction(value) * Fraction(alt_den):
-            raise InternalCheckError(f"neighborhood ratio forms disagree: {value} vs {alt_num}/{alt_den}")
+    if alt_num != value * alt_den:
+        raise InternalCheckError(f"neighborhood ratio forms disagree: {value} vs {alt_num}/{alt_den}")
     return value
 
 

@@ -87,9 +87,10 @@ def binom_inverse(m: Real, k: int) -> Real:
     """The unique x >= k-1 with C(x, k) = m, for m >= 0 and k >= 1.
 
     Returns an exact int when m is a binomial coefficient C(r, k); otherwise
-    a float root found by bisection (relative tolerance 1e-12).  C(x, k) is
-    strictly increasing for x >= k-1 with C(k-1, k) = 0, so the root exists
-    and is unique for every m >= 0.
+    the root rounded to the nearest double, read off an exact integer bracket
+    (_root_bracket), so the float is correctly rounded at any size of m.
+    C(x, k) is strictly increasing for x >= k-1 with C(k-1, k) = 0, so the
+    root exists and is unique for every m >= 0.
     """
     if k < 1:
         raise ValueError(f"binom_inverse needs k >= 1, got {k}")
@@ -97,20 +98,76 @@ def binom_inverse(m: Real, k: int) -> Real:
         raise ValueError(f"binom_inverse needs m >= 0, got {m}")
     if m == 0:
         return k - 1
-    # C(r, k) <= m < C(r + 1, k); the comparison is exact for int, Fraction
-    # and float m, so an integral root comes back as the int r.
-    r = _binom_floor_index(math.floor(m), k) if m >= 1 else k - 1
-    if comb(r, k) == m:
-        return r
-    lo, hi = float(r), float(r + 1)
-    target = float(m)
-    while hi - lo > 1e-12 * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if binom_real(mid, k) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # C(a, k) <= m < C(a + 1, k); the comparison is exact for int, Fraction
+    # and float m, so an integral root comes back as the int a.
+    a = _binom_floor_index(math.floor(m), k) if m >= 1 else k - 1
+    if comb(a, k) == m:
+        return a
+    return _root_double(m, k, a)[0]
+
+
+def _root_bracket(m: Real, k: int, K: int, start: int) -> tuple[int, bool]:
+    """Bracket the root y >= k-1 of C(y, k) = m (m > 0) to within 2^-K.
+
+    Returns (Y, exact) with Y/2^K <= y < (Y+1)/2^K, exact when y = Y/2^K
+    (so Y = r * 2^K when m = C(r, k)).  start is any integer >= y * 2^K, such
+    as (a + 1) << K for a = _binom_floor_index(m, k).
+
+    All in integers.  With S = 2^K and m = num/den,
+    G(Y) = den * Y(Y-S)...(Y-(k-1)S) - num * k! * S^k = den k! S^k (C(Y/S, k) - m)
+    has the sign of C(Y/S, k) - m.  C(y, k) is increasing and convex for
+    y >= k-1, so Newton steps from above, rounded up, stay above the root;
+    a sign fix-up then steps down to the largest Y with G(Y) <= 0.
+    """
+    q = Fraction(m)
+    den, target = q.denominator, q.numerator * math.factorial(k) << (K * k)
+    Y = start
+    while True:
+        P, D = den, 0                   # G(Y) + target and G'(Y)
+        for j in range(k):
+            f = Y - (j << K)
+            P, D = P * f, D * f + P
+        step = (P - target) // D
+        if step <= 0:
+            break
+        Y -= step
+    while P > target:
+        Y -= 1
+        P = den * _scaled_falling(Y, K, k)
+    return Y, P == target
+
+
+def _scaled_falling(Y: int, K: int, k: int, j0: int = 0) -> int:
+    """2^(Kk) (z - j0)(z - j0 - 1)...(z - j0 - k + 1) at z = Y/2^K, an integer."""
+    out = 1
+    for j in range(j0, j0 + k):
+        out *= Y - (j << K)
+    return out
+
+
+def _to_double(n: int, K: int) -> float:
+    """n / 2^K rounded to the nearest double; inf beyond the double range."""
+    try:
+        return n / (1 << K)             # int true division rounds correctly
+    except OverflowError:
+        return math.inf
+
+
+def _root_double(m: Real, k: int, a: int, shift: int = 0) -> tuple[float, int, int]:
+    """(x, Y, K): x is shift + y rounded to the nearest double, for the root
+    y in [a, a+1) of C(y, k) = m, and Y/2^K <= y < (Y+1)/2^K.
+
+    K doubles from about 64 significant bits until both ends of the bracket
+    round to the same double, or the bracket hits the root exactly.
+    """
+    K = max(16, 64 - a.bit_length())
+    Y, exact = _root_bracket(m, k, K, (a + 1) << K)
+    while True:
+        x = _to_double((shift << K) + Y, K)
+        if exact or x == _to_double((shift << K) + Y + 1, K):
+            return x, Y, K
+        Y, exact = _root_bracket(m, k, 2 * K, (Y + 1) << K)
+        K *= 2
 
 
 def _binom_floor_index(m: int, k: int) -> int:

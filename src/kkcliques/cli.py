@@ -41,6 +41,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import partial
 from importlib import import_module
 from typing import Any, Callable, Optional
@@ -57,8 +58,11 @@ class CommandResult:
 
 
 def _s(v) -> Optional[str]:
-    """Decimal-string serialization for possibly-big exact scalars."""
-    return None if v is None else str(v)
+    """Decimal-string serialization for possibly-big exact scalars; a Decimal
+    is written in positional form, never with an exponent."""
+    if v is None:
+        return None
+    return format(v, "f") if isinstance(v, Decimal) else str(v)
 
 
 def _bound_payload(rep: bounds.BoundReport) -> dict[str, Any]:

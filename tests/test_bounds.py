@@ -1,12 +1,18 @@
 """Signpost bounds: frozen values, equality verdicts, ratio forms, scanner."""
 
+import math
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kkcliques.bounds import (
+    DIGITS,
+    _shares_root,
     clique_bound,
     edge_bound,
     graph_clique_bound,
@@ -15,6 +21,7 @@ from kkcliques.bounds import (
     vertex_bound,
 )
 from kkcliques.cascade import k_colex
+from kkcliques.errors import InternalCheckError
 
 
 # Hand-checked reference values; K^(2)_4 blocks, PG-type Steiner shadows etc.
@@ -52,10 +59,101 @@ def test_edge_bound_degenerate_inputs():
 
 def test_edge_bound_irrational_x():
     r = edge_bound(10, 1, 3, 4, 4)  # C(x-1,2) = 4 has no integer root
-    assert isinstance(r.value, float)
+    assert isinstance(r.value, Decimal)
+    assert r.value == Decimal("3.43070330817253582")  # 10(x-3)/4, x = (3+sqrt 33)/2
     assert r.integer_value == 3
     assert r.equality_possible == "unknown"
     assert 4.37 < r.x < 4.38
+
+
+def test_edge_bound_large_m_irrational_floor_regression():
+    # the float path gave 4253905296786, a floor below the true one and so
+    # not a proven bound
+    r = edge_bound(10**13, 1, 3, 4, 5)
+    assert r.integer_value == 4253905296791
+    assert r.value == Decimal("4253905296791.06085811027209327")
+
+
+def _isqrt_floor(m, i, lo, delta):
+    """floor(m (x - lo) / (lo + 1)) at x = i + (1 + sqrt(1 + 8 Delta)) / 2."""
+    return (m * (2 * i - 2 * lo + 1) + isqrt(m * m * (1 + 8 * delta))) // (2 * (lo + 1))
+
+
+def _scaled(value):
+    """value * 10^DIGITS as an int, read off the positional string."""
+    whole, frac = format(value, "f").split(".")
+    assert len(frac) == DIGITS
+    return int(whole + frac)
+
+
+@st.composite
+def irrational_ratio_args(draw):
+    """(p, i, s, u, Delta) with s = i+2, u in s..s+3 and Delta strictly between
+    the triangular numbers C(j,2) and C(j+1,2), j large enough that x >= u+1."""
+    i = draw(st.integers(1, 3))
+    s = i + 2
+    u = draw(st.integers(s, s + 3))
+    j = draw(st.integers(u + 1 - i, 10**12))
+    delta = draw(st.integers(comb(j, 2) + 1, comb(j + 1, 2) - 1))
+    return draw(st.integers(1, 10**40)), i, s, u, delta
+
+
+@settings(max_examples=200, deadline=None)
+@given(irrational_ratio_args())
+def test_irrational_ratio_bound_is_exact(args):
+    # edge bound at t = s+1 (u = s) and clique bound at t = u+1: the floor and
+    # the truncated digits of p (x-u)/(u+1), checked against isqrt closed forms
+    p, i, s, u, delta = args
+    r = edge_bound(p, i, s, s + 1, delta) if u == s else clique_bound(p, i, s, u, u + 1, delta)
+    assert isinstance(r.value, Decimal) and r.equality_possible == "unknown"
+    assert r.integer_value == _isqrt_floor(p, i, u, delta)
+    assert _scaled(r.value) == _isqrt_floor(p * 10**DIGITS, i, u, delta)
+    # x is the double nearest to i + (1 + sqrt(1 + 8 Delta))/2: within half an ulp
+    half = Fraction(math.ulp(r.x)) / 2
+    assert not _x_below(Fraction(r.x) - half, i, delta) and _x_below(Fraction(r.x) + half, i, delta)
+
+
+def _x_below(b, i, delta):
+    """Whether i + (1 + sqrt(1 + 8 Delta))/2 < b, exactly."""
+    c = 2 * (b - i) - 1
+    return c > 0 and 1 + 8 * delta < c * c
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(3, 4), i=st.integers(1, 3), gap=st.integers(0, 2), extra=st.integers(1, 2),
+       j=st.integers(0, 10**6), frac=st.fractions(0, 1), p=st.integers(1, 10**30))
+def test_irrational_ratio_bound_against_sympy(k, i, gap, extra, j, frac, p):
+    # s - i in {3, 4}: the floor and the digits against sympy's real root
+    sympy = pytest.importorskip("sympy")
+    s = i + k
+    u = s + gap
+    t = u + extra
+    a = t - i + j                              # the root lies in (a, a+1), so x > t
+    delta = comb(a, k) + 1 + int(frac * (comb(a + 1, k) - comb(a, k) - 2))
+    if u == s:
+        r = edge_bound(p, i, s, t, delta)
+    else:
+        r = clique_bound(p, i, s, u, t, delta)
+    y = sympy.Symbol("y")
+    poly = sympy.Poly(sympy.prod([y - q for q in range(k)]) - factorial(k) * delta, y)
+    root = poly.real_roots()[-1]
+    scaled = p * factorial(u) * 10**DIGITS * sympy.prod([root + i - q for q in range(u, t)])
+    approx = sympy.N(scaled / factorial(t), len(str(p)) + 80)
+    want = int(sympy.floor(approx))
+    assert approx - want > sympy.Rational(1, 10**20)  # far from a tie
+    assert _scaled(r.value) == want
+    assert r.integer_value == want // 10**DIGITS
+
+
+def test_tie_decision_by_polynomial_gcd():
+    # f = y^2 - y - 1 has the one root (1 + sqrt 5)/2 in (3/2, 7/4)
+    f = [-1, -1, 1]
+    lo, hi = Fraction(3, 2), Fraction(7, 4)
+    assert _shares_root(f, [-1, -2, 0, 1], lo, hi)       # (y + 1) f
+    assert not _shares_root(f, [-2, -2, 0, 1], lo, hi)   # coprime to f
+    # f = (y - 3)(y^2 - 2) and h = (y - 3)(y + 5) share only the root 3,
+    # outside the bracket of sqrt 2
+    assert not _shares_root([6, -2, -3, 1], [-15, 2, 1], Fraction(7, 5), Fraction(3, 2))
 
 
 def test_clique_bound_two_blocks():
@@ -103,9 +201,9 @@ ENGINE_BRANCHES = [
      ("x < t: the degree bound rules out any t-clique; m pairwise disjoint edges attain 0",)),
     (clique_bound, (3, 1, 2, 3, 5, 3), 0, 0, 4, "yes",
      ("u <= x < t: no t-clique can occur; p disjoint copies of K^(s)_u attain 0",)),
-    (edge_bound, (1, 1, 3, 4, 4), 0.3430703308174543, 0, 4.372281323269817, "unknown",
+    (edge_bound, (1, 1, 3, 4, 4), Decimal("0.34307033081725358"), 0, 4.372281323269014, "unknown",
      ("degree parameter is not C(x-i, s-i) for integer x; tightness is open",)),
-    (clique_bound, (5, 1, 3, 4, 5, 7), 1.2749172176354477, 1, 5.274917217635448, "unknown",
+    (clique_bound, (5, 1, 3, 4, 5, 7), Decimal("1.27491721763537484"), 1, 5.274917217635375, "unknown",
      ("degree parameter is not C(x-i, s-i) for integer x; tightness is open",)),
     (edge_bound, (12, 1, 2, 3, 3), 8, 8, 4, "yes",
      ("2 disjoint complete blocks K^(2)_4 attain equality",)),
@@ -194,6 +292,14 @@ def test_vertex_bound_irrational_x():
     assert r.value == 2
     assert isinstance(r.x, float)
     assert r.equality_possible == "unknown"
+
+
+def test_vertex_bound_irrational_cross_check_catches_a_cascade_overshoot(monkeypatch):
+    # x = (3 + sqrt 33)/2: the real form C(x-1, 3) = 1.83 dominates k_colex(4, 2, 3) = 1, not 2
+    import kkcliques.bounds as bounds
+    monkeypatch.setattr(bounds, "k_colex", lambda m, s, t: 2)
+    with pytest.raises(InternalCheckError, match="upper end of x"):
+        vertex_bound(8, 1, 3, 4, 4)
 
 
 @pytest.mark.parametrize("fn,args", [

@@ -1,5 +1,6 @@
 """Cascade arithmetic: representations, evaluation, complements, Lovász form."""
 
+import math
 import time
 from fractions import Fraction
 from math import comb
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from kkcliques.cascade import (
     Cascade,
     _binom_floor_index,
+    _root_bracket,
     binom_exact,
     binom_inverse,
     binom_real,
@@ -155,6 +157,29 @@ def test_binom_inverse_integer_and_real():
     x = binom_inverse(Fraction(1, 2), 2)
     assert 1 < x < 2
     assert abs(x * (x - 1) / 2 - 0.5) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.one_of(st.integers(1, 10**60), st.fractions(Fraction(1, 10**6), 10**6)),
+       k=st.integers(1, 6), K=st.integers(0, 200))
+def test_root_bracket_brackets_the_root(m, k, K):
+    a = _binom_floor_index(math.floor(m), k) if m >= 1 else k - 1
+    Y, exact = _root_bracket(m, k, K, (a + 1) << K)
+    lo, hi = binom_real(Fraction(Y, 1 << K), k), binom_real(Fraction(Y + 1, 1 << K), k)
+    assert lo <= m < hi
+    assert exact == (lo == m)
+
+
+def test_binom_inverse_is_correctly_rounded_at_any_size():
+    # C(x, 2) = m at x = (1 + sqrt(1 + 8m))/2: compare with the exact half-ulp interval
+    # (at m = 1351 the first 64-bit bracket straddles a rounding boundary)
+    for m in (7, 1351, 10**13 + 1, 10**40 + 3, 10**400 + 1):
+        x = binom_inverse(m, 2)
+        half = Fraction(math.ulp(x)) / 2
+        for b, below in ((Fraction(x) - half, False), (Fraction(x) + half, True)):
+            c = 2 * b - 1
+            assert (c > 0 and 1 + 8 * m < c * c) == below, (m, b)
+    assert binom_inverse(10**700, 2) == math.inf        # beyond the double range
 
 
 @pytest.mark.parametrize("s,n", [(2, 6), (3, 6), (3, 7), (2, 9)])

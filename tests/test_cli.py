@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb, isqrt
 from pathlib import Path
 from types import ModuleType
 
@@ -95,6 +96,48 @@ def test_bound_variants_validate():
         r = run(argv)
         assert r.exit_status == 0
         check_schema(r.payload, "bound")
+
+
+def _isqrt_floor(m, i, lo, delta):
+    """floor(m (x - lo) / (lo + 1)) at x = i + (1 + sqrt(1 + 8 Delta)) / 2."""
+    return (m * (2 * i - 2 * lo + 1) + isqrt(m * m * (1 + 8 * delta))) // (2 * (lo + 1))
+
+
+def test_bound_irrational_x_payloads():
+    r = run(["bound", "edge", "1", "1", "3", "4", "4"])
+    assert r.exit_status == 0
+    assert (r.payload["value"], r.payload["integer_value"]) == ("0.34307033081725358", "0")
+    assert r.payload["x"] == "4.372281323269014"
+    check_schema(r.payload, "bound")
+    r = run(["bound", "clique", "5", "1", "3", "4", "5", "7"])
+    assert r.exit_status == 0
+    assert (r.payload["value"], r.payload["integer_value"]) == ("1.27491721763537484", "1")
+    check_schema(r.payload, "bound")
+    # a value below 1e-6 is still written positionally (str() would give 2.6054034611E-7)
+    r = run(["bound", "edge", "1", "1", "6", "40", str(comb(39, 5) + 1)])
+    assert r.exit_status == 0
+    assert r.payload["value"] == "0.00000026054034611"
+    check_schema(r.payload, "bound")
+
+
+def test_bound_irrational_x_at_any_size():
+    # x beyond the double range or m beyond it: exact floors, not an OverflowError
+    delta = 10**400 + 1
+    r = run(["bound", "edge", "10", "1", "3", "4", str(delta)])
+    assert r.exit_status == 0
+    assert r.payload["integer_value"] == str(_isqrt_floor(10, 1, 3, delta))
+    assert r.payload["x"] == "1.414213562373095e+200"
+    check_schema(r.payload, "bound")
+    r = run(["bound", "edge", str(10**309), "1", "3", "4", "5"])
+    assert r.exit_status == 0
+    assert r.payload["integer_value"] == str(_isqrt_floor(10**309, 1, 3, 5))
+    check_schema(r.payload, "bound")
+    r = run(["bound", "vertex", str(10**400), "1", "3", "4", "5"])
+    assert r.exit_status == 0
+    check_schema(r.payload, "bound")
+    r = run(["bound", "edge", "1", "1", "3", "4", str(10**700)])
+    assert r.exit_status == 0 and r.payload["x"] == "inf"
+    check_schema(r.payload, "bound")
 
 
 def test_colex_count_levels():
@@ -216,14 +259,6 @@ def test_domain_error_exit_1(tmp_path):
     assert r.payload["error"] == "FileNotFoundError"
     r = run(["recognize", __file__, "2", "3"])  # unparseable family file
     assert r.exit_status == 1
-    # irrational x beyond float range: a clean domain error, not a traceback
-    for argv in (["bound", "edge", "10", "1", "3", "4", str(10**400 + 1)],
-                 ["bound", "edge", str(10**309), "1", "3", "4", "5"],
-                 ["bound", "vertex", str(10**400), "1", "3", "4", "5"]):
-        r = run(argv)
-        assert r.exit_status == 1
-        assert r.payload["error"] == "OverflowError"
-        check_schema(r.payload, "error")
 
 
 def test_usage_error_exit_2(capsys):
