@@ -357,13 +357,30 @@ def lovasz_clique_bound(m: int, s: int, t: int) -> Real:
     """Lovasz-form Kruskal-Katona bound: C(x, t) where C(x, s) = m exactly.
 
     Zero when x < t.  Always >= k_colex(m, s, t); exact integer (and equal
-    to k_colex) when x is an integer.
+    to k_colex) when x is an integer.  At irrational x it is C(z, t) at the
+    upper end z of an integer bracket of x (_root_double's, fine enough to
+    round x correctly), rounded toward +inf: C(., t) increases for z >= t-1,
+    so the double is never below C(x, t).
     """
     if not 1 <= s <= t:
         raise ValueError(f"need 1 <= s <= t, got s={s}, t={t}")
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
-    x = binom_inverse(m, s)
-    if x < t:
+    if m < comb(t, s):          # x < t, as C(., s) increases for x >= s-1
         return 0
-    return binom_real(x, t)
+    a = _binom_floor_index(m, s)
+    if comb(a, s) == m:
+        return comb(a, t)
+    _, Y, K = _root_double(m, s, a)
+    return _double_up(_scaled_falling(Y + 1, K, t), math.factorial(t) << (K * t))
+
+
+def _double_up(num: int, den: int) -> float:
+    """num/den for positive ints, rounded toward +inf to a double (inf past
+    the double range)."""
+    try:
+        d = num / den                   # int true division rounds correctly
+    except OverflowError:
+        return math.inf
+    p, q = d.as_integer_ratio()
+    return math.nextafter(d, math.inf) if p * den < num * q else d

@@ -42,7 +42,7 @@ import json
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import partial
+from functools import cache, partial
 from importlib import import_module
 from typing import Any, Callable, Optional
 
@@ -266,6 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser run() uses: one per process, since a parse leaves the tree
+    as it was.  build_parser() still returns a fresh tree on every call."""
+    return build_parser()
+
+
 def _dispatch(args: argparse.Namespace) -> dict[str, Any]:
     return args.run(args)
 
@@ -318,7 +325,7 @@ def run(argv: Optional[list[str]] = None) -> CommandResult:
     Nothing is printed: ``text`` holds the rendering that was not written to
     a file.  An unwritable --out replaces the payload with an OSError one.
     """
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     res = _execute(args)
     res.text = render(res.payload, args.format)
     if args.out:

@@ -17,6 +17,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from math import comb
 from typing import Optional
@@ -214,7 +215,9 @@ def check_neighborhood_clique_criterion(
 _DISJOINT_RE = re.compile(r"^disjoint\((\d+),\s*(\d+)\)$")
 
 
+@cache
 def _load_builtin_table() -> dict:
+    # parsed once per process; builtin_design still verifies every design it builds
     text = resources.files("kkcliques").joinpath("data/designs.json").read_text()
     return json.loads(text)
 

@@ -21,9 +21,10 @@ j-th edge of the colex-sorted universe is present, so id 2^m - 1 is C_s(m),
 the top-run id is the retlex segment and 2^U - 1 - id is the complement.
 Search and sweeps share one kernel, _Kernel, for universes of up to
 MAX_UNIVERSE = 24 edges: blocks() streams the ids 2^BLOCK_BITS at a time,
-masks() builds the k-sets' edge masks once per level, and counts() counts
+masks() builds the k-sets' edge masks once per level, and block() counts
 the k-sets whose mask lies inside each id of a block with one bincount and
-two small matrix products, exact in float32 since no count reaches 2^24.
+two small matrix products, exact in float32 since no count reaches 2^24;
+counts() serves any ascending ids from it.
 There is one kernel per (n, s) and block size: _kernel keeps it for the
 process when n <= KEEP_KERNEL_N = 16, so a process that sweeps or searches a
 shape again builds none of its levels again; a single CLI command sweeps
@@ -41,7 +42,10 @@ by edge count once per class, not per block.  A failure row's family is
 found by a rescan (_Kernel.first_id) of the ids with m edges.  One table
 per (n, s), _edge_perms, maps each edge to its image under every relabelling
 of [n]; canonical_form, _Kernel.orbit and the colex orbits of
-verify_uniqueness all read it.
+verify_uniqueness (_colex_orbits, kept per (n, s)) all read it.  The
+expected rows and verdicts of the sweeps are kept per shape too (_row), each
+with the function it came from, and rebuilt when this module's binding of
+that function changes.  So a warm sweep runs only the scan and its checks.
 """
 
 from __future__ import annotations
@@ -99,6 +103,25 @@ def _edge_perms(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     index[universe] = np.arange(len(universe))
     # edge e goes to the sum of 2^p[v] over its vertices v: no uint8 sum wraps
     return universe, index[(np.uint8(1) << perms) @ bits.T]
+
+
+@cache
+def _colex_orbits(n: int, s: int) -> tuple[np.ndarray, ...]:
+    """The sorted ids of every relabelling of every colex segment C_s(m) on
+    [n] and their edge counts; the same for the complement ids, in ascending
+    order; and the orbit size per m.  All read-only."""
+    import numpy as np
+    # column m - 1 of the accumulated row p is the id of C_s(m) relabelled
+    # by p, and id 0 is C_s(0)
+    ids = np.unique(np.append(
+        0, np.bitwise_or.accumulate(np.uint32(1) << _edge_perms(n, s)[1], axis=1)))
+    U = comb(n, s)
+    m_of = np.bitwise_count(ids)
+    out = (ids, m_of, (1 << U) - 1 - ids[::-1], U - m_of[::-1],
+           np.bincount(m_of, minlength=U + 1))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _images(n: int, s: int, edges: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -263,20 +286,26 @@ class _Kernel:
         nK = comb(self.n, k)
         if not full:
             return nK - self.counts((1 << self.U) - 1 - F[::-1], k, True)[::-1]
-        idx, high, zm, zlT = self._level(k)
         out = np.empty(len(F), dtype=np.min_scalar_type(nK))
         step = 1 << self.bits
         i = 0
         while i < len(F):
             lo = int(F[i]) & -step
             j = len(F) if int(F[-1]) < lo + step else int(np.searchsorted(F, lo + step))
-            H = lo >> self.bits
-            N = np.bincount(idx, weights=(high | H) == H,
-                            minlength=zm.shape[1] * zlT.shape[0]).astype(np.float32)
-            c = (zm @ N.reshape(zm.shape[1], zlT.shape[0]) @ zlT).ravel()
+            c = self.block(k, lo)
             out[i:j] = c if j - i == step else c[F[i:j] - lo]
             i = j
         return out
+
+    def block(self, k: int, lo: int) -> np.ndarray:
+        """The full counts of level k at the 2^bits ids from lo (a multiple of
+        2^bits), in id order, as exact float32 values (see counts)."""
+        import numpy as np
+        idx, high, zm, zlT = self._level(k)
+        H = lo >> self.bits
+        N = np.bincount(idx, weights=(high | H) == H,
+                        minlength=zm.shape[1] * zlT.shape[0]).astype(np.float32)
+        return (zm @ N.reshape(zm.shape[1], zlT.shape[0]) @ zlT).ravel()
 
 
 @cache
@@ -422,6 +451,29 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
 # ---------------------------------------------------------------------------
 # whole-space sweeps
 
+# The expected rows and verdict rows met so far, keyed by (function name, U,
+# its arguments after m), each held as (function, row).  The function is this
+# module's binding of the name when the row was built, and the row is built
+# again once the binding changes, so a stub or wrapper bound here is still
+# the one called, and each key keeps one entry whatever was bound.
+_ROWS: dict[tuple, tuple[Callable, np.ndarray]] = {}
+
+
+def _row(name: str, U: int, *args: int, verdict: bool = False) -> np.ndarray:
+    """[f(m, *args) for m = 0..U] (their .verdict when verdict is set) as a
+    read-only int64 array, f being this module's current binding of name."""
+    import numpy as np
+    fn = globals()[name]
+    key = (name, U, *args)
+    hit = _ROWS.get(key)
+    if hit is None or hit[0] is not fn:
+        vals = [fn(m, *args) for m in range(U + 1)]
+        row = np.array([v.verdict for v in vals] if verdict else vals, dtype=np.int64)
+        row.flags.writeable = False
+        _ROWS[key] = hit = (fn, row)
+    return hit[1]
+
+
 def _scan(ker: _Kernel, levels: list[tuple]) -> list[tuple]:
     """Per (k, watched ids ascending, target per m or None) in levels, merged
     over one pass through the blocks: per m, the largest full count of level
@@ -436,6 +488,10 @@ def _scan(ker: _Kernel, levels: list[tuple]) -> list[tuple]:
     popcount order once."""
     import numpy as np
     pc, order, starts, _ = _popcount_runs(ker.bits)
+    # take() gathers with an intp index; a uint8 one is converted per call
+    pc_index = pc.astype(np.intp) if any(t is not None for *_, t in levels) else None
+    dtypes = [np.min_scalar_type(comb(ker.n, k)) for k, _, _ in levels]
+    self_test = any(k == ker.s for k, _, _ in levels)
     out = [(np.zeros(ker.U + 1, dtype=np.int64), np.zeros(len(watched), dtype=np.int64))
            for _, watched, _ in levels]
     step, high = 1 << ker.bits, ker.U - ker.bits
@@ -444,6 +500,9 @@ def _scan(ker: _Kernel, levels: list[tuple]) -> list[tuple]:
     for h in range(high + 1):
         los = [H << ker.bits for H in range(1 << high) if H.bit_count() == h]
         m_sl = slice(h, h + ker.bits + 1)
+        # each offset's edge count, which level s must count; an id's offset
+        # in the block holds its bits below the block's
+        edges = pc + np.uint8(h) if self_test else None
         # per level with a target: each offset's target in the counts' dtype
         # (C(n,k) + 1, which no count takes, for one out of range) and its
         # hit tally; the levels without one fold each offset's largest count
@@ -452,15 +511,13 @@ def _scan(ker: _Kernel, levels: list[tuple]) -> list[tuple]:
             nK = comb(ker.n, k)
             want = None if target is None else np.where(
                 (target[m_sl] >= 0) & (target[m_sl] <= nK), target[m_sl], nK + 1
-            ).astype(np.min_scalar_type(nK + 1)).take(pc)
+            ).astype(np.min_scalar_type(nK + 1)).take(pc_index)
             wants.append(want)
             folds.append(None if want is None else np.zeros(step, dtype=tally))
         for lo in los:
-            F = np.arange(lo, lo + step, dtype=np.uint32)
             for i, ((k, watched, _), want, (_, seen)) in enumerate(zip(levels, wants, out)):
-                cnt = ker.counts(F, k, full=True)
-                # an id's offset in the block holds its bits below the block's
-                if k == ker.s and not np.array_equal(cnt, pc + h):
+                cnt = ker.block(k, lo).astype(dtypes[i])
+                if k == ker.s and not np.array_equal(cnt, edges):
                     raise InternalCheckError("kernel self-test failed: k^s != edge count")
                 if want is not None:
                     np.add(folds[i], cnt == want, out=folds[i])
@@ -506,7 +563,6 @@ def verify_kkt(n: int, s: int) -> SweepReport:
     ker = _kernel(n, s)
     U = ker.U
     report = SweepReport("kkt", n, s, 1 << U)
-    ms = range(U + 1)
     colex_ids = (1 << np.arange(U + 1, dtype=np.int64)) - 1
     # the retlex id with m edges is the complement of the colex id with U - m,
     # so a shadow row reads the retlex ids
@@ -515,32 +571,39 @@ def verify_kkt(n: int, s: int) -> SweepReport:
 
     # (kind, check label, level, full, segment name, segment ids, expected per m)
     table = [("shadow", "min shadow q", q, False, "colex", colex_ids,
-              [shadow_colex(m, s, q) for m in ms]) for q in range(s)]
+              _row("shadow_colex", U, s, q)) for q in range(s)]
     table += [("cliques", "max cliques t", t, True, "colex", colex_ids,
-               [k_colex(m, s, t) for m in ms]) for t in range(s, n + 1)]
+               _row("k_colex", U, s, t)) for t in range(s, n + 1)]
     # complementing every edge maps the retlex s-segment to the colex
     # (n-s)-segment and its t-upshadow to the (n-t)-shadow of that
     table += [("upshadow", "min upshadow t", t, False, "retlex", retlex_ids,
-               [shadow_colex(m, n - s, n - t) for m in ms]) for t in range(s + 1, n + 1)]
+               _row("shadow_colex", U, n - s, n - t)) for t in range(s + 1, n + 1)]
 
-    for kind, label, level, full, seg, seg_ids, expected in table:
-        ext, got = scan[level]   # per m: the extreme count and the segment's count
-        if not full:
-            ext, got = comb(n, level) - ext[::-1], comb(n, level) - got[::-1]
-        expected = np.array(expected, dtype=np.int64)
-        report.checks.append(f"{label}={level}")
-        for m in np.flatnonzero(ext != expected):
+    # per row of the table and m: the extreme count and the segment's count,
+    # all rows compared at once
+    levels = [level for _, _, level, *_ in table]
+    full = np.array([row[3] for row in table])[:, None]
+    nK = np.array([comb(n, k) for k in levels])[:, None]
+    want = np.stack([row[6] for row in table])
+    ext, got = (np.stack([scan[k][j] for k in levels]) for j in (0, 1))
+    ext = np.where(full, ext, nK - ext[:, ::-1])
+    got = np.where(full, got, nK - got[:, ::-1])
+    beyond = ext != want
+    report.checks = [f"{label}={level}" for _, label, level, *_ in table]
+    for i in np.flatnonzero(beyond.any(axis=1) | (got != want).any(axis=1)):
+        kind, _, level, is_full, seg, seg_ids, expected = table[i]
+        for m in np.flatnonzero(beyond[i]):
             e = expected[m]
-            fid = ker.first_id(m, level, full, lambda F, c: c > e if full else c < e)
+            fid = ker.first_id(m, level, is_full, lambda F, c: c > e if is_full else c < e)
             report.failures.append({
                 "kind": kind, "m": int(m), "level": level,
-                "expected": int(e), "got": int(ext[m]),
+                "expected": int(e), "got": int(ext[i, m]),
                 "family": ker.family_of(seg_ids[m] if fid is None else fid).edge_lists(),
             })
-        if not np.array_equal(got, expected):
+        if not np.array_equal(got[i], expected):
             report.failures.append({
                 "kind": f"{kind}-{seg}-attain", "level": level,
-                "expected": expected.tolist(), "got": got.tolist(),
+                "expected": expected.tolist(), "got": got[i].tolist(),
             })
     return report
 
@@ -558,42 +621,36 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
     if n > MAX_CANON_GROUND:
         raise ValueError(f"verify_uniqueness needs n <= {MAX_CANON_GROUND} for orbits")
     ker = _kernel(n, s)
-    report = SweepReport("uniqueness", n, s, 1 << ker.U)
-    ms = range(ker.U + 1)
-    # (kind, level name, goal, level, full, extremal value per m, verdict predicate)
-    table = [("colex", "q", "min shadow", q, False,
-              np.array([shadow_colex(m, s, q) for m in ms]), is_colex_unique)
-             for q in range(1, s)]
-    table += [("clique", "t", "max cliques", t, True,
-               np.array([k_colex(m, s, t) for m in ms]), is_clique_unique)
-              for t in range(s + 1, n + 1)]
+    U = ker.U
+    report = SweepReport("uniqueness", n, s, 1 << U)
+    ms = range(U + 1)
+    # (kind, level name, goal, level, full, extremal value per m, verdict per m)
+    table = [("colex", "q", "min shadow", q, False, _row("shadow_colex", U, s, q),
+              _row("is_colex_unique", U, s, q, n, verdict=True)) for q in range(1, s)]
+    table += [("clique", "t", "max cliques", t, True, _row("k_colex", U, s, t),
+               _row("is_clique_unique", U, s, t, n, verdict=True)) for t in range(s + 1, n + 1)]
 
-    # the orbits of all C_s(m) at once: column m - 1 of the accumulated row p
-    # is the id of C_s(m) relabelled by p, and id 0 is C_s(0)
-    orbit_ids = np.unique(np.append(
-        0, np.bitwise_or.accumulate(np.uint32(1) << _edge_perms(n, s)[1], axis=1)))
-    sizes = np.bincount(np.bitwise_count(orbit_ids), minlength=ker.U + 1)
-
+    orbit_ids, orbit_m, comp_ids, comp_m, sizes = _colex_orbits(n, s)
     # a meet level counts the complements with C(n,q) - shadow_colex at U - m
     levels = [(level, orbit_ids, ext) if full else
-              (level, (1 << ker.U) - 1 - orbit_ids[::-1], comb(n, level) - ext[::-1])
+              (level, comp_ids, comb(n, level) - ext[::-1])
               for _, _, _, level, full, ext, _ in table]
     # per level and m: the attainers, and the orbit ids that attain
     counts = []
-    for (_, watched, target), (hits, seen), (*_, full, _, _) in zip(
+    for (_, _, target), (hits, seen), (*_, full, _, _) in zip(
             levels, _scan(ker, levels), table):
-        wm = np.bitwise_count(watched)
-        n_orb = np.bincount(wm[seen == target[wm]], minlength=ker.U + 1)
+        wm = orbit_m if full else comp_m
+        n_orb = np.bincount(wm[seen == target[wm]], minlength=U + 1)
         counts.append((hits, n_orb) if full else (hits[::-1], n_orb[::-1]))
 
     for m in ms:
-        for (kind, var, goal, level, full, ext, predicate), (n_att, n_orb) in zip(
+        for (kind, var, goal, level, full, ext, verdicts), (n_att, n_orb) in zip(
                 table, counts):
             if n_orb[m] != sizes[m]:
                 raise InternalCheckError(
                     f"colex orbit not attaining {goal} at m={m}, {var}={level}"
                 )
-            verdict = predicate(m, s, level, n).verdict
+            verdict = bool(verdicts[m])
             unique = bool(n_att[m] == sizes[m])
             report.checks.append(f"{kind} m={m} {var}={level}")
             # a False clique verdict is "not decided", so only True can fail

@@ -1,6 +1,7 @@
 """Cascade arithmetic: representations, evaluation, complements, Lovász form."""
 
 import math
+import random
 import time
 from fractions import Fraction
 from math import comb
@@ -13,6 +14,7 @@ from kkcliques.cascade import (
     Cascade,
     _binom_floor_index,
     _root_bracket,
+    _scaled_falling,
     binom_exact,
     binom_inverse,
     binom_real,
@@ -230,6 +232,40 @@ def test_lovasz_dominates_k_colex():
                     r = binom_inverse(m, s)
                     if t <= r:
                         assert lb == kc == comb(r, t)
+
+
+def test_lovasz_large_m_regression():
+    # the float root gave 9.569908032985106e+53, below k_colex
+    m = 2396235551816932040210107818
+    v = lovasz_clique_bound(m, 2, 4)
+    assert isinstance(v, float) and v >= k_colex(m, 2, 4)
+
+
+def _binom_at(Y, K, t):
+    """C(Y / 2^K, t) as an exact Fraction."""
+    return Fraction(_scaled_falling(Y, K, t), math.factorial(t) << (K * t))
+
+
+def test_lovasz_is_a_certified_upper_bound():
+    # seeded: m < 10^30 of every size, s in 2..4, t in s..s+3
+    rng = random.Random(2024)
+    K = 512        # finer than any bracket the bound rounds from
+    for _ in range(3000):
+        m = rng.randrange(10 ** rng.randrange(1, 31))
+        s = rng.randrange(2, 5)
+        t = rng.randrange(s, s + 4)
+        v = lovasz_clique_bound(m, s, t)
+        assert v >= k_colex(m, s, t), (m, s, t)
+        x = binom_inverse(m, s)
+        if isinstance(x, int) or x < t:
+            assert v == (comb(x, t) if x >= t else 0) and isinstance(v, int)
+            continue
+        # C(., t) increases past t - 1, so the root's fine bracket bounds C(x, t);
+        # v is at or above its upper end and within a few ulps of it
+        Y, exact = _root_bracket(m, s, K, (_binom_floor_index(m, s) + 1) << K)
+        assert not exact and isinstance(v, float)
+        hi = _binom_at(Y + 1, K, t)
+        assert hi <= Fraction(v) <= hi * (1 + Fraction(1, 2**45)), (m, s, t)
 
 
 def test_cascade_is_frozen_value_object():

@@ -385,6 +385,27 @@ def test_run_writes_out_like_main(tmp_path, capsys):
     assert r.text == render(r.payload, "json")
 
 
+def test_run_reuses_one_parser(monkeypatch):
+    # run() parses with one tree per process, and a parse, even a failed one,
+    # leaves it as a fresh tree would parse
+    assert cli.build_parser() is not cli.build_parser()
+    parser = cli._parser()
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda real=cli.build_parser: built.append(1) or real())
+    argvs = [["cascade", "7", "3"], ["--format", "table", "bound", "edge", "12", "1", "2", "3", "3"],
+             ["search", "5", "2", "3", "--edges", "6"], ["cascade", "7"], ["cascade", "7", "3"]]
+    for argv in argvs:
+        fresh = cli.build_parser()
+        try:
+            want = cli._execute(fresh.parse_args(argv)).payload
+        except SystemExit:
+            with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+                run(argv)
+            continue
+        assert run(argv).payload == want
+    assert cli._parser() is parser and len(built) == len(argvs)     # the fresh trees only
+
+
 def test_docstring_grammar_matches_parser():
     # each "Subcommands:" line of the module docstring names one leaf and its
     # required positionals, in parser order

@@ -2,6 +2,7 @@
 
 import pytest
 
+import kkcliques.designs as designs
 from kkcliques.designs import (
     BlockDesign,
     builtin_design,
@@ -22,6 +23,17 @@ def test_builtin_shapes():
         assert (d.n, d.r, len(d.blocks.edges)) == (n, r, b)
     with pytest.raises(ValueError):
         builtin_design("stein(2,3,13)")
+
+
+def test_builtin_designs_parse_once_and_verify_every_load(monkeypatch):
+    designs._load_builtin_table.cache_clear()
+    levels = []
+    real = designs.verify_design
+    monkeypatch.setattr(designs, "verify_design", lambda d, i: levels.append(i) or real(d, i))
+    for name in ("fano", "s348", "fano"):
+        builtin_design(name)
+    assert designs._load_builtin_table.cache_info().misses == 1
+    assert levels == [2, 3, 2]
 
 
 def test_fano_classification_by_level():

@@ -396,11 +396,26 @@ def test_colex_array_matches_colex_masks():
             assert got.tolist() == list(_colex_masks(n, k)), (n, k)
 
 
+def test_kkt_sweep_reports_a_segment_that_does_not_attain(monkeypatch):
+    # right extremes, but one count of the colex segment at level s + 1 read
+    # wrong: only the attain rows that read it fail
+    scan = oracle._scan
+
+    def skewed(ker, levels):
+        out = scan(ker, levels)
+        out[ker.s + 1][1][3] += 1
+        return out
+    monkeypatch.setattr(oracle, "_scan", skewed)
+    rep = verify_kkt(5, 2)
+    assert [(f["kind"], f["level"]) for f in rep.failures] == [
+        ("cliques-colex-attain", 3), ("upshadow-retlex-attain", 3)]
+
+
 def test_kkt_sweep_self_test(monkeypatch):
-    # level s counts the edges of every family
-    counts = oracle._Kernel.counts
-    monkeypatch.setattr(oracle._Kernel, "counts", lambda self, F, k, full: counts(
-        self, F, k, full) + ((F == 5) & (k == self.s)))
+    # level s counts the edges of every family; the scan counts whole blocks
+    block = oracle._Kernel.block
+    monkeypatch.setattr(oracle._Kernel, "block", lambda self, k, lo: block(self, k, lo) + (
+        (np.arange(lo, lo + (1 << self.bits)) == 5) & (k == self.s)))
     with pytest.raises(InternalCheckError, match="kernel self-test"):
         verify_kkt(4, 2)
 
@@ -580,6 +595,78 @@ def test_uniqueness_sweep_rejects_orbit_outside_attainers(monkeypatch, name):
     monkeypatch.setattr(oracle, name, lambda m, s, level: real(m, s, level) + 1)
     with pytest.raises(InternalCheckError, match="colex orbit not attaining"):
         verify_uniqueness(4, 3 if name == "shadow_colex" else 2)
+
+
+def _flip_all(real):
+    return lambda m, s, level, n: dataclasses.replace(
+        real(m, s, level, n), verdict=not real(m, s, level, n).verdict)
+
+
+# each module seam of the sweeps, the shape it is checked on, and a stub
+SEAMS = [
+    ("k_colex", verify_kkt, (5, 2), lambda real: lambda m, s, t: real(m, s, t) + 1),
+    ("shadow_colex", verify_kkt, (5, 2), lambda real: lambda m, s, q: max(real(m, s, q) - 1, 0)),
+    ("is_colex_unique", verify_uniqueness, (5, 3), _flip_all),
+    ("is_clique_unique", verify_uniqueness, (5, 3), _flip_all),
+]
+
+
+@pytest.mark.parametrize("name,sweep,shape,stub", SEAMS, ids=[s[0] for s in SEAMS])
+def test_warm_sweeps_still_call_a_patched_seam(monkeypatch, name, sweep, shape, stub):
+    # rows and verdicts are kept per shape, but a stub bound on the module
+    # after a warm sweep must be the one called, and the real one after it
+    assert verify_kkt(5, 2).ok and verify_uniqueness(5, 3).ok
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, name, stub(getattr(oracle, name)))
+        warm = sweep(*shape).failures
+        oracle._ROWS.clear()
+        assert warm and sweep(*shape).failures == warm
+    assert sweep(*shape).ok
+
+
+def test_kept_rows_and_orbits_are_read_only():
+    verify_kkt(5, 2)
+    verify_uniqueness(5, 3)
+    kept = [row for _, row in oracle._ROWS.values()] + list(oracle._colex_orbits(5, 3))
+    assert oracle._ROWS and all(not a.flags.writeable for a in kept)
+    with pytest.raises(ValueError):
+        kept[0][0] = 1
+
+
+def test_row_memo_does_not_grow_with_patches(monkeypatch):
+    # one entry per (function name, shape), whatever was bound when it was built
+    verify_kkt(5, 2)
+    verify_uniqueness(5, 3)
+    size = len(oracle._ROWS)
+    for _ in range(10):
+        with monkeypatch.context() as mp:
+            for name, _, _, stub in SEAMS:
+                mp.setattr(oracle, name, stub(getattr(oracle, name)))
+            verify_kkt(5, 2)
+            with pytest.raises(InternalCheckError):     # k_colex + 1 leaves the orbit
+                verify_uniqueness(5, 3)
+        assert verify_kkt(5, 2).ok and verify_uniqueness(5, 3).ok
+        assert len(oracle._ROWS) == size
+
+
+# the verify_uniqueness shapes of the verification benchmark
+SWEEP_UNIQUENESS = [(6, 2), (6, 3), (6, 4), (5, 3), (7, 6)]
+
+
+def test_sweeps_agree_cold_and_warm():
+    kkt = [(n, s) for n in range(1, 11) for s in range(1, n + 1) if comb(n, s) <= 21]
+
+    def reports():
+        return ([verify_kkt(n, s) for n, s in kkt]
+                + [verify_uniqueness(n, s) for n, s in SWEEP_UNIQUENESS])
+
+    oracle._ROWS.clear()
+    for kept in (oracle._colex_orbits, oracle._edge_perms, oracle._kept_kernel,
+                 oracle._popcount_runs):
+        kept.cache_clear()
+    cold = reports()
+    assert all(r.ok for r in cold)
+    assert reports() == cold
 
 
 def test_equality_theorem_catalogue():
