@@ -12,7 +12,7 @@ The edge bound is the clique bound at u = s, and both run on one engine.
 Also here: the 2-graph specialization graph_clique_bound, the
 per-neighborhood clique/edge ratio, a scanner for the ratio-maximality
 condition on k_colex(m,s,t)/m, and the Steiner-system divisibility test the
-equality verdicts rest on (designs re-exports steiner_divisibility).
+equality verdicts rest on.
 
 Each bound returns a BoundReport carrying the exact value, its floor (the
 operative integer bound), and a tri-state equality_possible verdict with the
@@ -28,8 +28,8 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
-from .cascade import (_binom_floor_index, _ratio, _root_bracket, _root_double, _scaled_falling,
-                      binom_real, falling_factorial, k_colex)
+from .cascade import (_binom_root, _ratio, _root_bracket, _scaled_falling, binom_real,
+                      falling_factorial, k_colex)
 from .errors import InternalCheckError
 
 Real = Union[int, float, Fraction]
@@ -125,16 +125,14 @@ def vertex_bound(n: int, i: int, s: int, t: int, delta: int) -> BoundReport:
 
     # Real-form cross-check (Lovasz dominance; equality at integer x).
     if delta > 0:
-        a = _binom_floor_index(delta, s - i)
-        if comb(a, s - i) == delta:
-            x = i + a
+        a, x, Y, K = _binom_root(delta, s - i, i)
+        if isinstance(x, int):
             alt = _ratio(comb(n, i) * comb(a, t - i), comb(t, i))
             if alt != value:
                 raise InternalCheckError(
                     f"vertex bound forms disagree at integer x={x}: cascade {value} vs real {alt}"
                 )
         else:
-            x, Y, K = _root_double(delta, s - i, a, i)
             # The real form is 0 for x < t, else C(n,i)C(y,t-i)/C(t,i) with
             # y = x - i < hi = (Y+1)/2^K; C(y, t-i) increases for y >= t-i-1,
             # so C(hi, t-i) >= kc, or in integers 2^(K(t-i)) (hi)_(t-i) >= (t-i)! kc.
@@ -265,11 +263,7 @@ def _ratio_bound(p: int, i: int, s: int, u: int, t: int, delta: int,
             "max i-degree 0 admits no nonempty family, so the bound is vacuous",))
 
     # floor(x) = i + a, so x < u iff i + a < u, and likewise for t
-    a = _binom_floor_index(delta, s - i)
-    if comb(a, s - i) == delta:
-        x: Real = i + a
-    else:
-        x, Y, K = _root_double(delta, s - i, a, i)
+    a, x, Y, K = _binom_root(delta, s - i, i)
     # x >= s and the callers take u = t = s, so these two arise only for u > s
     if i + a < u:
         return BoundReport(0, 0, source, x, "no", (

@@ -96,14 +96,7 @@ def binom_inverse(m: Real, k: int) -> Real:
         raise ValueError(f"binom_inverse needs k >= 1, got {k}")
     if m < 0:
         raise ValueError(f"binom_inverse needs m >= 0, got {m}")
-    if m == 0:
-        return k - 1
-    # C(a, k) <= m < C(a + 1, k); the comparison is exact for int, Fraction
-    # and float m, so an integral root comes back as the int a.
-    a = _binom_floor_index(math.floor(m), k) if m >= 1 else k - 1
-    if comb(a, k) == m:
-        return a
-    return _root_double(m, k, a)[0]
+    return _binom_root(m, k)[1] if m else k - 1
 
 
 def _root_bracket(m: Real, k: int, K: int, start: int) -> tuple[int, bool]:
@@ -153,19 +146,25 @@ def _to_double(n: int, K: int) -> float:
         return math.inf
 
 
-def _root_double(m: Real, k: int, a: int, shift: int = 0) -> tuple[float, int, int]:
-    """(x, Y, K): x is shift + y rounded to the nearest double, for the root
-    y in [a, a+1) of C(y, k) = m, and Y/2^K <= y < (Y+1)/2^K.
+def _binom_root(m: Real, k: int, shift: int = 0) -> tuple[int, Real, int, int]:
+    """(a, x, Y, K) for the root y >= k-1 of C(y, k) = m > 0: a = floor(y),
+    Y/2^K <= y < (Y+1)/2^K, and x = shift + y, the int shift + a when
+    C(a, k) = m (then Y = a and K = 0), else rounded to the nearest double.
 
     K doubles from about 64 significant bits until both ends of the bracket
     round to the same double, or the bracket hits the root exactly.
     """
+    # C(a, k) <= m < C(a + 1, k); the comparison is exact for int, Fraction
+    # and float m, so an integral root comes back as an int
+    a = _binom_floor_index(math.floor(m), k) if m >= 1 else k - 1
+    if comb(a, k) == m:
+        return a, shift + a, a, 0
     K = max(16, 64 - a.bit_length())
     Y, exact = _root_bracket(m, k, K, (a + 1) << K)
     while True:
         x = _to_double((shift << K) + Y, K)
         if exact or x == _to_double((shift << K) + Y + 1, K):
-            return x, Y, K
+            return a, x, Y, K
         Y, exact = _root_bracket(m, k, 2 * K, (Y + 1) << K)
         K *= 2
 
@@ -358,7 +357,7 @@ def lovasz_clique_bound(m: int, s: int, t: int) -> Real:
 
     Zero when x < t.  Always >= k_colex(m, s, t); exact integer (and equal
     to k_colex) when x is an integer.  At irrational x it is C(z, t) at the
-    upper end z of an integer bracket of x (_root_double's, fine enough to
+    upper end z of an integer bracket of x (_binom_root's, fine enough to
     round x correctly), rounded toward +inf: C(., t) increases for z >= t-1,
     so the double is never below C(x, t).
     """
@@ -368,10 +367,9 @@ def lovasz_clique_bound(m: int, s: int, t: int) -> Real:
         raise ValueError(f"need m >= 0, got {m}")
     if m < comb(t, s):          # x < t, as C(., s) increases for x >= s-1
         return 0
-    a = _binom_floor_index(m, s)
-    if comb(a, s) == m:
+    a, x, Y, K = _binom_root(m, s)
+    if isinstance(x, int):
         return comb(a, t)
-    _, Y, K = _root_double(m, s, a)
     return _double_up(_scaled_falling(Y + 1, K, t), math.factorial(t) << (K * t))
 
 

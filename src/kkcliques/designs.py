@@ -22,7 +22,6 @@ from importlib import resources
 from math import comb
 from typing import Optional
 
-from .bounds import steiner_divisibility  # noqa: F401  (still importable from here)
 from .errors import InternalCheckError, UnsupportedError
 from .families import (
     SetFamily,

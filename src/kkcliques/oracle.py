@@ -21,10 +21,10 @@ j-th edge of the colex-sorted universe is present, so id 2^m - 1 is C_s(m),
 the top-run id is the retlex segment and 2^U - 1 - id is the complement.
 Search and sweeps share one kernel, _Kernel, for universes of up to
 MAX_UNIVERSE = 24 edges: blocks() streams the ids 2^BLOCK_BITS at a time,
-masks() builds the k-sets' edge masks once per level, and block() counts
-the k-sets whose mask lies inside each id of a block with one bincount and
-two small matrix products, exact in float32 since no count reaches 2^24;
-counts() serves any ascending ids from it.
+masks() builds the k-sets' edge masks once per level, and block(), the one
+counting call, counts the k-sets whose mask lies inside (or meets) each id
+of a block with one bincount and two small matrix products, exact in
+float32 since no count reaches 2^24; a filtered caller indexes its ids in it.
 There is one kernel per (n, s) and block size: _kernel keeps it for the
 process when n <= KEEP_KERNEL_N = 16, so a process that sweeps or searches a
 shape again builds none of its levels again; a single CLI command sweeps
@@ -35,7 +35,8 @@ shapes that can be kept.  Above 16 points the per-k-set arrays alone take
 the cut rests on memory, as the build is still about 40% of a (17, 1)
 sweep.  A mask meets a family unless it lies in the complement, so every
 shadow and upshadow count is C(n,k) minus a full count of the complement
-(Kruskal 1963; Katona 1968).  Both sweeps run on one block scan, _scan, and
+(Kruskal 1963; Katona 1968), and the complements of one block's ids are the
+ids of one block, in reverse.  Both sweeps run on one block scan, _scan, and
 read their meet rows at U - m.  It takes the blocks in classes of equal
 high popcount, in which each offset has one edge count, so it sorts counts
 by edge count once per class, not per block.  A failure row's family is
@@ -181,7 +182,7 @@ class _Kernel:
         U = comb(n, s)
         if U > MAX_UNIVERSE:
             raise ValueError(f"universe C({n},{s}) = {U} exceeds sweep cap {MAX_UNIVERSE}")
-        # counts() sums in float32
+        # block() sums in float32
         if comb(n, n // 2) >= 1 << 24:
             raise ValueError(f"C({n},{n // 2}) = {comb(n, n // 2)} reaches 2^24: "
                              "float32 block counts would not be exact")
@@ -189,25 +190,28 @@ class _Kernel:
         self.universe = list(_colex_masks(n, s))
         self.bits = min(U, BLOCK_BITS)
         self._levels: dict[int, tuple] = {}
+        # the search's i-degree cap masks, masks(i) per i, kept with the kernel
+        self.caps: dict[int, np.ndarray] = {}
 
-    def blocks(self, m: Optional[int] = None) -> Iterator[np.ndarray]:
-        """Every family id in ascending order, 2^bits ids at a time; when m is
-        given, only the ids with m edges, read off each block's popcount run."""
+    def blocks(self, m: Optional[int] = None) -> Iterator[tuple[int, np.ndarray]]:
+        """(lo, ids) for every block of the 2^bits ids from lo, in ascending
+        order: all of its ids, or when m is given only those with m edges,
+        read off the block's popcount run."""
         import numpy as np
         step = 1 << self.bits
         _, order, starts, widths = _popcount_runs(self.bits)
         for lo in range(0, 1 << self.U, step):
             if m is None:
-                yield np.arange(lo, lo + step, dtype=np.uint32)
+                yield lo, np.arange(lo, lo + step, dtype=np.uint32)
             elif 0 <= (p := m - lo.bit_count()) <= self.bits:
-                yield (order[starts[p]:starts[p] + widths[p]] + lo).astype(np.uint32)
+                yield lo, (order[starts[p]:starts[p] + widths[p]] + lo).astype(np.uint32)
 
     def first_id(self, m: int, level: int, full: bool,
                  keep: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Optional[int]:
         """The lowest id with m edges whose level count passes keep(ids, counts)."""
         import numpy as np
-        for F in self.blocks(m):
-            hit = np.flatnonzero(keep(F, self.counts(F, level, full)))
+        for lo, F in self.blocks(m):
+            hit = np.flatnonzero(keep(F, self.block(level, lo, full)[F - lo]))
             if len(hit):
                 return int(F[hit[0]])
         return None
@@ -260,14 +264,16 @@ class _Kernel:
                                np.ascontiguousarray(zl.T))
         return self._levels[k]
 
-    def counts(self, F: np.ndarray, k: int, full: bool) -> np.ndarray:
-        """Per id in F (strictly ascending), the number of k-sets whose edge
-        mask lies inside the family (full) or meets it (not full).
+    def block(self, k: int, lo: int, full: bool = True) -> np.ndarray:
+        """Per id of the 2^bits ids from lo (a multiple of 2^bits), in id
+        order, the number of k-sets whose edge mask lies inside the family
+        (full) or meets it (not full).
 
         The edge mask of a k-set holds the edges containing it when k < s and
         the edges inside it when k >= s, so the counts are k^k (full),
         |shadow_k| (k < s) and |upshadow_k| (k > s).  A meet count is C(n,k)
-        minus the full count of the complement id; the sweeps take it so.
+        minus the full count of the complement id, and the complements of the
+        block's ids are the ids of the block from 2^U - 2^bits - lo, reversed.
 
         Full counts come a whole block at a time, as a subset-sum split in two
         halves over the mask patterns that occur.  An id of the block with
@@ -285,27 +291,13 @@ class _Kernel:
         import numpy as np
         nK = comb(self.n, k)
         if not full:
-            return nK - self.counts((1 << self.U) - 1 - F[::-1], k, True)[::-1]
-        out = np.empty(len(F), dtype=np.min_scalar_type(nK))
-        step = 1 << self.bits
-        i = 0
-        while i < len(F):
-            lo = int(F[i]) & -step
-            j = len(F) if int(F[-1]) < lo + step else int(np.searchsorted(F, lo + step))
-            c = self.block(k, lo)
-            out[i:j] = c if j - i == step else c[F[i:j] - lo]
-            i = j
-        return out
-
-    def block(self, k: int, lo: int) -> np.ndarray:
-        """The full counts of level k at the 2^bits ids from lo (a multiple of
-        2^bits), in id order, as exact float32 values (see counts)."""
-        import numpy as np
+            return nK - self.block(k, (1 << self.U) - (1 << self.bits) - lo)[::-1]
         idx, high, zm, zlT = self._level(k)
         H = lo >> self.bits
         N = np.bincount(idx, weights=(high | H) == H,
                         minlength=zm.shape[1] * zlT.shape[0]).astype(np.float32)
-        return (zm @ N.reshape(zm.shape[1], zlT.shape[0]) @ zlT).ravel()
+        return (zm @ N.reshape(zm.shape[1], zlT.shape[0]) @ zlT).ravel().astype(
+            np.min_scalar_type(nK))
 
 
 @cache
@@ -402,20 +394,22 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     if threads < 1:
         raise ValueError("threads must be >= 1")
     ker = _kernel(spec.n, spec.s)
-    caps = [] if spec.i is None else ker.masks(spec.i)
+    if spec.i is not None and spec.i not in ker.caps:
+        ker.caps[spec.i] = ker.masks(spec.i)
+    caps = ker.caps.get(spec.i, ())
 
     best: Optional[int] = None
     attainers: list[np.ndarray] = []
     scanned = 0
-    for F in ker.blocks(spec.m):
+    for lo, F in ker.blocks(spec.m):
         for im in caps:
             F = F[np.bitwise_count(F & im) <= spec.max_degree]
         if spec.u is not None:
-            F = F[ker.counts(F, spec.u, full=True) == spec.p]
+            F = F[ker.block(spec.u, lo)[F - lo] == spec.p]
         scanned += len(F)
         if not len(F):
             continue
-        cnt = ker.counts(F, spec.t, full=True)
+        cnt = ker.block(spec.t, lo)[F - lo]
         top = int(cnt.max())
         if best is None or top > best:
             best, attainers = top, []
@@ -490,7 +484,6 @@ def _scan(ker: _Kernel, levels: list[tuple]) -> list[tuple]:
     pc, order, starts, _ = _popcount_runs(ker.bits)
     # take() gathers with an intp index; a uint8 one is converted per call
     pc_index = pc.astype(np.intp) if any(t is not None for *_, t in levels) else None
-    dtypes = [np.min_scalar_type(comb(ker.n, k)) for k, _, _ in levels]
     self_test = any(k == ker.s for k, _, _ in levels)
     out = [(np.zeros(ker.U + 1, dtype=np.int64), np.zeros(len(watched), dtype=np.int64))
            for _, watched, _ in levels]
@@ -516,7 +509,7 @@ def _scan(ker: _Kernel, levels: list[tuple]) -> list[tuple]:
             folds.append(None if want is None else np.zeros(step, dtype=tally))
         for lo in los:
             for i, ((k, watched, _), want, (_, seen)) in enumerate(zip(levels, wants, out)):
-                cnt = ker.block(k, lo).astype(dtypes[i])
+                cnt = ker.block(k, lo)
                 if k == ker.s and not np.array_equal(cnt, edges):
                     raise InternalCheckError("kernel self-test failed: k^s != edge count")
                 if want is not None:

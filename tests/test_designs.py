@@ -9,9 +9,9 @@ from kkcliques.designs import (
     check_neighborhood_clique_criterion,
     recognize_packing_shadow,
     shadow_of_design,
-    steiner_divisibility,
     verify_design,
 )
+from kkcliques.bounds import steiner_divisibility
 from kkcliques.errors import UnsupportedError
 from kkcliques.families import SetFamily, colex_segment, max_degree
 

@@ -185,23 +185,23 @@ def test_search_canonicalises_once_per_class():
 def test_search_rejects_attainers_not_closed_under_relabelling(monkeypatch):
     # a clique count that singles out one labelled K_4 plus pendant edge
     # breaks the symmetry the orbit deduplication relies on
-    counts = oracle._Kernel.counts
+    block = oracle._Kernel.block
     universe = oracle._Kernel(5, 2).universe
     k4_pendant = exhaustive_search(SearchSpec(5, 2, 3, m=7)).witnesses[0]
     fid = sum(1 << universe.index(e) for e in k4_pendant.edges)
 
-    def skewed(self, F, k, full):
-        return counts(self, F, k, full) + (F == fid)
-    monkeypatch.setattr(oracle._Kernel, "counts", skewed)
+    def skewed(self, k, lo, full=True):
+        return block(self, k, lo, full) + (np.arange(lo, lo + (1 << self.bits)) == fid)
+    monkeypatch.setattr(oracle._Kernel, "block", skewed)
     with pytest.raises(InternalCheckError, match="leaves the attainer set"):
         exhaustive_search(SearchSpec(5, 2, 3, m=7))
 
 
 def test_kernel_counts_do_not_wrap():
+    # the whole family, the last id of the last block, holds all C(18,9) 9-sets
     ker = _Kernel(18, 1)
-    whole = np.array([(1 << ker.U) - 1], dtype=np.uint32)
-    cnt = ker.counts(whole, 9, full=True)
-    assert cnt.tolist() == [comb(18, 9)]
+    cnt = ker.block(9, (1 << ker.U) - (1 << ker.bits))
+    assert cnt[-1] == comb(18, 9)
 
 
 def _direct_counts(n, s, F, k):
@@ -218,10 +218,17 @@ def _direct_counts(n, s, F, k):
     return (hits == np.array(kms, dtype=np.uint32)).sum(axis=1), (hits != 0).sum(axis=1)
 
 
+def _block_counts(ker, F, k, full):
+    """Per id in F (ascending), its count at level k, read off the blocks F meets."""
+    lo = F >> ker.bits << ker.bits
+    return np.concatenate([ker.block(k, int(b), full)[F[lo == b] - b] for b in np.unique(lo)])
+
+
 @pytest.mark.parametrize("n,s", [(n, s) for n in range(1, 17) for s in range(1, n + 1)
                                  if comb(n, s) <= 16])
 def test_kernel_counts_match_direct_passes(monkeypatch, n, s):
-    # every id when U <= 12, else a seeded sample that includes both ends
+    # every id when U <= 12, else a seeded sample that includes both ends;
+    # at 3 bits a meet block reads the full counts of another block
     U = comb(n, s)
     if U <= 12:
         F = np.arange(1 << U, dtype=np.uint32)
@@ -234,18 +241,19 @@ def test_kernel_counts_match_direct_passes(monkeypatch, n, s):
         ker = _Kernel(n, s)
         for k, (full, meet) in want.items():
             for is_full, ref in ((True, full), (False, meet)):
-                got = ker.counts(F, k, is_full)
+                got = _block_counts(ker, F, k, is_full)
                 assert got.dtype == np.min_scalar_type(comb(n, k))
                 assert got.tolist() == ref.tolist(), (bits, k, is_full)
 
 
 def test_kernel_float32_counts_are_exact_at_the_widest_level(monkeypatch):
     # C(24,12) = 2,704,156 < 2^24 is the largest count a block product sums
+    # ids 0 and 2^12 - 1 lie in the first block, 2^24 - 1 in the last
     ker = _Kernel(24, 1)
-    F = np.array([0, 2**12 - 1, 2**24 - 1], dtype=np.uint32)
-    top = comb(24, 12)
-    assert ker.counts(F, 12, True).tolist() == [0, 1, top]
-    assert ker.counts(F, 12, False).tolist() == [0, top - 1, top]
+    top, last = comb(24, 12), (1 << 24) - (1 << ker.bits)
+    for full, want in ((True, [0, 1, top]), (False, [0, top - 1, top])):
+        first = ker.block(12, 0, full)
+        assert [int(first[0]), int(first[2**12 - 1]), int(ker.block(12, last, full)[-1])] == want
     # C(27,13) = 20,058,300 would not be exact in float32
     monkeypatch.setattr(oracle, "MAX_UNIVERSE", 27)
     with pytest.raises(ValueError, match="reaches 2\\^24"):
@@ -363,6 +371,17 @@ def test_second_kkt_sweep_builds_no_masks(monkeypatch):
     assert calls == []
 
 
+def test_second_search_builds_no_masks(monkeypatch):
+    # the kept (6,3) kernel keeps its level tables and the i-degree cap masks
+    spec = SearchSpec(6, 3, 4, m=4, i=1, max_degree=3)
+    exhaustive_search(spec)
+    calls = []
+    masks = oracle._Kernel.masks
+    monkeypatch.setattr(oracle._Kernel, "masks", lambda self, k: calls.append(k) or masks(self, k))
+    assert exhaustive_search(spec).optimum == 1
+    assert calls == []
+
+
 def test_kernel_cache_is_keyed_by_block_size(monkeypatch):
     # blocks of 8 ids need their own tables, so the block-size tests still
     # scan small blocks after a full-size kernel of the same shape is kept
@@ -372,9 +391,9 @@ def test_kernel_cache_is_keyed_by_block_size(monkeypatch):
     assert small is not whole and (whole.bits, small.bits) == (10, 3)
     assert oracle._kernel(5, 2) is small
     used = set()
-    counts = oracle._Kernel.counts
-    monkeypatch.setattr(oracle._Kernel, "counts", lambda self, F, k, full: used.add(
-        id(self)) or counts(self, F, k, full))
+    block = oracle._Kernel.block
+    monkeypatch.setattr(oracle._Kernel, "block", lambda self, k, lo, full=True: used.add(
+        id(self)) or block(self, k, lo, full))
     assert verify_kkt(5, 2).ok and verify_uniqueness(5, 2).ok
     assert exhaustive_search(SearchSpec(5, 2, 3, m=4)).optimum == 1
     assert used == {id(small)}

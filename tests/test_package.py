@@ -29,7 +29,7 @@ def test_star_import_binds_every_exported_name_to_its_home_object():
 
 
 def test_steiner_divisibility_has_one_definition():
-    assert kkcliques.designs.steiner_divisibility is kkcliques.bounds.steiner_divisibility
+    assert not hasattr(kkcliques.designs, "steiner_divisibility")
     assert kkcliques.steiner_divisibility is kkcliques.bounds.steiner_divisibility
 
 
