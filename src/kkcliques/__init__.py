@@ -13,6 +13,7 @@ compiles the set-family layers or the sweep engine.
 """
 
 import importlib as _importlib
+from types import ModuleType as _ModuleType
 
 from .bounds import (
     BoundReport,
@@ -77,68 +78,8 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY})
 
 
-__version__ = "0.1.0"
+# Every public name once: the core names the imports above bind, and _LAZY.
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, _ModuleType)] + list(_LAZY))
 
-__all__ = [
-    "BlockDesign",
-    "BoundReport",
-    "Cascade",
-    "DesignCertificate",
-    "InternalCheckError",
-    "KKError",
-    "RecognitionResult",
-    "SearchResult",
-    "SearchSpec",
-    "SetFamily",
-    "UniquenessVerdict",
-    "UnsupportedError",
-    "binom_exact",
-    "binom_inverse",
-    "binom_real",
-    "builtin_design",
-    "canonical_form",
-    "cascade_eval",
-    "cascade_of",
-    "check_neighborhood_clique_criterion",
-    "clique_bound",
-    "cliques",
-    "colex_compare",
-    "colex_segment",
-    "complement_cascade",
-    "complement_family",
-    "degree",
-    "edge_bound",
-    "exhaustive_search",
-    "from_text",
-    "graph_clique_bound",
-    "is_clique_jumping",
-    "is_clique_unique",
-    "is_colex_unique",
-    "is_jumping",
-    "jung_scan",
-    "k_colex",
-    "k_via_complement",
-    "lovasz_clique_bound",
-    "mask_of",
-    "max_degree",
-    "neighborhood",
-    "neighborhood_ratio_bound",
-    "recognize_packing_shadow",
-    "relabel",
-    "retlex_compare",
-    "retlex_segment",
-    "shadow",
-    "shadow_colex",
-    "shadow_of_design",
-    "steiner_divisibility",
-    "support",
-    "tightness_sweep",
-    "to_text",
-    "upshadow",
-    "verify_design",
-    "verify_equality_theorems",
-    "verify_kkt",
-    "verify_uniqueness",
-    "vertex_bound",
-    "vertices_of",
-]
+__version__ = "0.1.0"

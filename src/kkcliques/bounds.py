@@ -49,7 +49,8 @@ class BoundReport:
     is the operative bound, since clique counts are integers, and is exact in
     both cases.  equality_possible is "yes" when a witness construction
     exists, "no" when the extremal characterisation rules it out, "unknown"
-    otherwise (non-integral x, or the open s = i+1 cases).
+    otherwise (non-integral x, the open s = i+1 cases, or t = s without a
+    Steiner system).
     """
 
     value: Union[Real, Decimal]
@@ -164,6 +165,13 @@ def vertex_bound(n: int, i: int, s: int, t: int, delta: int) -> BoundReport:
         if exist == "yes":
             eq = "yes"
             notes.append(f"the s-shadow of a Steiner system S({i},{r},{n}) attains the bound")
+        elif t == s and r > n:
+            eq = "no"
+            notes.append(f"x = {r} > n: the bound exceeds C({n},{s}), the number of {s}-sets")
+        elif t == s and exist == "no":
+            eq = "unknown"
+            notes.append(f"no S({i},{r},{n}) exists, but at t = s any {s}-graph whose "
+                         f"{i}-sets all have degree {delta} attains the bound")
         elif exist == "no":
             if s >= i + 2:
                 eq = "no"

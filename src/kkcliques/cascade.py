@@ -70,11 +70,7 @@ def binom_real(x: Real, k: int) -> Real:
 
 
 def _nth_root_floor(m: int, k: int) -> int:
-    # Integer Newton iteration; exact for arbitrarily large m.
-    if m < 0:
-        raise ValueError("negative radicand")
-    if m == 0:
-        return 0
+    # Integer Newton iteration; exact for arbitrarily large m >= 1.
     x = 1 << ((m.bit_length() + k - 1) // k)
     while True:
         y = ((k - 1) * x + m // x ** (k - 1)) // k
@@ -183,10 +179,9 @@ def _binom_floor_index(m: int, k: int) -> int:
     if m <= k:          # C(k, k) = 1 <= m < k + 1 = C(k + 1, k)
         return k
     if k == 2:
-        a = (isqrt(8 * m + 1) + 1) >> 1
-        if a * (a - 1) // 2 > m:
-            a -= 1
-        return a
+        # r = isqrt(8m+1), a = (r+1) >> 1: (2a-1)^2 <= r^2 <= 8m+1 < (r+1)^2 <= (2a+1)^2,
+        # and C(a, 2) = ((2a-1)^2 - 1)/8, so C(a, 2) <= m < C(a+1, 2)
+        return (isqrt(8 * m + 1) + 1) >> 1
     if k < len(_FACT):
         prod = m * _FACT[k]
     elif m.bit_length() < k:

@@ -22,6 +22,7 @@ from kkcliques.bounds import (
 )
 from kkcliques.cascade import k_colex
 from kkcliques.errors import InternalCheckError
+from kkcliques.oracle import SearchSpec, exhaustive_search
 
 
 # Hand-checked reference values; K^(2)_4 blocks, PG-type Steiner shadows etc.
@@ -197,6 +198,8 @@ ENGINE_BRANCHES = [
      ("x < u: the degree bound forbids any u-clique, so no family has p > 0",)),
     (clique_bound, (5, 1, 2, 3, 3, 3), 5, 5, 4, "yes",
      ("u = t: the ratio of binomials is 1",)),
+    (clique_bound, (5, 1, 2, 2, 2, 3), 5, 5, None, "yes",
+     ("u = t = s: the bound is the edge count",)),
     (edge_bound, (4, 1, 3, 5, 1), 0, 0, 3, "yes",
      ("x < t: the degree bound rules out any t-clique; m pairwise disjoint edges attain 0",)),
     (clique_bound, (3, 1, 2, 3, 5, 3), 0, 0, 4, "yes",
@@ -223,7 +226,7 @@ ENGINE_BRANCHES = [
 @pytest.mark.parametrize(
     "bound,args,value,integer_value,x,eq,notes", ENGINE_BRANCHES,
     ids=["edge p=0", "clique p=0", "edge delta=0", "clique delta=0", "clique x<u",
-         "clique u=t", "edge x<t", "clique x<t", "edge irrational x", "clique irrational x",
+         "clique u=t", "clique u=t=s", "edge x<t", "clique x<t", "edge irrational x", "clique irrational x",
          "edge divisible", "clique divisible", "clique not divisible u>s",
          "edge not divisible s>=i+2", "edge not divisible s=i+1"])
 def test_engine_branch_reports(bound, args, value, integer_value, x, eq, notes):
@@ -292,6 +295,52 @@ def test_vertex_bound_irrational_x():
     assert r.value == 2
     assert isinstance(r.x, float)
     assert r.equality_possible == "unknown"
+
+
+# One pinned report per equality branch of vertex_bound at integer x:
+# (args, value, integer_value, x, equality_possible, notes).
+VERTEX_BRANCHES = [
+    ((3, 1, 2, 4, 3), Fraction(3, 4), 0, 4, "no",
+     ("no 4-clique fits in 3 vertices, so the bound cannot be met",)),
+    ((4, 1, 3, 4, 10), 10, 10, 6, "no",
+     ("no S(1,6,4) exists, and for s >= i+2 only Steiner shadows attain the bound",)),
+    ((9, 2, 5, 6, 10), 12, 12, 7, "no",
+     ("no S(2,7,9) exists, and for s >= i+2 only Steiner shadows attain the bound",)),
+    ((16, 2, 4, 5, 6), 48, 48, 6, "unknown",
+     ("divisibility conditions for S(2,6,16) hold but existence is not decided here",)),
+    ((4, 1, 3, 3, 6), 8, 8, 5, "no",
+     ("x = 5 > n: the bound exceeds C(4,3), the number of 3-sets",)),
+    ((6, 1, 3, 3, 3), 6, 6, 4, "unknown",
+     ("no S(1,4,6) exists, but at t = s any 3-graph whose 1-sets all have degree 3 "
+      "attains the bound",)),
+]
+
+
+@pytest.mark.parametrize(
+    "args,value,integer_value,x,eq,notes", VERTEX_BRANCHES,
+    ids=["n<t", "r>n", "divisibility fails", "divisibility holds", "t=s x>n", "t=s no Steiner"])
+def test_vertex_bound_branch_reports(args, value, integer_value, x, eq, notes):
+    r = vertex_bound(*args)
+    assert (type(r.value), r.value, r.integer_value) == (type(value), value, integer_value)
+    assert (type(r.x), r.x, r.equality_possible, r.notes) == (type(x), x, eq, notes)
+
+
+def test_vertex_bound_verdicts_at_t_equals_s_match_exhaustive_search():
+    # At t = s the bound counts edges, and any s-graph whose i-sets all have
+    # degree Delta meets it, Steiner shadow or not: e.g. the triples 123 124
+    # 126 345 356 456 have every vertex degree 3 and reach the bound 6 at
+    # (n, i, s, Delta) = (6, 1, 3, 3), where no S(1,4,6) exists.
+    shapes = [(n, i, s) for n in range(2, 8) for s in range(2, n + 1) for i in range(1, s)
+              if comb(n, s) <= 21]
+    for n, i, s in shapes:
+        for delta in range(comb(n - i, s - i) + 2):
+            r = vertex_bound(n, i, s, s, delta)
+            best = exhaustive_search(SearchSpec(n, s, s, i=i, max_degree=delta)).optimum
+            assert best <= r.integer_value, (n, i, s, delta)
+            if r.equality_possible == "yes":
+                assert best == r.value, (n, i, s, delta)
+            elif r.equality_possible == "no":
+                assert best < r.value, (n, i, s, delta)
 
 
 def test_vertex_bound_irrational_cross_check_catches_a_cascade_overshoot(monkeypatch):

@@ -80,6 +80,9 @@ def test_cascade_round_trip_property(m, s):
 @example(m=10**65 + 7, k=3)
 @example(m=1, k=40)
 @example(m=10**6, k=33)
+@example(m=10**400, k=2)
+@example(m=comb(14 * 10**199, 2), k=2)
+@example(m=comb(14 * 10**199, 2) - 1, k=2)
 def test_binom_floor_index_bracket(m, k):
     a = _binom_floor_index(m, k)
     assert a >= k

@@ -454,6 +454,12 @@ def test_whole_space_extremal_sweep(n, s):
     assert any(c.startswith("min upshadow") for c in rep.checks)
 
 
+def test_uniqueness_sweep_domain():
+    # orbits come from relabelling, which stops at n = 8
+    with pytest.raises(ValueError, match="n <= 8"):
+        verify_uniqueness(9, 1)
+
+
 @pytest.mark.parametrize("n,s", [(4, 2), (5, 2)])
 def test_whole_space_uniqueness_sweep(n, s):
     rep = verify_uniqueness(n, s)

@@ -26,6 +26,7 @@ def test_star_import_binds_every_exported_name_to_its_home_object():
         home = sys.modules[ns[name].__module__]
         assert getattr(home, name) is ns[name], name
     assert set(kkcliques.__all__) <= set(dir(kkcliques))
+    assert kkcliques.__all__ == sorted(set(kkcliques.__all__))  # sorted, each name once
 
 
 def test_steiner_divisibility_has_one_definition():
