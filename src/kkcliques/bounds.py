@@ -87,7 +87,9 @@ def _steiner_existence(i: int, r: int, n: int) -> str:
 
     Decidable cases: r = n (single block), i = 1 (r | n), and the classical
     families S(2,3,n), S(2,4,n), S(3,4,n) where the divisibility conditions
-    are known to be sufficient.  Divisibility failure is always "no".
+    are known to be sufficient.  Divisibility failure is always "no", and so
+    is a failure of Fisher's inequality: for i >= 2 and r < n an S(i,r,n) is
+    a 2-design, which has at least n blocks, so C(n,i) >= n C(r,i).
     """
     if r > n:
         return "no"
@@ -95,7 +97,7 @@ def _steiner_existence(i: int, r: int, n: int) -> str:
         return "yes"
     if i == 1:
         return "yes" if n % r == 0 else "no"
-    if not steiner_divisibility(i, r, n)[0]:
+    if not steiner_divisibility(i, r, n)[0] or comb(n, i) < n * comb(r, i):
         return "no"
     if (i, r) in {(2, 3), (2, 4), (3, 4)}:
         # Divisibility is sufficient for these block sizes (classical
@@ -144,51 +146,31 @@ def vertex_bound(n: int, i: int, s: int, t: int, delta: int) -> BoundReport:
                     f"the exact cascade form {value}"
                 )
 
-    notes: list[str] = []
     if value == 0:
-        eq = "yes"
-        notes.append("bound is zero; the empty family attains it")
+        eq, note = "yes", "bound is zero; the empty family attains it"
     elif n < t:
-        eq = "no"
-        notes.append(f"no {t}-clique fits in {n} vertices, so the bound cannot be met")
+        eq, note = "no", f"no {t}-clique fits in {n} vertices, so the bound cannot be met"
     elif isinstance(value, Fraction):
-        eq = "no"
-        notes.append("bound is not an integer")
+        eq, note = "no", "bound is not an integer"
     elif not isinstance(x, int):
-        eq = "unknown"
-        notes.append(
-            "degree parameter is not C(x-i, s-i) for integer x; tightness is open"
-        )
+        eq, note = "unknown", "degree parameter is not C(x-i, s-i) for integer x; tightness is open"
+    elif (exist := _steiner_existence(i, x, n)) == "yes":
+        eq, note = "yes", f"the s-shadow of a Steiner system S({i},{x},{n}) attains the bound"
+    elif exist == "no" and t > s and s >= i + 2:
+        eq, note = "no", (f"no S({i},{x},{n}) exists, and for s >= i+2 only Steiner "
+                          "shadows attain the bound")
+    elif x > n:
+        eq, note = "no", f"x = {x} > n: the bound exceeds C({n},{t}), the number of {t}-sets"
+    elif exist == "unknown":
+        eq, note = "unknown", (f"divisibility conditions for S({i},{x},{n}) hold but "
+                               "existence is not decided here")
+    elif t == s:
+        eq, note = "unknown", (f"no S({i},{x},{n}) exists, but at t = s any {s}-graph whose "
+                               f"{i}-sets all have degree {delta} attains the bound")
     else:
-        r = x
-        exist = _steiner_existence(i, r, n)
-        if exist == "yes":
-            eq = "yes"
-            notes.append(f"the s-shadow of a Steiner system S({i},{r},{n}) attains the bound")
-        elif t == s and r > n:
-            eq = "no"
-            notes.append(f"x = {r} > n: the bound exceeds C({n},{s}), the number of {s}-sets")
-        elif t == s and exist == "no":
-            eq = "unknown"
-            notes.append(f"no S({i},{r},{n}) exists, but at t = s any {s}-graph whose "
-                         f"{i}-sets all have degree {delta} attains the bound")
-        elif exist == "no":
-            if s >= i + 2:
-                eq = "no"
-                notes.append(
-                    f"no S({i},{r},{n}) exists, and for s >= i+2 only Steiner shadows attain the bound"
-                )
-            else:
-                eq = "unknown"
-                notes.append(
-                    f"no S({i},{r},{n}) exists, but at s = i+1 non-Steiner extremal families are not ruled out"
-                )
-        else:
-            eq = "unknown"
-            notes.append(
-                f"divisibility conditions for S({i},{r},{n}) hold but existence is not decided here"
-            )
-    return BoundReport(value, math.floor(value), "vertex", x, eq, tuple(notes))
+        eq, note = "unknown", (f"no S({i},{x},{n}) exists, but at s = i+1 non-Steiner "
+                               "extremal families are not ruled out")
+    return BoundReport(value, math.floor(value), "vertex", x, eq, (note,))
 
 
 def _shares_root(f: list[int], h: list[int], lo: Fraction, hi: Fraction) -> bool:

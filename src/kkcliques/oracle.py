@@ -43,7 +43,8 @@ by edge count once per class, not per block.  A failure row's family is
 found by a rescan (_Kernel.first_id) of the ids with m edges.  One table
 per (n, s), _edge_perms, maps each edge to its image under every relabelling
 of [n]; canonical_form, _Kernel.orbit and the colex orbits of
-verify_uniqueness (_colex_orbits, kept per (n, s)) all read it.  The
+verify_uniqueness (_colex_orbits, kept per (n, s)) all read it, except
+_Kernel.orbit at s in {1, n-1, n}, the only shapes on n > 8 points.  The
 expected rows and verdicts of the sweeps are kept per shape too (_row), each
 with the function it came from, and rebuilt when this module's binding of
 that function changes.  So a warm sweep runs only the scan and its checks.
@@ -224,8 +225,16 @@ class _Kernel:
 
     def orbit(self, fid: int) -> tuple[np.ndarray, tuple[int, ...]]:
         """The sorted ids of every relabelling of family fid, and the masks of
-        its canonical (lexicographically least sorted) relabelling."""
+        its canonical (lexicographically least sorted) relabelling.
+
+        At s = 1, n - 1 or n the relabellings permute the edges in every way,
+        so the orbit is every id with as many edges and the least relabelling
+        is the first edges of the universe.  Every other shape the universe
+        cap admits has n <= 8 and reads the relabelling table."""
         import numpy as np
+        if self.s in (1, self.n - 1, self.n):
+            m = int(fid).bit_count()
+            return np.concatenate([F for _, F in self.blocks(m)]), tuple(self.universe[:m])
         rows, least = _images(self.n, self.s, list(self.masks_of(fid)))
         ids = np.unique(np.bitwise_or.reduce(np.uint32(1) << rows, axis=1))
         return ids, tuple(least.tolist())
@@ -382,13 +391,12 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     """Maximise the t-clique count over all families matching spec.
 
     Filters every family id by edge count, then i-degree, then u-clique
-    count, and counts t-cliques on the survivors only.  When n <= 8 the
-    witnesses are one per isomorphism class: the attainers are closed under
-    relabelling, so the lowest uncovered attainer id is canonicalised once,
-    its orbit is marked covered, and the witness is the class's least
-    labelling; witnesses come sorted by canonical form.  For larger n every
-    attainer is a witness, sorted by edge list, without iso-reduction.
-    threads is kept for compatibility and has no effect; it must be >= 1.
+    count, and counts t-cliques on the survivors only.  The witnesses are
+    one per isomorphism class: the attainers are closed under relabelling, so
+    the lowest uncovered attainer id is canonicalised once, its orbit
+    (_Kernel.orbit) is marked covered, and the witness is the class's least
+    labelling; witnesses come sorted by canonical form.  threads is kept for
+    compatibility and has no effect; it must be >= 1.
     """
     import numpy as np
     if threads < 1:
@@ -419,25 +427,22 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     if best is None:
         return SearchResult("infeasible", None, [], 0, scanned)
     ids = np.concatenate(attainers)
-    if spec.n > MAX_CANON_GROUND:
-        reps = sorted(ker.masks_of(f) for f in ids)
-    else:
-        # the attainers are closed under relabelling: canonicalise the lowest
-        # id of each orbit and mark the whole orbit covered
-        covered = np.zeros(len(ids), dtype=bool)
-        reps = []
-        for k in range(len(ids)):
-            if covered[k]:
-                continue
-            orbit, canon = ker.orbit(ids[k])
-            pos = np.searchsorted(ids, orbit)
-            if pos[-1] == len(ids) or not np.array_equal(ids[pos], orbit):
-                raise InternalCheckError(
-                    f"orbit of attainer {int(ids[k])} leaves the attainer set"
-                )
-            covered[pos] = True
-            reps.append(canon)
-        reps.sort()
+    # the attainers are closed under relabelling: canonicalise the lowest id
+    # of each orbit and mark the whole orbit covered
+    covered = np.zeros(len(ids), dtype=bool)
+    reps = []
+    for k in range(len(ids)):
+        if covered[k]:
+            continue
+        orbit, canon = ker.orbit(ids[k])
+        pos = np.searchsorted(ids, orbit)
+        if pos[-1] == len(ids) or not np.array_equal(ids[pos], orbit):
+            raise InternalCheckError(
+                f"orbit of attainer {int(ids[k])} leaves the attainer set"
+            )
+        covered[pos] = True
+        reps.append(canon)
+    reps.sort()
     witnesses = [SetFamily(spec.n, spec.s, frozenset(r)) for r in reps]
     return SearchResult("ok", best, witnesses, len(reps), scanned)
 

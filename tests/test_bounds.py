@@ -306,9 +306,14 @@ VERTEX_BRANCHES = [
      ("no S(1,6,4) exists, and for s >= i+2 only Steiner shadows attain the bound",)),
     ((9, 2, 5, 6, 10), 12, 12, 7, "no",
      ("no S(2,7,9) exists, and for s >= i+2 only Steiner shadows attain the bound",)),
-    ((16, 2, 4, 5, 6), 48, 48, 6, "unknown",
-     ("divisibility conditions for S(2,6,16) hold but existence is not decided here",)),
+    ((21, 2, 4, 5, 3), 21, 21, 5, "unknown",
+     ("divisibility conditions for S(2,5,21) hold but existence is not decided here",)),
+    # Fisher: S(2,6,16) would have C(16,2)/C(6,2) = 8 < 16 blocks
+    ((16, 2, 4, 5, 6), 48, 48, 6, "no",
+     ("no S(2,6,16) exists, and for s >= i+2 only Steiner shadows attain the bound",)),
     ((4, 1, 3, 3, 6), 8, 8, 5, "no",
+     ("x = 5 > n: the bound exceeds C(4,3), the number of 3-sets",)),
+    ((4, 1, 2, 3, 4), 8, 8, 5, "no",
      ("x = 5 > n: the bound exceeds C(4,3), the number of 3-sets",)),
     ((6, 1, 3, 3, 3), 6, 6, 4, "unknown",
      ("no S(1,4,6) exists, but at t = s any 3-graph whose 1-sets all have degree 3 "
@@ -318,29 +323,37 @@ VERTEX_BRANCHES = [
 
 @pytest.mark.parametrize(
     "args,value,integer_value,x,eq,notes", VERTEX_BRANCHES,
-    ids=["n<t", "r>n", "divisibility fails", "divisibility holds", "t=s x>n", "t=s no Steiner"])
+    ids=["n<t", "r>n", "divisibility fails", "divisibility holds", "Fisher", "t=s x>n",
+         "s=i+1 t>s x>n", "t=s no Steiner"])
 def test_vertex_bound_branch_reports(args, value, integer_value, x, eq, notes):
     r = vertex_bound(*args)
     assert (type(r.value), r.value, r.integer_value) == (type(value), value, integer_value)
     assert (type(r.x), r.x, r.equality_possible, r.notes) == (type(x), x, eq, notes)
 
 
-def test_vertex_bound_verdicts_at_t_equals_s_match_exhaustive_search():
+def test_vertex_bound_verdicts_match_exhaustive_search():
     # At t = s the bound counts edges, and any s-graph whose i-sets all have
     # degree Delta meets it, Steiner shadow or not: e.g. the triples 123 124
     # 126 345 356 456 have every vertex degree 3 and reach the bound 6 at
-    # (n, i, s, Delta) = (6, 1, 3, 3), where no S(1,4,6) exists.
-    shapes = [(n, i, s) for n in range(2, 8) for s in range(2, n + 1) for i in range(1, s)
-              if comb(n, s) <= 21]
-    for n, i, s in shapes:
-        for delta in range(comb(n - i, s - i) + 2):
-            r = vertex_bound(n, i, s, s, delta)
-            best = exhaustive_search(SearchSpec(n, s, s, i=i, max_degree=delta)).optimum
-            assert best <= r.integer_value, (n, i, s, delta)
-            if r.equality_possible == "yes":
-                assert best == r.value, (n, i, s, delta)
-            elif r.equality_possible == "no":
-                assert best < r.value, (n, i, s, delta)
+    # (n, i, s, Delta) = (6, 1, 3, 3), where no S(1,4,6) exists.  t > s runs
+    # on C(n, s) <= 15 only (212 rows); 16 of them, (4, 1, 2, 3, 4) among
+    # them, said "unknown" before the x > n rule covered t > s.
+    rows = [(n, i, s, t, delta)
+            for n in range(2, 8) for s in range(2, n + 1) for i in range(1, s)
+            if comb(n, s) <= 21
+            for t in range(s, n + 1 if comb(n, s) <= 15 else s + 1)
+            for delta in range(comb(n - i, s - i) + 2)]
+    for n, i, s, t, delta in rows:
+        row = (n, i, s, t, delta)
+        r = vertex_bound(*row)
+        best = exhaustive_search(SearchSpec(n, s, t, i=i, max_degree=delta)).optimum
+        assert best <= r.integer_value, row
+        if isinstance(r.x, int) and r.x > n and r.value:
+            assert r.equality_possible == "no", row
+        if r.equality_possible == "yes":
+            assert best == r.value, row
+        elif r.equality_possible == "no":
+            assert best < r.value, row
 
 
 def test_vertex_bound_irrational_cross_check_catches_a_cascade_overshoot(monkeypatch):

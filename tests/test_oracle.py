@@ -122,9 +122,10 @@ def _brute_search(spec):
                 best, attainers = val, []
             if val == best:
                 attainers.append(H)
-    if spec.n <= MAX_CANON_GROUND:
-        attainers = [canonical_form(H) for H in attainers]
-    return best, scanned, len(set(attainers))
+    # beyond canonical_form's n <= 8 the universe cap leaves s in {1, n-1, n},
+    # where two families are isomorphic iff they have as many edges
+    keys = {canonical_form(H) if spec.n <= MAX_CANON_GROUND else len(H.edges) for H in attainers}
+    return best, scanned, len(keys)
 
 
 def test_search_matches_brute_force():
@@ -154,16 +155,35 @@ def test_search_streams_large_universe():
 
 
 def test_search_widest_universe():
-    # 24 singletons: a family of two vertices spans one 2-clique
+    # 24 singletons: a family of two vertices spans one 2-clique, and all
+    # C(24,12) = 2,704,156 families of twelve form one class
     r = exhaustive_search(SearchSpec(24, 1, 2, m=2))
-    assert (r.optimum, r.families_scanned, r.class_count) == (1, 276, 276)
+    assert (r.optimum, r.families_scanned, r.class_count) == (1, 276, 1)
+    r = exhaustive_search(SearchSpec(24, 1, 2, m=12))
+    assert (r.optimum, r.families_scanned, r.class_count) == (66, 2704156, 1)
+    assert r.witnesses[0].edge_lists() == [(v,) for v in range(1, 13)]
+
+
+def test_orbits_without_the_relabelling_table_match_it():
+    # at s in {1, n-1, n} the orbit is every id with as many edges and the
+    # least relabelling the first edges; the table must agree on every id
+    for n in range(1, MAX_CANON_GROUND + 1):
+        for s in {1, n - 1, n} - {0}:
+            ker = _Kernel(n, s)
+            for fid in range(1 << ker.U):
+                rows, least = oracle._images(n, s, list(ker.masks_of(fid)))
+                ids, canon = ker.orbit(fid)
+                assert ids.dtype == np.uint32
+                assert ids.tolist() == np.unique(
+                    np.bitwise_or.reduce(np.uint32(1) << rows, axis=1)).tolist(), (n, s, fid)
+                assert canon == tuple(least.tolist()), (n, s, fid)
 
 
 def test_wide_universes_do_not_count_k_sets_one_by_one():
     # C(20,10) = 184,756 10-sets and C(18,9) = 48,620 9-sets: a numpy pass per
     # k-set took about 18 s for the first search and about 55 s for the sweep
     r = exhaustive_search(SearchSpec(20, 1, 10, m=2))
-    assert (r.status, r.optimum, r.class_count, r.families_scanned) == ("ok", 0, 190, 190)
+    assert (r.status, r.optimum, r.class_count, r.families_scanned) == ("ok", 0, 1, 190)
     assert exhaustive_search(SearchSpec(20, 1, 2, m=2)).optimum == 1
     rep = verify_kkt(18, 1)
     assert rep.ok and rep.families == 2 ** 18
@@ -183,18 +203,24 @@ def test_search_canonicalises_once_per_class():
 
 
 def test_search_rejects_attainers_not_closed_under_relabelling(monkeypatch):
-    # a clique count that singles out one labelled K_4 plus pendant edge
-    # breaks the symmetry the orbit deduplication relies on
+    # a clique count that singles out one labelled attainer (K_4 plus a
+    # pendant edge; two points) breaks the symmetry the orbit deduplication
+    # relies on, whether the orbit comes from the relabelling table or not
+    specs = [SearchSpec(5, 2, 3, m=7), SearchSpec(10, 1, 2, m=2)]
+    fids = {}
+    for spec in specs:
+        universe = oracle._Kernel(spec.n, spec.s).universe
+        witness = exhaustive_search(spec).witnesses[0]
+        fids[spec.n, spec.s] = sum(1 << universe.index(e) for e in witness.edges)
     block = oracle._Kernel.block
-    universe = oracle._Kernel(5, 2).universe
-    k4_pendant = exhaustive_search(SearchSpec(5, 2, 3, m=7)).witnesses[0]
-    fid = sum(1 << universe.index(e) for e in k4_pendant.edges)
 
     def skewed(self, k, lo, full=True):
+        fid = fids[self.n, self.s]
         return block(self, k, lo, full) + (np.arange(lo, lo + (1 << self.bits)) == fid)
     monkeypatch.setattr(oracle._Kernel, "block", skewed)
-    with pytest.raises(InternalCheckError, match="leaves the attainer set"):
-        exhaustive_search(SearchSpec(5, 2, 3, m=7))
+    for spec in specs:
+        with pytest.raises(InternalCheckError, match="leaves the attainer set"):
+            exhaustive_search(spec)
 
 
 def test_kernel_counts_do_not_wrap():
