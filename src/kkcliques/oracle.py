@@ -37,10 +37,22 @@ sweep.  A mask meets a family unless it lies in the complement, so every
 shadow and upshadow count is C(n,k) minus a full count of the complement
 (Kruskal 1963; Katona 1968), and the complements of one block's ids are the
 ids of one block, in reverse.  Both sweeps run on one block scan, _scan, and
-read their meet rows at U - m.  It takes the blocks in classes of equal
-high popcount, in which each offset has one edge count, so it sorts counts
-by edge count once per class, not per block.  A failure row's family is
-found by a rescan (_Kernel.first_id) of the ids with m edges.  One table
+read their meet rows at U - m.  In colex order the C(n-1, s-1) edges through
+vertex n come last, so an id is H << C(n-1, s) | low with H the link of n.
+A relabelling of [n - 1] fixes n and carries H and low along together, and
+every count the sweeps take is unchanged by relabelling, so a link kernel
+sweeps only the H that are the least labelling of their class (_link_reps),
+with every low part under each, and each per-m optimum over those ids is
+the optimum over all ids.  An attainer set is closed under relabelling, so
+it is the colex orbit exactly when its swept members are the orbit's swept
+members.  _kernel takes the link sweep where it does less work (_link_pays):
+at (6,3) it counts 34 * 2^10 = 34,816 ids, not 2^20, and at (7,2)
+7 * 2^15 = 229,376, not 2^21, plus the watched ids it skips (segments and
+colex orbits, counted on their own); a report's families still counts all
+2^U families the sweep covers.  The scan counts a chunk of blocks per
+block() call and sorts a chunk's counts by edge count once.  A failure
+row's family, and a uniqueness row's full attainer count, come from a
+rescan (_Kernel.hits) of every id with m edges.  One table
 per (n, s), _edge_perms, maps each edge to its image under every relabelling
 of [n]; canonical_form, _Kernel.orbit and the colex orbits of
 verify_uniqueness (_colex_orbits, kept per (n, s)) all read it, except
@@ -174,10 +186,12 @@ def _colex_array(n: int, k: int) -> np.ndarray:
 
 class _Kernel:
     """The C(n,s) s-sets of [n] in colex order, and exact counts over family
-    ids: bit j of an id says that universe[j] is an edge.  The sweeps and the
-    search scan all 2^C(n,s) ids through blocks(), 2^bits ids at a time."""
+    ids: bit j of an id says that universe[j] is an edge.  The search scans
+    all 2^C(n,s) ids through blocks(), 2^bits ids at a time; the sweeps scan
+    the blocks of plan(), 2^sweep_bits ids each: every id, or when link is
+    set one family per class of links at vertex n."""
 
-    def __init__(self, n: int, s: int):
+    def __init__(self, n: int, s: int, link: bool = False):
         if not 1 <= s <= n:
             raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
         U = comb(n, s)
@@ -187,12 +201,21 @@ class _Kernel:
         if comb(n, n // 2) >= 1 << 24:
             raise ValueError(f"C({n},{n // 2}) = {comb(n, n // 2)} reaches 2^24: "
                              "float32 block counts would not be exact")
-        self.n, self.s, self.U = n, s, U
+        self.n, self.s, self.U, self.link = n, s, U, link
         self.universe = list(_colex_masks(n, s))
         self.bits = min(U, BLOCK_BITS)
-        self._levels: dict[int, tuple] = {}
-        # the search's i-degree cap masks, masks(i) per i, kept with the kernel
-        self.caps: dict[int, np.ndarray] = {}
+        # the C(n-1, s) edges without vertex n come first in colex order, so
+        # an id is H << C(n-1, s) | (its edges inside [n - 1]), H being its
+        # link at n; a sweep splits its ids there when link is set
+        self.split = comb(n - 1, s) if link else U
+        self.sweep_bits = min(self.split, BLOCK_BITS)
+        self._levels: dict[tuple[int, int], tuple] = {}
+        self._plan: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._chunks: dict[int, list[tuple]] = {}
+        self._located: dict[tuple, tuple] = {}
+        # masks(k) per k, built once: the search's i-degree caps and a link
+        # kernel's level tables read them
+        self.kmasks: dict[int, np.ndarray] = {}
 
     def blocks(self, m: Optional[int] = None) -> Iterator[tuple[int, np.ndarray]]:
         """(lo, ids) for every block of the 2^bits ids from lo, in ascending
@@ -200,22 +223,24 @@ class _Kernel:
         read off the block's popcount run."""
         import numpy as np
         step = 1 << self.bits
-        _, order, starts, widths = _popcount_runs(self.bits)
+        order, starts, widths = _popcount_runs(self.bits)
         for lo in range(0, 1 << self.U, step):
             if m is None:
                 yield lo, np.arange(lo, lo + step, dtype=np.uint32)
             elif 0 <= (p := m - lo.bit_count()) <= self.bits:
                 yield lo, (order[starts[p]:starts[p] + widths[p]] + lo).astype(np.uint32)
 
+    def hits(self, m: int, level: int, full: bool,
+             keep: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
+        """Per block, in ascending order, the ids with m edges whose level
+        count passes keep(ids, counts)."""
+        for lo, F in self.blocks(m):
+            yield F[keep(F, self.block(level, lo, full)[F - lo])]
+
     def first_id(self, m: int, level: int, full: bool,
                  keep: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Optional[int]:
         """The lowest id with m edges whose level count passes keep(ids, counts)."""
-        import numpy as np
-        for lo, F in self.blocks(m):
-            hit = np.flatnonzero(keep(F, self.block(level, lo, full)[F - lo]))
-            if len(hit):
-                return int(F[hit[0]])
-        return None
+        return next((int(F[0]) for F in self.hits(m, level, full, keep) if len(F)), None)
 
     def masks_of(self, fid: int) -> tuple[int, ...]:
         return tuple(self.universe[j] for j in _bit_positions(int(fid)))
@@ -249,14 +274,82 @@ class _Kernel:
             km |= ((ks & e) == (ks if k < self.s else e)).astype(np.uint32) << j
         return km
 
-    def _level(self, k: int) -> tuple:
-        """Per k-set, its (mid, low) pattern index and its bits above a block;
-        and the tables [a <= x] of every mid and low half x against the patterns a."""
+    def edge_masks(self, k: int) -> np.ndarray:
+        """masks(k), built once per kernel."""
+        if k not in self.kmasks:
+            self.kmasks[k] = self.masks(k)
+        return self.kmasks[k]
+
+    def plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The starts of the blocks of 2^sweep_bits ids a sweep counts, ordered
+        by the popcount of their bits above the block; those popcounts; and
+        the blocks' ranks in ascending order of their starts.
+
+        The blocks cover the ids whose link H at vertex n is any of the
+        2^C(n-1, s-1) links, or when link is set only the least labelling of
+        each link class (_link_reps), with every low part under each.  A
+        relabelling of [n - 1] fixes n and maps the link and the low part
+        together, so every family is isomorphic to one of the link ids."""
         import numpy as np
-        if k not in self._levels:
-            km = self.masks(k)
-            lb = self.bits // 2
-            mb = self.bits - lb
+        if self._plan is None:
+            highs = _link_reps(self.n, self.s) if self.link else np.zeros(1, dtype=np.int64)
+            mids = np.arange(1 << (self.split - self.sweep_bits))
+            los = ((highs[:, None] << self.split) | (mids << self.sweep_bits)).ravel()
+            h = np.bitwise_count(los >> self.sweep_bits)
+            order = np.argsort(h, kind="stable")
+            self._plan = (los[order], h[order].astype(np.intp), np.argsort(los[order]))
+        return self._plan
+
+    def chunks(self, per: int) -> list[tuple]:
+        """plan() cut into runs of per blocks: per run, its first rank, its
+        block starts (an int for a run of one block, which block() counts in
+        id order), the edge counts its ids take (a slice), and the run's
+        _popcount_runs."""
+        if per not in self._chunks:
+            los, hs, _ = self.plan()
+            self._chunks[per] = [
+                (c0, int(los[c0]) if len(h) == 1 else los[c0:c0 + per],
+                 slice(h[0], h[-1] + self.sweep_bits + 1),
+                 *_popcount_runs(self.sweep_bits, tuple((h - h[0]).tolist())))
+                for c0 in range(0, len(los), per) for h in (hs[c0:c0 + per],)]
+        return self._chunks[per]
+
+    def locate(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+        """Per id, the rank in plan() of the block holding it (-1 when the
+        sweep skips the block) and its offset in the block; and a dict in
+        which callers keep what they derive from these (_scan where each
+        chunking reads the ids, swept() how many it sweeps).  Kept per ids
+        (by content), since the sweeps watch the same ids at every level and
+        call."""
+        import numpy as np
+        key = (ids.dtype.str, ids.tobytes())
+        if key not in self._located:
+            los, _, ranked = self.plan()
+            ids = ids.astype(np.int64)
+            lo = ids >> self.sweep_bits << self.sweep_bits
+            at = ranked[np.searchsorted(los[ranked], lo).clip(max=len(los) - 1)]
+            self._located[key] = (np.where(los[at] == lo, at, -1), ids - lo, {})
+        return self._located[key]
+
+    def swept(self, ids: np.ndarray) -> np.ndarray:
+        """Per m, how many of ids with m edges the plan sweeps."""
+        import numpy as np
+        rank, _, derived = self.locate(ids)
+        if "swept" not in derived:
+            derived["swept"] = np.bincount(np.bitwise_count(ids[rank >= 0]), minlength=self.U + 1)
+        return derived["swept"]
+
+    def _level(self, k: int, bits: int) -> tuple:
+        """For blocks of 2^bits ids: per k-set, its (mid, low) pattern index
+        in N and its bits above a block; the tables [a <= x] of every mid and
+        low half x against the patterns a; and the counts' dtype."""
+        import numpy as np
+        if (k, bits) not in self._levels:
+            # a link kernel reads a level at two block sizes (its blocks, and
+            # single ids off its plan), so only it keeps every level's masks
+            km = self.edge_masks(k) if self.link or k in self.kmasks else self.masks(k)
+            lb = bits // 2
+            mb = bits - lb
 
             def table(part: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
                 # the patterns that occur, ascending, and each k-set's rank among them
@@ -269,19 +362,23 @@ class _Kernel:
                 return (x == pats).astype(np.float32), inv
             zm, mi = table(km >> lb, mb)
             zl, li = table(km, lb)
-            self._levels[k] = (mi * zl.shape[1] + li, km >> self.bits, zm,
-                               np.ascontiguousarray(zl.T))
-        return self._levels[k]
+            self._levels[k, bits] = (mi * zl.shape[1] + li, km >> bits, zm,
+                                     np.ascontiguousarray(zl.T),
+                                     np.min_scalar_type(comb(self.n, k)))
+        return self._levels[k, bits]
 
-    def block(self, k: int, lo: int, full: bool = True) -> np.ndarray:
-        """Per id of the 2^bits ids from lo (a multiple of 2^bits), in id
-        order, the number of k-sets whose edge mask lies inside the family
-        (full) or meets it (not full).
+    def block(self, k: int, lo, full: bool = True, bits: Optional[int] = None) -> np.ndarray:
+        """Per id of the 2^bits ids from lo (a multiple of 2^bits, bits being
+        self.bits unless given), in id order, the number of k-sets whose edge
+        mask lies inside the family (full) or meets it (not full).  When lo
+        is an array of block starts, all its blocks are counted at once, and
+        the count of id lo[i] | mid << lb | low is at [mid, i, low] (lb =
+        bits // 2); with bits = 0 that counts each id of lo on its own.
 
         The edge mask of a k-set holds the edges containing it when k < s and
         the edges inside it when k >= s, so the counts are k^k (full),
         |shadow_k| (k < s) and |upshadow_k| (k > s).  A meet count is C(n,k)
-        minus the full count of the complement id, and the complements of the
+        minus the full count of the complement id, and the complements of a
         block's ids are the ids of the block from 2^U - 2^bits - lo, reversed.
 
         Full counts come a whole block at a time, as a subset-sum split in two
@@ -290,7 +387,9 @@ class _Kernel:
         high part is inside H and its mid and low patterns a, c are inside mid
         and low.  So the block's counts are Zm @ N_H @ Zl.T, with
         Zm[mid, a] = [a <= mid], Zl[low, c] = [c <= low] and N_H[a, c] the
-        number of k-sets with patterns a, c whose high part is inside H.
+        number of k-sets with patterns a, c whose high part is inside H.  The
+        N_H of all blocks come from one bincount, laid side by side, so the
+        tables are applied in two 2D products whatever the number of blocks.
         Every factor is a non-negative integer and every partial sum is at
         most C(n,k) <= C(24,12) = 2,704,156 < 2^24, so the float32 products
         are exact in any summation order; __init__ refuses a shape whose
@@ -298,43 +397,98 @@ class _Kernel:
         C(n,k), so no count wraps.
         """
         import numpy as np
-        nK = comb(self.n, k)
+        bits = self.bits if bits is None else bits
+        several = isinstance(lo, np.ndarray)
         if not full:
-            return nK - self.block(k, (1 << self.U) - (1 << self.bits) - lo)[::-1]
-        idx, high, zm, zlT = self._level(k)
-        H = lo >> self.bits
-        N = np.bincount(idx, weights=(high | H) == H,
-                        minlength=zm.shape[1] * zlT.shape[0]).astype(np.float32)
-        return (zm @ N.reshape(zm.shape[1], zlT.shape[0]) @ zlT).ravel().astype(
-            np.min_scalar_type(nK))
+            comp = self.block(k, (1 << self.U) - (1 << bits) - lo, True, bits)
+            return comb(self.n, k) - (comp[::-1, :, ::-1] if several else comp[::-1])
+        idx, high, zm, zlT, dtype = self._level(k, bits)
+        A, C = zm.shape[1], zlT.shape[0]
+        if not several:
+            H = lo >> bits
+            N = np.bincount(idx, weights=(high | H) == H, minlength=A * C).astype(np.float32)
+            return (zm @ N.reshape(A, C) @ zlT).ravel().astype(dtype)
+        # N_H of block i sits at columns i * C .. of an A x (nb * C) matrix
+        nb, H = len(lo), (lo >> bits).astype(np.uint32)[:, None]
+        mid, low = np.divmod(idx, C)
+        N = np.bincount((mid * (nb * C) + low + C * np.arange(nb)[:, None]).ravel(),
+                        weights=((high | H) == H).ravel(), minlength=A * nb * C).astype(np.float32)
+        cnt = (zm @ N.reshape(A, nb * C)).reshape(-1, C) @ zlT
+        return cnt.astype(dtype).reshape(len(zm), nb, -1)
 
 
 @cache
-def _popcount_runs(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The popcount of each offset in a block of 2^bits ids, the offsets in
-    popcount order (each run ascending), and where each popcount's run of them
-    starts and how wide it is.  One per block size, shared by every kernel:
-    _scan gathers into popcount order once per class of blocks and level, and
-    blocks(m) reads a block's ids with m edges off one run.  The int64 order
-    is 0.5 MB at 16 bits, but a narrower one makes the gather 2x slower."""
+def _popcount_runs(bits: int, hs: tuple[int, ...] = (0,)) -> tuple[np.ndarray, ...]:
+    """For blocks of 2^bits ids laid out as block() returns them, [mid, block,
+    low], whose bits above the block have popcounts h0 + hs (hs ascending,
+    steps of at most one): the entries in edge-count order (each run
+    ascending), and where the run of each edge count h0, h0 + 1, ... starts
+    and how wide it is.  With hs = (0,) the layout is one block in id order:
+    blocks(m) reads a block's ids with m edges off one run, and _scan gathers
+    a chunk's counts into this order once per chunk and level.  The int64
+    order is 0.5 MB at 16 bits, but a narrower one makes the gather 2x
+    slower."""
     import numpy as np
-    pc = np.bitwise_count(np.arange(1 << bits, dtype=np.uint32))
-    order = np.argsort(pc, kind="stable")
-    starts = np.searchsorted(pc[order], np.arange(bits + 1))
-    return pc, order, starts, np.diff(starts, append=len(order))
+    lb = bits // 2
+    pc = np.bitwise_count(np.arange(1 << (bits - lb), dtype=np.uint32)).astype(np.intp)
+    m = (pc[:, None, None] + np.array(hs)[:, None] + pc[:1 << lb]).ravel()
+    order = np.argsort(m, kind="stable")
+    starts = np.searchsorted(m[order], np.arange(bits + hs[-1] + 1))
+    return order, starts, np.diff(starts, append=len(order))
+
+
+@cache
+def _link_reps(n: int, s: int) -> np.ndarray:
+    """The least labelling (canonical_form's) of every class of
+    (s-1)-uniform families on [n - 1], as ids over the C(n-1, s-1) edges
+    through vertex n, ascending.  At s - 1 in {0, 1, n - 2, n - 1} all
+    families with j edges are isomorphic, so these are the first j edges;
+    otherwise n - 1 <= 6, and the orbits are walked from the lowest uncovered
+    id through the relabelling table, as _Kernel.orbit reads it (but without
+    np.unique, whose first call imports numpy.ma, about 20 ms that a
+    verify kkt command would otherwise pay)."""
+    import numpy as np
+    c = comb(n - 1, s - 1)
+    if s - 1 in (0, 1, n - 2, n - 1):
+        return (1 << np.arange(c + 1, dtype=np.int64)) - 1
+    ker = _Kernel(n - 1, s - 1)
+    bit = {e: 1 << j for j, e in enumerate(ker.universe)}
+    covered = np.zeros(1 << c, dtype=bool)
+    reps, fid = [], 0
+    while not covered[fid]:
+        rows, least = _images(n - 1, s - 1, list(ker.masks_of(fid)))
+        covered[np.bitwise_or.reduce(np.uint32(1) << rows, axis=1)] = True
+        reps.append(sum(bit[e] for e in least.tolist()))
+        fid += int(covered[fid:].argmin())
+    reps = np.array(sorted(reps), dtype=np.int64)
+    reps.flags.writeable = False
+    return reps
 
 
 def _kernel(n: int, s: int) -> _Kernel:
-    """The kernel of (n, s) at the current BLOCK_BITS: kept for the process
-    when n <= KEEP_KERNEL_N, built afresh otherwise."""
-    return _kept_kernel(n, s, BLOCK_BITS) if n <= KEEP_KERNEL_N else _Kernel(n, s)
+    """The kernel of (n, s) at the current BLOCK_BITS, a link kernel where
+    that pays (_link_pays): kept for the process when n <= KEEP_KERNEL_N,
+    built afresh otherwise."""
+    if n <= KEEP_KERNEL_N:
+        return _kept_kernel(n, s, BLOCK_BITS)
+    return _Kernel(n, s, link=_link_pays(n, s, BLOCK_BITS))
 
 
 @cache
 def _kept_kernel(n: int, s: int, bits: int) -> _Kernel:
     # bits is the BLOCK_BITS the kernel reads when built: a kernel's tables
     # depend on its block size, so the size is part of the key
-    return _Kernel(n, s)
+    return _Kernel(n, s, link=_link_pays(n, s, bits))
+
+
+def _link_pays(n: int, s: int, bits: int) -> bool:
+    """Whether a sweep of (n, s) does less work over one family per link
+    class than over every id.  A universe of one block is one product per
+    level, which the split would only cut into more calls; and every block
+    costs a bincount over all C(n,k) k-sets, so the link blocks must hold at
+    least as many ids as the widest level has k-sets.  At s = n - 1 the link
+    blocks hold two ids each; at s = 1 both sweeps count the same blocks."""
+    return comb(n, s) > bits and 1 << min(comb(n - 1, s), bits) >= comb(n, n // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +556,7 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     if threads < 1:
         raise ValueError("threads must be >= 1")
     ker = _kernel(spec.n, spec.s)
-    if spec.i is not None and spec.i not in ker.caps:
-        ker.caps[spec.i] = ker.masks(spec.i)
-    caps = ker.caps.get(spec.i, ())
+    caps = () if spec.i is None else ker.edge_masks(spec.i)
 
     best: Optional[int] = None
     attainers: list[np.ndarray] = []
@@ -474,63 +626,70 @@ def _row(name: str, U: int, *args: int, verdict: bool = False) -> np.ndarray:
 
 
 def _scan(ker: _Kernel, levels: list[tuple]) -> list[tuple]:
-    """Per (k, watched ids ascending, target per m or None) in levels, merged
-    over one pass through the blocks: per m, the largest full count of level
-    k over the ids with m edges, or with a target how many of those ids
-    count target[m]; and the counts of the watched ids.  Level s counts each
-    id's edges, so when it is scanned every id's count there is checked
-    against its popcount.
+    """Per (k, watched ids ascending, target per m or None) in levels, over
+    the blocks of ker.plan(): per m, the largest full count of level k over
+    the swept ids with m edges, or with a target how many of those ids count
+    target[m]; and the counts of the watched ids.  Watched ids outside the
+    plan are counted on their own, as blocks of one id.  Level s counts each
+    id's edges, so when it is scanned every count there is checked against
+    the id's popcount.
 
-    Offset p of a block whose high bits have popcount h is an id with
-    h + popcount(p) edges, so the blocks of each h form a class whose counts
-    are folded per offset, by maximum or by hit tally, and gathered into
-    popcount order once."""
+    A level counts its blocks a chunk at a time, one block() call per chunk:
+    as many blocks as make 2^bits ids, fewer when C(n,k) is large, since a
+    call's bincount reads every k-set once per block.  A chunk's counts are
+    gathered into edge-count order once (_popcount_runs, by the popcounts of
+    the chunk's bits above the block) and reduced per run."""
     import numpy as np
-    pc, order, starts, _ = _popcount_runs(ker.bits)
-    # take() gathers with an intp index; a uint8 one is converted per call
-    pc_index = pc.astype(np.intp) if any(t is not None for *_, t in levels) else None
-    self_test = any(k == ker.s for k, _, _ in levels)
-    out = [(np.zeros(ker.U + 1, dtype=np.int64), np.zeros(len(watched), dtype=np.int64))
-           for _, watched, _ in levels]
-    step, high = 1 << ker.bits, ker.U - ker.bits
-    # a class holds at most C(high, high // 2) blocks, so no hit tally wraps
-    tally = np.min_scalar_type(comb(high, high // 2))
-    for h in range(high + 1):
-        los = [H << ker.bits for H in range(1 << high) if H.bit_count() == h]
-        m_sl = slice(h, h + ker.bits + 1)
-        # each offset's edge count, which level s must count; an id's offset
-        # in the block holds its bits below the block's
-        edges = pc + np.uint8(h) if self_test else None
-        # per level with a target: each offset's target in the counts' dtype
-        # (C(n,k) + 1, which no count takes, for one out of range) and its
-        # hit tally; the levels without one fold each offset's largest count
-        wants, folds = [], []
-        for k, _, target in levels:
-            nK = comb(ker.n, k)
-            want = None if target is None else np.where(
-                (target[m_sl] >= 0) & (target[m_sl] <= nK), target[m_sl], nK + 1
-            ).astype(np.min_scalar_type(nK + 1)).take(pc_index)
-            wants.append(want)
-            folds.append(None if want is None else np.zeros(step, dtype=tally))
-        for lo in los:
-            for i, ((k, watched, _), want, (_, seen)) in enumerate(zip(levels, wants, out)):
-                cnt = ker.block(k, lo)
-                if k == ker.s and not np.array_equal(cnt, edges):
-                    raise InternalCheckError("kernel self-test failed: k^s != edge count")
-                if want is not None:
-                    np.add(folds[i], cnt == want, out=folds[i])
-                elif folds[i] is None:
-                    folds[i] = cnt
-                else:
-                    np.maximum(folds[i], cnt, out=folds[i])
-                a, b = np.searchsorted(watched, (lo, lo + step))
-                seen[a:b] = cnt[watched[a:b] - lo]
-        for (per_m, _), fold, want in zip(out, folds, wants):
-            srt = fold[order]
-            if want is None:
-                per_m[m_sl] = np.maximum(per_m[m_sl], np.maximum.reduceat(srt, starts))
+    b = ker.sweep_bits
+    lb = b // 2
+    out = []
+    # locate() keys its cache by content: look each watched array up once
+    located: dict[int, tuple] = {}
+    for k, watched, target in levels:
+        nK = comb(ker.n, k)
+        per_m = np.zeros(ker.U + 1, dtype=np.int64)
+        seen = np.zeros(len(watched), dtype=np.int64)
+        # blocks per block() call: the call's bincount stays near 2^20 entries
+        cap = max(1, (1 << 20) // nK)
+        per = min(1 << (ker.bits - b), cap)
+        if id(watched) not in located:
+            located[id(watched)] = ker.locate(watched)
+        rank, off, read = located[id(watched)]
+        if per not in read:
+            # the watched ids outside the plan, and per chunk the positions
+            # of its watched ids and their places in its counts
+            places = []
+            for c0, _, _, order, _, _ in ker.chunks(per):
+                nb = len(order) >> b
+                i = np.flatnonzero((rank >= c0) & (rank < c0 + nb))
+                o = off[i]
+                places.append((i, (((o >> lb) * nb + rank[i] - c0) << lb) + (o & ((1 << lb) - 1))))
+            read[per] = (np.flatnonzero(rank < 0), places)
+        rest, places = read[per]
+        if target is not None:
+            # each m's target in the counts' dtype; C(n,k) + 1, which no count
+            # takes, for one out of range
+            want = np.where((target >= 0) & (target <= nK), target,
+                            nK + 1).astype(np.min_scalar_type(nK + 1))
+        for (_, lo, ms, order, starts, widths), (i, at) in zip(ker.chunks(per), places):
+            cnt = ker.block(k, lo, True, b).ravel()
+            srt = cnt[order]
+            if k == ker.s and not np.array_equal(
+                    srt, np.repeat(np.arange(ms.start, ms.stop, dtype=srt.dtype), widths)):
+                raise InternalCheckError("kernel self-test failed: k^s != edge count")
+            if target is None:
+                np.maximum(per_m[ms], np.maximum.reduceat(srt, starts), out=per_m[ms])
             else:
-                per_m[m_sl] += np.add.reduceat(srt, starts, dtype=np.int64)
+                per_m[ms] += np.add.reduceat(srt == np.repeat(want[ms], widths), starts,
+                                             dtype=np.int64)
+            seen[i] = cnt[at]
+        for c0 in range(0, len(rest), cap):
+            i = rest[c0:c0 + cap]
+            cnt = ker.block(k, watched[i], True, 0).ravel()
+            if k == ker.s and not np.array_equal(cnt, np.bitwise_count(watched[i])):
+                raise InternalCheckError("kernel self-test failed: k^s != edge count")
+            seen[i] = cnt
+        out.append((per_m, seen))
     return out
 
 
@@ -633,33 +792,42 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
     levels = [(level, orbit_ids, ext) if full else
               (level, comp_ids, comb(n, level) - ext[::-1])
               for _, _, _, level, full, ext, _ in table]
-    # per level and m: the attainers, and the orbit ids that attain
+    # a link kernel sweeps one family per link class.  An attainer set is
+    # closed under relabelling and holds the orbit (checked below), so it is
+    # the orbit iff its swept members are the orbit's swept members: per
+    # level and m, the swept attainers, the orbit ids that attain, and the
+    # swept orbit ids
+    swept = ker.swept(orbit_ids), ker.swept(comp_ids)
     counts = []
     for (_, _, target), (hits, seen), (*_, full, _, _) in zip(
             levels, _scan(ker, levels), table):
         wm = orbit_m if full else comp_m
         n_orb = np.bincount(wm[seen == target[wm]], minlength=U + 1)
-        counts.append((hits, n_orb) if full else (hits[::-1], n_orb[::-1]))
+        counts.append((hits, n_orb, swept[0]) if full else
+                      (hits[::-1], n_orb[::-1], swept[1][::-1]))
 
     for m in ms:
-        for (kind, var, goal, level, full, ext, verdicts), (n_att, n_orb) in zip(
+        for (kind, var, goal, level, full, ext, verdicts), (n_att, n_orb, n_swept) in zip(
                 table, counts):
             if n_orb[m] != sizes[m]:
                 raise InternalCheckError(
                     f"colex orbit not attaining {goal} at m={m}, {var}={level}"
                 )
             verdict = bool(verdicts[m])
-            unique = bool(n_att[m] == sizes[m])
+            unique = bool(n_att[m] == n_swept[m])
             report.checks.append(f"{kind} m={m} {var}={level}")
             # a False clique verdict is "not decided", so only True can fail
             if verdict != unique and (verdict or (kind == "colex" and m > s + 1)):
-                extra = None if unique else ker.first_id(
-                    m, level, full,
-                    lambda F, c: (c == ext[m]) & np.isin(F, orbit_ids, invert=True))
+                attainers, family = int(sizes[m]), None
+                if not unique:
+                    # the full attainer set, rescanned, and its lowest id
+                    # outside the orbit
+                    hit = np.concatenate(list(ker.hits(m, level, full, lambda F, c: c == ext[m])))
+                    attainers = len(hit)
+                    family = ker.family_of(hit[~np.isin(hit, orbit_ids)][0]).edge_lists()
                 report.failures.append({
-                    "kind": f"{kind}_unique", "m": m, "level": level,
-                    "verdict": verdict, "attainers": int(n_att[m]), "orbit": int(sizes[m]),
-                    "family": None if unique else ker.family_of(extra).edge_lists(),
+                    "kind": f"{kind}_unique", "m": m, "level": level, "verdict": verdict,
+                    "attainers": attainers, "orbit": int(sizes[m]), "family": family,
                 })
     return report
 

@@ -418,8 +418,8 @@ def test_kernel_cache_is_keyed_by_block_size(monkeypatch):
     assert oracle._kernel(5, 2) is small
     used = set()
     block = oracle._Kernel.block
-    monkeypatch.setattr(oracle._Kernel, "block", lambda self, k, lo, full=True: used.add(
-        id(self)) or block(self, k, lo, full))
+    monkeypatch.setattr(oracle._Kernel, "block", lambda self, k, lo, full=True, bits=None: used.add(
+        id(self)) or block(self, k, lo, full, bits))
     assert verify_kkt(5, 2).ok and verify_uniqueness(5, 2).ok
     assert exhaustive_search(SearchSpec(5, 2, 3, m=4)).optimum == 1
     assert used == {id(small)}
@@ -457,10 +457,17 @@ def test_kkt_sweep_reports_a_segment_that_does_not_attain(monkeypatch):
 
 
 def test_kkt_sweep_self_test(monkeypatch):
-    # level s counts the edges of every family; the scan counts whole blocks
+    # level s counts the edges of every family; the scan counts whole blocks,
+    # one or several per call, laid out [mid, block, low]
     block = oracle._Kernel.block
-    monkeypatch.setattr(oracle._Kernel, "block", lambda self, k, lo: block(self, k, lo) + (
-        (np.arange(lo, lo + (1 << self.bits)) == 5) & (k == self.s)))
+
+    def skewed(self, k, lo, full, bits):
+        los = np.atleast_1d(lo)
+        lb = bits // 2
+        ids = (los[:, None] + (np.arange(1 << (bits - lb))[:, None, None] << lb)
+               + np.arange(1 << lb)).reshape(np.shape(block(self, k, lo, full, bits)))
+        return block(self, k, lo, full, bits) + ((ids == 5) & (k == self.s))
+    monkeypatch.setattr(oracle._Kernel, "block", skewed)
     with pytest.raises(InternalCheckError, match="kernel self-test"):
         verify_kkt(4, 2)
 
@@ -506,6 +513,92 @@ def test_uniqueness_sweep_on_every_graph_on_7_vertices():
     rep = verify_uniqueness(7, 2)
     assert rep.ok and rep.families == 2 ** 21
     assert len(rep.checks) == 22 * 6    # m = 0..21; q = 1 and t = 3..7
+
+
+def _segment_levels(n, s):
+    """verify_kkt's levels: every k, watching the colex ids (k >= s) or the
+    retlex ids (k < s), whose complements are the colex ids."""
+    U = comb(n, s)
+    colex = (1 << np.arange(U + 1, dtype=np.int64)) - 1
+    retlex = (1 << U) - 1 - colex[::-1]
+    return [(k, retlex if k < s else colex, None) for k in range(n + 1)]
+
+
+LINK_SHAPES = [(n, s) for n in range(1, 21) for s in range(1, n + 1)
+               if comb(n, s) <= 20] + [(7, 2), (7, 5)]
+
+
+def test_link_sweep_matches_full_sweep(monkeypatch):
+    # one family per class of links at vertex n, every low part under each:
+    # the per-m maxima of every level and the segment counts are those of
+    # a sweep over every high part (at 4 bits the low part of most shapes is
+    # split over several blocks)
+    for bits, shapes in ((oracle.BLOCK_BITS, LINK_SHAPES),
+                         (4, [(n, s) for n, s in LINK_SHAPES if comb(n, s) <= 10])):
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, "BLOCK_BITS", bits)
+            for n, s in shapes:
+                levels = _segment_levels(n, s)
+                full = oracle._scan(_Kernel(n, s), levels)
+                link = oracle._scan(_Kernel(n, s, link=True), levels)
+                for k, (top, seen), (l_top, l_seen) in zip(range(n + 1), full, link):
+                    assert l_top.tolist() == top.tolist(), (bits, n, s, k)
+                    assert l_seen.tolist() == seen.tolist(), (bits, n, s, k)
+    # the ids whose link lies in the class of a representative r are the
+    # relabellings of those whose link is r, low parts and all, so the hit
+    # tally of a level over every id is the sum of the representatives'
+    # tallies weighted by their class sizes; at level s, where every id hits
+    # its edge count, that sum is C(U, m) for every m
+    none = np.zeros(0, dtype=np.int64)
+    for n, s in [(n, s) for n, s in LINK_SHAPES if n <= 7]:
+        top = [t for t, _ in oracle._scan(_Kernel(n, s), _segment_levels(n, s))]
+        levels = [(k, none, top[k]) for k in range(n + 1)]
+        want = [hits.tolist() for hits, _ in oracle._scan(_Kernel(n, s), levels)]
+        got = 0
+        for r in oracle._link_reps(n, s).tolist():
+            size = len(_Kernel(n - 1, s - 1).orbit(r)[0]) if s > 1 else 1
+            with monkeypatch.context() as mp:
+                mp.setattr(oracle, "_link_reps", lambda n, s: np.array([r]))
+                got += size * np.array([h for h, _ in oracle._scan(_Kernel(n, s, link=True), levels)])
+        assert got.tolist() == want, (n, s)
+        assert want[s] == [comb(comb(n, s), m) for m in range(comb(n, s) + 1)]
+    # the verdict rows of verify_uniqueness, with the real verdicts and, where
+    # a failure row's rescan is quick, with every verdict flipped
+    shapes = [(n, s) for n in range(1, 8) for s in range(1, n + 1) if comb(n, s) <= 21]
+    reports = {}
+    for link in (False, True):
+        monkeypatch.setattr(oracle, "_kernel", lambda n, s, link=link: _Kernel(n, s, link=link))
+        real = [verify_uniqueness(n, s) for n, s in shapes]
+        with monkeypatch.context() as mp:
+            for name in ("is_colex_unique", "is_clique_unique"):
+                mp.setattr(oracle, name, _flip_all(getattr(oracle, name)))
+            flipped = [verify_uniqueness(n, s).failures for n, s in shapes if comb(n, s) <= 20]
+        reports[link] = real, flipped
+    real, flipped = reports[True]
+    assert all(r.ok for r in real) and sum(map(len, flipped)) > 0
+    assert reports[True] == reports[False]
+
+
+def test_link_representatives():
+    # the links at vertex n of (5,3) and (6,3) are graphs on 4 and 5
+    # vertices (OEIS A000088); those of (6,4) and (7,5) are 3-graphs on 5 and
+    # 4-graphs on 6 vertices, which complementing each edge within [n - 1]
+    # turns into graphs on 5 and 6; at s - 1 in {0, 1, n - 2, n - 1} there
+    # is one class per edge count
+    for (n, s), classes in {(5, 3): 11, (6, 3): 34, (6, 4): 34, (7, 5): 156,
+                            (7, 2): 7, (24, 1): 2, (24, 23): 24}.items():
+        reps = oracle._link_reps(n, s)
+        assert len(reps) == classes and reps.tolist() == sorted(set(reps.tolist())), (n, s)
+        if n <= MAX_CANON_GROUND:
+            ker = _Kernel(n - 1, s - 1)
+            for r in reps.tolist():
+                # each is canonical_form's least labelling of its class
+                masks = sorted(ker.masks_of(r))
+                assert canonical_form(ker.family_of(r)) == bytes((n - 1, s - 1)) + bytes(masks)
+    # the ids the link sweep counts: 34 * 2^10 at (6,3), 7 * 2^15 at (7,2)
+    for (n, s), ids in {(6, 3): 34 << 10, (7, 2): 7 << 15}.items():
+        ker = oracle._kernel(n, s)
+        assert len(ker.plan()[0]) << ker.sweep_bits == ids
 
 
 def _scans(pairs):
