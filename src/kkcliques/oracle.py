@@ -54,9 +54,12 @@ block() call and sorts a chunk's counts by edge count once.  A failure
 row's family, and a uniqueness row's full attainer count, come from a
 rescan (_Kernel.hits) of every id with m edges.  One table
 per (n, s), _edge_perms, maps each edge to its image under every relabelling
-of [n]; canonical_form, _Kernel.orbit and the colex orbits of
-verify_uniqueness (_colex_orbits, kept per (n, s)) all read it, except
-_Kernel.orbit at s in {1, n-1, n}, the only shapes on n > 8 points.  The
+of [n]; canonical_form, the colex orbits of verify_uniqueness (_colex_orbits,
+kept per (n, s)) and _classes read it.  _classes is the one split of a
+relabelling-closed id set into classes: the search's witnesses and
+_link_reps come from it.  At s in {0, 1, n-1, n}, the only shapes on n > 8
+points, every permutation of the edges is a relabelling, so it reads the
+classes off the edge counts and builds no table.  The
 expected rows and verdicts of the sweeps are kept per shape too (_row), each
 with the function it came from, and rebuilt when this module's binding of
 that function changes.  So a warm sweep runs only the scan and its checks.
@@ -126,9 +129,10 @@ def _colex_orbits(n: int, s: int) -> tuple[np.ndarray, ...]:
     order; and the orbit size per m.  All read-only."""
     import numpy as np
     # column m - 1 of the accumulated row p is the id of C_s(m) relabelled
-    # by p, and id 0 is C_s(0)
-    ids = np.unique(np.append(
+    # by p, and id 0 is C_s(0); sorted, each run of equal ids kept once
+    ids = np.sort(np.append(
         0, np.bitwise_or.accumulate(np.uint32(1) << _edge_perms(n, s)[1], axis=1)))
+    ids = ids[np.append(True, ids[1:] != ids[:-1])]
     U = comb(n, s)
     m_of = np.bitwise_count(ids)
     out = (ids, m_of, (1 << U) - 1 - ids[::-1], U - m_of[::-1],
@@ -158,6 +162,49 @@ def canonical_form(H: SetFamily) -> bytes:
     if H.n > MAX_CANON_GROUND:
         raise ValueError(f"canonical_form supports n <= {MAX_CANON_GROUND}, got {H.n}")
     return bytes((H.n, H.s)) + _images(H.n, H.s, list(H.edges))[1].tobytes()
+
+
+def _classes(n: int, s: int, ids: np.ndarray) -> list[tuple[int, ...]]:
+    """The least labelling (canonical_form's edge masks) of each relabelling
+    class among ids, sorted and closed under relabelling, in order of each
+    class's lowest id.
+
+    At s in {0, 1, n - 1, n} every permutation of the edges is a relabelling,
+    so the classes are the edge counts present, each holding all C(U, m) ids
+    with m edges, and the least labelling is the first m edges; these are the
+    only shapes on n > 8 points the universe cap admits.  Otherwise each
+    class is walked from its lowest uncovered id through the relabelling
+    table, its orbit deduplicated by np.sort, not np.unique, whose first call
+    imports numpy.ma (about 15 ms that a CLI command would otherwise pay).
+    An orbit that leaves ids is an InternalCheckError."""
+    import numpy as np
+
+    def leaves(fid) -> InternalCheckError:
+        return InternalCheckError(f"orbit of attainer {int(fid)} leaves the attainer set")
+    U = comb(n, s)
+    if s in (0, 1, n - 1, n):
+        m_of = np.bitwise_count(ids)
+        # bincount casts its input to intp, 8 bytes per id: count 2^20 at a time
+        have = sum((np.bincount(m_of[i:i + (1 << 20)], minlength=U + 1)
+                    for i in range(0, len(ids), 1 << 20)), np.zeros(U + 1, dtype=np.int64))
+        bad = (have > 0) & (have != [comb(U, m) for m in range(U + 1)])
+        if bad.any():
+            raise leaves(ids[bad[m_of]][0])
+        universe = list(_colex_masks(n, s))
+        return [tuple(universe[:m]) for m in np.flatnonzero(have)]
+    universe = _edge_perms(n, s)[0]
+    covered = np.zeros(len(ids), dtype=bool)
+    out, k = [], 0
+    while k < len(ids) and not covered[k]:
+        rows, least = _images(n, s, [universe[j] for j in _bit_positions(int(ids[k]))])
+        orbit = np.sort(np.bitwise_or.reduce(np.uint32(1) << rows, axis=1))
+        pos = np.searchsorted(ids, orbit)
+        if pos[-1] == len(ids) or not np.array_equal(ids[pos], orbit):
+            raise leaves(ids[k])
+        covered[pos] = True
+        out.append(tuple(least.tolist()))
+        k += int(covered[k:].argmin())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -237,32 +284,11 @@ class _Kernel:
         for lo, F in self.blocks(m):
             yield F[keep(F, self.block(level, lo, full)[F - lo])]
 
-    def first_id(self, m: int, level: int, full: bool,
-                 keep: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Optional[int]:
-        """The lowest id with m edges whose level count passes keep(ids, counts)."""
-        return next((int(F[0]) for F in self.hits(m, level, full, keep) if len(F)), None)
-
     def masks_of(self, fid: int) -> tuple[int, ...]:
         return tuple(self.universe[j] for j in _bit_positions(int(fid)))
 
     def family_of(self, fid: int) -> SetFamily:
         return SetFamily(self.n, self.s, frozenset(self.masks_of(fid)))
-
-    def orbit(self, fid: int) -> tuple[np.ndarray, tuple[int, ...]]:
-        """The sorted ids of every relabelling of family fid, and the masks of
-        its canonical (lexicographically least sorted) relabelling.
-
-        At s = 1, n - 1 or n the relabellings permute the edges in every way,
-        so the orbit is every id with as many edges and the least relabelling
-        is the first edges of the universe.  Every other shape the universe
-        cap admits has n <= 8 and reads the relabelling table."""
-        import numpy as np
-        if self.s in (1, self.n - 1, self.n):
-            m = int(fid).bit_count()
-            return np.concatenate([F for _, F in self.blocks(m)]), tuple(self.universe[:m])
-        rows, least = _images(self.n, self.s, list(self.masks_of(fid)))
-        ids = np.unique(np.bitwise_or.reduce(np.uint32(1) << rows, axis=1))
-        return ids, tuple(least.tolist())
 
     def masks(self, k: int) -> np.ndarray:
         """The edge mask of every k-set of [n], in colex order: the edges
@@ -441,26 +467,12 @@ def _popcount_runs(bits: int, hs: tuple[int, ...] = (0,)) -> tuple[np.ndarray, .
 def _link_reps(n: int, s: int) -> np.ndarray:
     """The least labelling (canonical_form's) of every class of
     (s-1)-uniform families on [n - 1], as ids over the C(n-1, s-1) edges
-    through vertex n, ascending.  At s - 1 in {0, 1, n - 2, n - 1} all
-    families with j edges are isomorphic, so these are the first j edges;
-    otherwise n - 1 <= 6, and the orbits are walked from the lowest uncovered
-    id through the relabelling table, as _Kernel.orbit reads it (but without
-    np.unique, whose first call imports numpy.ma, about 20 ms that a
-    verify kkt command would otherwise pay)."""
+    through vertex n, ascending (_classes over every id)."""
     import numpy as np
-    c = comb(n - 1, s - 1)
-    if s - 1 in (0, 1, n - 2, n - 1):
-        return (1 << np.arange(c + 1, dtype=np.int64)) - 1
-    ker = _Kernel(n - 1, s - 1)
-    bit = {e: 1 << j for j, e in enumerate(ker.universe)}
-    covered = np.zeros(1 << c, dtype=bool)
-    reps, fid = [], 0
-    while not covered[fid]:
-        rows, least = _images(n - 1, s - 1, list(ker.masks_of(fid)))
-        covered[np.bitwise_or.reduce(np.uint32(1) << rows, axis=1)] = True
-        reps.append(sum(bit[e] for e in least.tolist()))
-        fid += int(covered[fid:].argmin())
-    reps = np.array(sorted(reps), dtype=np.int64)
+    bit = {e: 1 << j for j, e in enumerate(_colex_masks(n - 1, s - 1))}
+    every = np.arange(1 << comb(n - 1, s - 1), dtype=np.uint32)
+    reps = np.array(sorted(sum(bit[e] for e in least) for least in _classes(n - 1, s - 1, every)),
+                    dtype=np.int64)
     reps.flags.writeable = False
     return reps
 
@@ -546,10 +558,9 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
 
     Filters every family id by edge count, then i-degree, then u-clique
     count, and counts t-cliques on the survivors only.  The witnesses are
-    one per isomorphism class: the attainers are closed under relabelling, so
-    the lowest uncovered attainer id is canonicalised once, its orbit
-    (_Kernel.orbit) is marked covered, and the witness is the class's least
-    labelling; witnesses come sorted by canonical form.  threads is kept for
+    one per isomorphism class, the least labelling of each class of the
+    attainer ids (_classes, which checks that they are closed under
+    relabelling), sorted by canonical form.  threads is kept for
     compatibility and has no effect; it must be >= 1.
     """
     import numpy as np
@@ -578,23 +589,7 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
 
     if best is None:
         return SearchResult("infeasible", None, [], 0, scanned)
-    ids = np.concatenate(attainers)
-    # the attainers are closed under relabelling: canonicalise the lowest id
-    # of each orbit and mark the whole orbit covered
-    covered = np.zeros(len(ids), dtype=bool)
-    reps = []
-    for k in range(len(ids)):
-        if covered[k]:
-            continue
-        orbit, canon = ker.orbit(ids[k])
-        pos = np.searchsorted(ids, orbit)
-        if pos[-1] == len(ids) or not np.array_equal(ids[pos], orbit):
-            raise InternalCheckError(
-                f"orbit of attainer {int(ids[k])} leaves the attainer set"
-            )
-        covered[pos] = True
-        reps.append(canon)
-    reps.sort()
+    reps = sorted(_classes(spec.n, spec.s, np.concatenate(attainers)))
     witnesses = [SetFamily(spec.n, spec.s, frozenset(r)) for r in reps]
     return SearchResult("ok", best, witnesses, len(reps), scanned)
 
@@ -751,7 +746,8 @@ def verify_kkt(n: int, s: int) -> SweepReport:
         kind, _, level, is_full, seg, seg_ids, expected = table[i]
         for m in np.flatnonzero(beyond[i]):
             e = expected[m]
-            fid = ker.first_id(m, level, is_full, lambda F, c: c > e if is_full else c < e)
+            keep = (lambda F, c: c > e) if is_full else (lambda F, c: c < e)
+            fid = next((int(F[0]) for F in ker.hits(m, level, is_full, keep) if len(F)), None)
             report.failures.append({
                 "kind": kind, "m": int(m), "level": level,
                 "expected": int(e), "got": int(ext[i, m]),

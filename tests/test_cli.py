@@ -495,6 +495,7 @@ def test_leaf_loads_only_its_modules(leaf, family_files):
         ["kkcliques", "kkcliques.bounds", "kkcliques.cascade", "kkcliques.cli",
          "kkcliques.errors", "kkcliques.uniqueness"] + [f"kkcliques.{m}" for m in extra])
     assert ("numpy" in loaded) == ("numpy" in LEAF_LOADS[leaf])
+    assert "numpy.ma" not in loaded
 
 
 def test_cli_calls_the_library_through_its_modules():

@@ -164,19 +164,19 @@ def test_search_widest_universe():
     assert r.witnesses[0].edge_lists() == [(v,) for v in range(1, 13)]
 
 
-def test_orbits_without_the_relabelling_table_match_it():
-    # at s in {1, n-1, n} the orbit is every id with as many edges and the
-    # least relabelling the first edges; the table must agree on every id
+def test_classes_match_canonical_forms():
+    # over every id of a shape, _classes gives each class's canonical_form
+    # once, in order of the class's lowest id, whether it reads the classes
+    # off the edge counts (s in {1, n-1, n}) or walks the relabelling table
     for n in range(1, MAX_CANON_GROUND + 1):
-        for s in {1, n - 1, n} - {0}:
+        for s in range(1, n + 1):
+            if comb(n, s) > 12:
+                continue
             ker = _Kernel(n, s)
-            for fid in range(1 << ker.U):
-                rows, least = oracle._images(n, s, list(ker.masks_of(fid)))
-                ids, canon = ker.orbit(fid)
-                assert ids.dtype == np.uint32
-                assert ids.tolist() == np.unique(
-                    np.bitwise_or.reduce(np.uint32(1) << rows, axis=1)).tolist(), (n, s, fid)
-                assert canon == tuple(least.tolist()), (n, s, fid)
+            forms = dict.fromkeys(canonical_form(ker.family_of(fid)) for fid in range(1 << ker.U))
+            got = [bytes((n, s)) + bytes(least)
+                   for least in oracle._classes(n, s, np.arange(1 << ker.U, dtype=np.uint32))]
+            assert got == list(forms), (n, s)
 
 
 def test_wide_universes_do_not_count_k_sets_one_by_one():
@@ -556,7 +556,10 @@ def test_link_sweep_matches_full_sweep(monkeypatch):
         want = [hits.tolist() for hits, _ in oracle._scan(_Kernel(n, s), levels)]
         got = 0
         for r in oracle._link_reps(n, s).tolist():
-            size = len(_Kernel(n - 1, s - 1).orbit(r)[0]) if s > 1 else 1
+            # the class size: the distinct ids of r's relabellings
+            link = [e for j, e in enumerate(_colex_masks(n - 1, s - 1)) if r >> j & 1]
+            rows = oracle._images(n - 1, s - 1, link)[0]
+            size = len(np.unique(np.bitwise_or.reduce(np.uint32(1) << rows, axis=1)))
             with monkeypatch.context() as mp:
                 mp.setattr(oracle, "_link_reps", lambda n, s: np.array([r]))
                 got += size * np.array([h for h, _ in oracle._scan(_Kernel(n, s, link=True), levels)])
