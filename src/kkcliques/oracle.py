@@ -4,9 +4,9 @@ Everything here is small-n machinery whose only job is to confirm the
 closed-form operations by raw enumeration:
 
   * canonical_form: lexicographic-minimal relabelling, n <= 8;
-  * exhaustive_search: scan all s-uniform families on [n] under constraints
-    (edge count, max i-degree, prescribed u-clique count) maximising the
-    t-clique count, on the same vectorised kernel as the sweeps;
+  * exhaustive_search: maximise the t-clique count over the s-uniform
+    families on [n] under constraints (edge count, max i-degree, prescribed
+    u-clique count), on the same vectorised kernel and plan as the sweeps;
   * verify_kkt: vectorised sweep of every family on [n] checking minimal
     shadows / maximal clique counts / minimal upshadows against the cascade
     formulas;
@@ -20,8 +20,9 @@ The numpy kernel indexes families by an integer whose bit j says whether the
 j-th edge of the colex-sorted universe is present, so id 2^m - 1 is C_s(m),
 the top-run id is the retlex segment and 2^U - 1 - id is the complement.
 Search and sweeps share one kernel, _Kernel, for universes of up to
-MAX_UNIVERSE = 24 edges: blocks() streams the ids 2^BLOCK_BITS at a time,
-masks() builds the k-sets' edge masks once per level, and block(), the one
+MAX_UNIVERSE = 24 edges: plan() lays their ids out in blocks of at most
+2^BLOCK_BITS, hits() rescans every id with m edges, masks() builds the
+k-sets' edge masks once per level, and block(), the one
 counting call, counts the k-sets whose mask lies inside (or meets) each id
 of a block with one bincount and two small matrix products, exact in
 float32 since no count reaches 2^24; a filtered caller indexes its ids in it.
@@ -49,17 +50,25 @@ members.  _kernel takes the link sweep where it does less work (_link_pays):
 at (6,3) it counts 34 * 2^10 = 34,816 ids, not 2^20, and at (7,2)
 7 * 2^15 = 229,376, not 2^21, plus the watched ids it skips (segments and
 colex orbits, counted on their own); a report's families still counts all
-2^U families the sweep covers.  The scan counts a chunk of blocks per
-block() call and sorts a chunk's counts by edge count once.  A failure
+2^U families the sweep covers, and a search's families_scanned every family
+that meets its constraints, each swept id standing for its link class's
+size.  The scan counts a chunk of blocks per block() call and sorts a
+chunk's counts by edge count once; the search reads the ids with m edges off
+that order.  A failure
 row's family, and a uniqueness row's full attainer count, come from a
 rescan (_Kernel.hits) of every id with m edges.  One table
 per (n, s), _edge_perms, maps each edge to its image under every relabelling
 of [n]; canonical_form, the colex orbits of verify_uniqueness (_colex_orbits,
-kept per (n, s)) and _classes read it.  _classes is the one split of a
-relabelling-closed id set into classes: the search's witnesses and
-_link_reps come from it.  At s in {0, 1, n-1, n}, the only shapes on n > 8
-points, every permutation of the edges is a relabelling, so it reads the
-classes off the edge counts and builds no table.  The
+kept per (n, s)) and _classes read it.  _classes is the one split of ids
+into relabelling classes: the search's witnesses and _link_reps, with their
+class sizes, come from it.  It ORs an id's edge bits under every relabelling
+into its orbit.  The search passes only the attainers it swept; an orbit id
+missing from them must be one its plan skips, and is recounted against the
+constraints and the optimum, so an attainer set not closed under
+relabelling is still caught.  At s in {0, 1, n-1, n}, the only shapes on
+n > 8 points, every permutation of the edges is a relabelling, so the
+classes are the edge counts: the search keeps only its attainers' number per
+edge count, and no table is built.  The
 expected rows and verdicts of the sweeps are kept per shape too (_row), each
 with the function it came from, and rebuilt when this module's binding of
 that function changes.  So a warm sweep runs only the scan and its checks.
@@ -164,46 +173,78 @@ def canonical_form(H: SetFamily) -> bytes:
     return bytes((H.n, H.s)) + _images(H.n, H.s, list(H.edges))[1].tobytes()
 
 
-def _classes(n: int, s: int, ids: np.ndarray) -> list[tuple[int, ...]]:
-    """The least labelling (canonical_form's edge masks) of each relabelling
-    class among ids, sorted and closed under relabelling, in order of each
-    class's lowest id.
+def _symmetric(n: int, s: int) -> bool:
+    """Whether every permutation of the s-sets of [n] is a relabelling: then
+    two families are isomorphic iff they have as many edges."""
+    return s in (0, 1, n - 1, n)
 
-    At s in {0, 1, n - 1, n} every permutation of the edges is a relabelling,
-    so the classes are the edge counts present, each holding all C(U, m) ids
-    with m edges, and the least labelling is the first m edges; these are the
-    only shapes on n > 8 points the universe cap admits.  Otherwise each
-    class is walked from its lowest uncovered id through the relabelling
-    table, its orbit deduplicated by np.sort, not np.unique, whose first call
-    imports numpy.ma (about 15 ms that a CLI command would otherwise pay).
-    An orbit that leaves ids is an InternalCheckError."""
+
+@cache
+def _edge_bits(n: int, s: int) -> np.ndarray:
+    """1 << _edge_perms(n, s)[1], read-only: OR-ing row p over an id's edge
+    indices gives the id relabelled by p."""
+    import numpy as np
+    EB = np.uint32(1) << _edge_perms(n, s)[1]
+    EB.flags.writeable = False
+    return EB
+
+
+def _classes(n: int, s: int, members: np.ndarray | list[int],
+             check: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> list[tuple[int, int]]:
+    """The least labelling (canonical_form's), as an id, and the size of every
+    relabelling class that members meet, in order of each class's lowest
+    member.
+
+    At s in {0, 1, n - 1, n} (_symmetric) a class is every id with m edges
+    and its least labelling is the first m edges; members is then the number
+    of members per edge count, which must be 0 or C(U, m).  These are the
+    only shapes on n > 8 points the universe cap admits.  Elsewhere members
+    is a sorted id array, and each class is walked from its lowest uncovered
+    member: its orbit is the OR of the member's edge bits under every
+    relabelling (_edge_bits), deduplicated by np.sort, not np.unique, whose
+    first call imports numpy.ma (about 15 ms that a CLI command would
+    otherwise pay); its least labelling, the least sorted edge list, is the
+    orbit id with the largest bit-reversed value.  The members must be closed
+    under relabelling, or, when check is given, be the ids a sweep visits of
+    a closed set: check(ids) then says, per orbit id missing from members,
+    whether the sweep skips it and it belongs to the set.  An orbit that
+    leaves the set is an InternalCheckError."""
     import numpy as np
 
-    def leaves(fid) -> InternalCheckError:
-        return InternalCheckError(f"orbit of attainer {int(fid)} leaves the attainer set")
+    def leaves(what) -> InternalCheckError:
+        return InternalCheckError(f"orbit of {what} leaves the attainer set")
     U = comb(n, s)
-    if s in (0, 1, n - 1, n):
-        m_of = np.bitwise_count(ids)
-        # bincount casts its input to intp, 8 bytes per id: count 2^20 at a time
-        have = sum((np.bincount(m_of[i:i + (1 << 20)], minlength=U + 1)
-                    for i in range(0, len(ids), 1 << 20)), np.zeros(U + 1, dtype=np.int64))
-        bad = (have > 0) & (have != [comb(U, m) for m in range(U + 1)])
-        if bad.any():
-            raise leaves(ids[bad[m_of]][0])
-        universe = list(_colex_masks(n, s))
-        return [tuple(universe[:m]) for m in np.flatnonzero(have)]
-    universe = _edge_perms(n, s)[0]
-    covered = np.zeros(len(ids), dtype=bool)
-    out, k = [], 0
-    while k < len(ids) and not covered[k]:
-        rows, least = _images(n, s, [universe[j] for j in _bit_positions(int(ids[k]))])
-        orbit = np.sort(np.bitwise_or.reduce(np.uint32(1) << rows, axis=1))
-        pos = np.searchsorted(ids, orbit)
-        if pos[-1] == len(ids) or not np.array_equal(ids[pos], orbit):
-            raise leaves(ids[k])
-        covered[pos] = True
-        out.append(tuple(least.tolist()))
+    if _symmetric(n, s):
+        bad = [m for m, have in enumerate(members) if have and have != comb(U, m)]
+        if bad:
+            raise leaves(f"the attainers with {bad[0]} edges")
+        return [((1 << m) - 1, comb(U, m)) for m, have in enumerate(members) if have]
+    EB = _edge_bits(n, s)
+    covered = np.zeros(len(members), dtype=bool)
+    out, missing, k = [], [], 0
+    while k < len(members) and not covered[k]:
+        orbit = np.sort(np.bitwise_or.reduce(EB[:, _bit_positions(int(members[k]))], axis=1))
+        orbit = orbit[np.append(True, orbit[1:] != orbit[:-1])]
+        pos = np.searchsorted(members, orbit).clip(max=len(members) - 1)
+        found = members[pos] == orbit
+        if not found.all():
+            if check is None:
+                raise leaves(f"attainer {int(members[k])}")
+            missing.append((int(members[k]), orbit[~found]))
+        covered[pos[found]] = True
+        # of two ids, the least sorted edge list holds the lowest bit where
+        # they differ, so it is the larger with the bits reversed
+        r = orbit.copy()
+        for shift, mask in ((1, 0x55555555), (2, 0x33333333), (4, 0x0F0F0F0F)):
+            r = (r >> shift) & mask | (r & mask) << shift
+        out.append((int(orbit[r.byteswap().argmax()]), len(orbit)))
         k += int(covered[k:].argmin())
+    if missing:
+        # the orbit ids missing from members, all checked in one call
+        ok = check(np.concatenate([ids for _, ids in missing]))
+        if not ok.all():
+            ends = np.cumsum([len(ids) for _, ids in missing])
+            raise leaves(f"attainer {missing[int(np.searchsorted(ends, ok.argmin(), 'right'))][0]}")
     return out
 
 
@@ -233,10 +274,10 @@ def _colex_array(n: int, k: int) -> np.ndarray:
 
 class _Kernel:
     """The C(n,s) s-sets of [n] in colex order, and exact counts over family
-    ids: bit j of an id says that universe[j] is an edge.  The search scans
-    all 2^C(n,s) ids through blocks(), 2^bits ids at a time; the sweeps scan
-    the blocks of plan(), 2^sweep_bits ids each: every id, or when link is
-    set one family per class of links at vertex n."""
+    ids: bit j of an id says that universe[j] is an edge.  The sweeps and
+    the search scan the blocks of plan(), 2^sweep_bits ids each: every id,
+    or when link is set one family per class of links at vertex n; hits()
+    rescans every id with m edges, 2^bits ids at a time."""
 
     def __init__(self, n: int, s: int, link: bool = False):
         if not 1 <= s <= n:
@@ -257,32 +298,24 @@ class _Kernel:
         self.split = comb(n - 1, s) if link else U
         self.sweep_bits = min(self.split, BLOCK_BITS)
         self._levels: dict[tuple[int, int], tuple] = {}
-        self._plan: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._plan: Optional[tuple[np.ndarray, ...]] = None
         self._chunks: dict[int, list[tuple]] = {}
         self._located: dict[tuple, tuple] = {}
         # masks(k) per k, built once: the search's i-degree caps and a link
         # kernel's level tables read them
         self.kmasks: dict[int, np.ndarray] = {}
 
-    def blocks(self, m: Optional[int] = None) -> Iterator[tuple[int, np.ndarray]]:
-        """(lo, ids) for every block of the 2^bits ids from lo, in ascending
-        order: all of its ids, or when m is given only those with m edges,
-        read off the block's popcount run."""
-        import numpy as np
-        step = 1 << self.bits
-        order, starts, widths = _popcount_runs(self.bits)
-        for lo in range(0, 1 << self.U, step):
-            if m is None:
-                yield lo, np.arange(lo, lo + step, dtype=np.uint32)
-            elif 0 <= (p := m - lo.bit_count()) <= self.bits:
-                yield lo, (order[starts[p]:starts[p] + widths[p]] + lo).astype(np.uint32)
-
     def hits(self, m: int, level: int, full: bool,
              keep: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
-        """Per block, in ascending order, the ids with m edges whose level
-        count passes keep(ids, counts)."""
-        for lo, F in self.blocks(m):
-            yield F[keep(F, self.block(level, lo, full)[F - lo])]
+        """Per block of 2^bits ids, in ascending order, the ids with m edges
+        (read off the block's popcount run) whose level count passes
+        keep(ids, counts)."""
+        import numpy as np
+        order, starts, widths = _popcount_runs(self.bits)
+        for lo in range(0, 1 << self.U, 1 << self.bits):
+            if 0 <= (p := m - lo.bit_count()) <= self.bits:
+                F = (order[starts[p]:starts[p] + widths[p]] + lo).astype(np.uint32)
+                yield F[keep(F, self.block(level, lo, full)[F - lo])]
 
     def masks_of(self, fid: int) -> tuple[int, ...]:
         return tuple(self.universe[j] for j in _bit_positions(int(fid)))
@@ -306,24 +339,29 @@ class _Kernel:
             self.kmasks[k] = self.masks(k)
         return self.kmasks[k]
 
-    def plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def plan(self) -> tuple[np.ndarray, ...]:
         """The starts of the blocks of 2^sweep_bits ids a sweep counts, ordered
-        by the popcount of their bits above the block; those popcounts; and
-        the blocks' ranks in ascending order of their starts.
+        by the popcount of their bits above the block; those popcounts; the
+        blocks' ranks in ascending order of their starts; and per block the
+        number of ids it stands for, the size of its link's class.
 
         The blocks cover the ids whose link H at vertex n is any of the
         2^C(n-1, s-1) links, or when link is set only the least labelling of
         each link class (_link_reps), with every low part under each.  A
         relabelling of [n - 1] fixes n and maps the link and the low part
-        together, so every family is isomorphic to one of the link ids."""
+        together, so every family is isomorphic to one of the link ids, and
+        the ids of a block stand for as many families as its link's class
+        holds."""
         import numpy as np
         if self._plan is None:
-            highs = _link_reps(self.n, self.s) if self.link else np.zeros(1, dtype=np.int64)
+            highs, sizes = (_link_reps(self.n, self.s) if self.link else
+                            (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)))
             mids = np.arange(1 << (self.split - self.sweep_bits))
             los = ((highs[:, None] << self.split) | (mids << self.sweep_bits)).ravel()
             h = np.bitwise_count(los >> self.sweep_bits)
             order = np.argsort(h, kind="stable")
-            self._plan = (los[order], h[order].astype(np.intp), np.argsort(los[order]))
+            self._plan = (los[order], h[order].astype(np.intp), np.argsort(los[order]),
+                          np.repeat(sizes, len(mids))[order])
         return self._plan
 
     def chunks(self, per: int) -> list[tuple]:
@@ -332,7 +370,7 @@ class _Kernel:
         id order), the edge counts its ids take (a slice), and the run's
         _popcount_runs."""
         if per not in self._chunks:
-            los, hs, _ = self.plan()
+            los, hs, *_ = self.plan()
             self._chunks[per] = [
                 (c0, int(los[c0]) if len(h) == 1 else los[c0:c0 + per],
                  slice(h[0], h[-1] + self.sweep_bits + 1),
@@ -350,7 +388,7 @@ class _Kernel:
         import numpy as np
         key = (ids.dtype.str, ids.tobytes())
         if key not in self._located:
-            los, _, ranked = self.plan()
+            los, _, ranked, _ = self.plan()
             ids = ids.astype(np.int64)
             lo = ids >> self.sweep_bits << self.sweep_bits
             at = ranked[np.searchsorted(los[ranked], lo).clip(max=len(los) - 1)]
@@ -364,6 +402,16 @@ class _Kernel:
         if "swept" not in derived:
             derived["swept"] = np.bincount(np.bitwise_count(ids[rank >= 0]), minlength=self.U + 1)
         return derived["swept"]
+
+    def sweeps(self, ids: np.ndarray) -> np.ndarray:
+        """Per id, whether plan() covers it: every id, or on a link kernel
+        those whose link is the least labelling of its class."""
+        import numpy as np
+        if not self.link:
+            return np.ones(len(ids), dtype=bool)
+        reps = _link_reps(self.n, self.s)[0]
+        H = ids.astype(np.int64) >> self.split
+        return reps[np.searchsorted(reps, H).clip(max=len(reps) - 1)] == H
 
     def _level(self, k: int, bits: int) -> tuple:
         """For blocks of 2^bits ids: per k-set, its (mid, low) pattern index
@@ -450,10 +498,10 @@ def _popcount_runs(bits: int, hs: tuple[int, ...] = (0,)) -> tuple[np.ndarray, .
     steps of at most one): the entries in edge-count order (each run
     ascending), and where the run of each edge count h0, h0 + 1, ... starts
     and how wide it is.  With hs = (0,) the layout is one block in id order:
-    blocks(m) reads a block's ids with m edges off one run, and _scan gathers
-    a chunk's counts into this order once per chunk and level.  The int64
-    order is 0.5 MB at 16 bits, but a narrower one makes the gather 2x
-    slower."""
+    hits() reads a block's ids with m edges off one run, the search a
+    chunk's, and _scan gathers a chunk's counts into this order once per
+    chunk and level.  The int64 order is 0.5 MB at 16 bits, but a narrower
+    one makes the gather 2x slower."""
     import numpy as np
     lb = bits // 2
     pc = np.bitwise_count(np.arange(1 << (bits - lb), dtype=np.uint32)).astype(np.intp)
@@ -464,17 +512,22 @@ def _popcount_runs(bits: int, hs: tuple[int, ...] = (0,)) -> tuple[np.ndarray, .
 
 
 @cache
-def _link_reps(n: int, s: int) -> np.ndarray:
+def _link_reps(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """The least labelling (canonical_form's) of every class of
     (s-1)-uniform families on [n - 1], as ids over the C(n-1, s-1) edges
-    through vertex n, ascending (_classes over every id)."""
+    through vertex n, ascending, and the size of each class: _classes over
+    every id.  Read-only."""
     import numpy as np
-    bit = {e: 1 << j for j, e in enumerate(_colex_masks(n - 1, s - 1))}
-    every = np.arange(1 << comb(n - 1, s - 1), dtype=np.uint32)
-    reps = np.array(sorted(sum(bit[e] for e in least) for least in _classes(n - 1, s - 1, every)),
-                    dtype=np.int64)
-    reps.flags.writeable = False
-    return reps
+    n1, s1 = n - 1, s - 1
+    U1 = comb(n1, s1)
+    every = ([comb(U1, m) for m in range(U1 + 1)] if _symmetric(n1, s1)
+             else np.arange(1 << U1, dtype=np.uint32))
+    reps, sizes = np.array(sorted(_classes(n1, s1, every)), dtype=np.int64).T
+    if int(sizes.sum()) != 1 << U1:
+        raise InternalCheckError(f"link classes of ({n},{s}) cover {int(sizes.sum())} "
+                                 f"of 2^{U1} links")
+    reps.flags.writeable = sizes.flags.writeable = False
+    return reps, sizes
 
 
 def _kernel(n: int, s: int) -> _Kernel:
@@ -556,40 +609,109 @@ class SearchResult:
 def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     """Maximise the t-clique count over all families matching spec.
 
-    Filters every family id by edge count, then i-degree, then u-clique
-    count, and counts t-cliques on the survivors only.  The witnesses are
-    one per isomorphism class, the least labelling of each class of the
-    attainer ids (_classes, which checks that they are closed under
-    relabelling), sorted by canonical form.  threads is kept for
-    compatibility and has no effect; it must be >= 1.
+    Counts the ids of ker.plan() a chunk at a time, as the sweeps do: every
+    id, or on a link kernel one family per class of links at vertex n.  The
+    edge count, the i-degree and the u- and t-clique counts are unchanged by
+    relabelling, so the optimum over those ids is the optimum over all.  Of
+    each chunk it takes the ids with m edges (one run of its popcount order),
+    filters them by i-degree, then u-clique count, and compares the t-clique
+    counts of the survivors.  families_scanned still counts every family that
+    passes the filters: each swept id stands for its link class's size.  The
+    witnesses are one per isomorphism class, the least labelling of each class
+    of the swept attainers (_classes), sorted by canonical form.  An orbit
+    id missing from the swept attainers must be one the plan skips, and is
+    recounted against the constraints and the optimum, so an attainer set
+    not closed under relabelling is an InternalCheckError; at s in {0, 1,
+    n - 1, n} the search keeps only the number of attainers per edge count,
+    and the check is that it is C(U, m).  threads is kept for compatibility
+    and has no effect; it must be >= 1.
     """
     import numpy as np
     if threads < 1:
         raise ValueError("threads must be >= 1")
     ker = _kernel(spec.n, spec.s)
     caps = () if spec.i is None else ker.edge_masks(spec.i)
+    b = ker.sweep_bits
+    lb = b // 2
+    weights = ker.plan()[3]
+    # blocks per block() call, as _scan takes them for the widest level read
+    widest = max(comb(spec.n, k) for k in (spec.t, spec.u) if k is not None)
+    per = min(1 << (ker.bits - b), max(1, (1 << 20) // widest))
+    symmetric = _symmetric(spec.n, spec.s)
+
+    def capped(F: np.ndarray) -> np.ndarray:
+        # one mask over all caps: a boolean gather per cap costs more
+        ok = np.ones(len(F), dtype=bool)
+        for im in caps:
+            ok &= np.bitwise_count(F & im) <= spec.max_degree
+        return ok
 
     best: Optional[int] = None
-    attainers: list[np.ndarray] = []
+    # the attainers so far: per edge count, weighted, where that is all
+    # _classes reads; elsewhere their ids, in one growing array
+    tally = np.zeros(ker.U + 1, dtype=np.int64)
+    found, size = np.zeros(0, dtype=np.uint32), 0
     scanned = 0
-    for lo, F in ker.blocks(spec.m):
-        for im in caps:
-            F = F[np.bitwise_count(F & im) <= spec.max_degree]
+    for c0, lo, ms, order, starts, widths in ker.chunks(per):
+        if spec.m is None:
+            pos = np.arange(len(order), dtype=np.uint32)
+        elif 0 <= (p := spec.m - ms.start) < len(widths) and widths[p]:
+            pos = order[starts[p]:starts[p] + widths[p]]
+        else:
+            continue
+        # one block is laid out in id order, several as [mid, block, low]
+        nb = 1 if isinstance(lo, int) else len(lo)
+        if nb == 1:
+            F = (pos + lo).astype(np.uint32, copy=False)
+        else:
+            mid, blk = np.divmod(pos >> lb, nb)
+            F = (lo[blk] | mid << lb | pos & ((1 << lb) - 1)).astype(np.uint32)
+        if spec.i is not None:
+            keep = capped(F)
+            F, pos = F[keep], pos[keep]
         if spec.u is not None:
-            F = F[ker.block(spec.u, lo)[F - lo] == spec.p]
-        scanned += len(F)
+            keep = ker.block(spec.u, lo, True, b).ravel()[pos] == spec.p
+            F, pos = F[keep], pos[keep]
+        # each id stands for as many families as its block's link class holds
+        w = weights[c0 + (pos >> lb) % nb]
+        scanned += int(w.sum())
         if not len(F):
             continue
-        cnt = ker.block(spec.t, lo)[F - lo]
+        cnt = ker.block(spec.t, lo, True, b).ravel()[pos]
         top = int(cnt.max())
         if best is None or top > best:
-            best, attainers = top, []
+            best, size = top, 0
+            tally[:] = 0
         if top == best:
-            attainers.append(F[cnt == top])
+            hit = cnt == top
+            if symmetric:
+                tally += np.bincount(np.bitwise_count(F[hit]), weights=w[hit],
+                                     minlength=ker.U + 1).astype(np.int64)
+                continue
+            F = F[hit]
+            if size + len(F) > len(found):
+                found = np.concatenate((found[:size], np.empty(max(size, len(F)), dtype=np.uint32)))
+            found[size:size + len(F)] = F
+            size += len(F)
 
     if best is None:
         return SearchResult("infeasible", None, [], 0, scanned)
-    reps = sorted(_classes(spec.n, spec.s, np.concatenate(attainers)))
+
+    def attains(ids: np.ndarray) -> np.ndarray:
+        ok = ker.block(spec.t, ids, True, 0).ravel() == best
+        ok &= capped(ids)
+        if spec.m is not None:
+            ok &= np.bitwise_count(ids) == spec.m
+        if spec.u is not None:
+            ok &= ker.block(spec.u, ids, True, 0).ravel() == spec.p
+        return ok
+    found = found[:size]
+    found.sort()
+    # an orbit id that is not a swept attainer must be one the plan skips
+    # and attain on a recount
+    classes = _classes(spec.n, spec.s, tally if symmetric else found,
+                       lambda ids: ~ker.sweeps(ids) & attains(ids))
+    reps = sorted(ker.masks_of(least) for least, _ in classes)
     witnesses = [SetFamily(spec.n, spec.s, frozenset(r)) for r in reps]
     return SearchResult("ok", best, witnesses, len(reps), scanned)
 

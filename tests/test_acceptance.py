@@ -278,8 +278,8 @@ def test_criterion_8_bound_soundness():
         F = np.arange(1 << U, dtype=np.uint32)
         m_of = np.bitwise_count(F)
         u, t2 = s + 1, s + 2
-        ku, kt2 = (np.concatenate([kern.block(k, lo) for lo, _ in kern.blocks()])
-                   for k in (u, t2))
+        starts = range(0, 1 << U, 1 << kern.bits)
+        ku, kt2 = (np.concatenate([kern.block(k, lo) for lo in starts]) for k in (u, t2))
         for i in range(1, s):
             dmax = comb(n - i, s - i)
             d_of = np.zeros(len(F), dtype=np.int16)

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -14,7 +15,7 @@ from conftest import random_family
 
 import kkcliques.oracle as oracle
 from kkcliques.cascade import k_colex, shadow_colex
-from kkcliques.cli import run
+from kkcliques.cli import main, run
 from kkcliques.errors import InternalCheckError
 from kkcliques.families import (
     SetFamily, _colex_masks, cliques, colex_segment, mask_of, max_degree, relabel, shadow, upshadow)
@@ -166,17 +167,22 @@ def test_search_widest_universe():
 
 def test_classes_match_canonical_forms():
     # over every id of a shape, _classes gives each class's canonical_form
-    # once, in order of the class's lowest id, whether it reads the classes
-    # off the edge counts (s in {1, n-1, n}) or walks the relabelling table
+    # once, in order of the class's lowest id, with the number of ids in the
+    # class, whether it reads the classes off the edge counts (s in {1, n-1,
+    # n}) or walks the relabelling table, where the orbit id with the largest
+    # bit-reversed value must be canonical_form's least sorted edge row
     for n in range(1, MAX_CANON_GROUND + 1):
         for s in range(1, n + 1):
             if comb(n, s) > 12:
                 continue
             ker = _Kernel(n, s)
-            forms = dict.fromkeys(canonical_form(ker.family_of(fid)) for fid in range(1 << ker.U))
-            got = [bytes((n, s)) + bytes(least)
-                   for least in oracle._classes(n, s, np.arange(1 << ker.U, dtype=np.uint32))]
-            assert got == list(forms), (n, s)
+            forms = Counter(canonical_form(ker.family_of(fid)) for fid in range(1 << ker.U))
+            every = np.arange(1 << ker.U, dtype=np.uint32)
+            members = (np.bincount(np.bitwise_count(every), minlength=ker.U + 1)
+                       if oracle._symmetric(n, s) else every)
+            got = [(bytes((n, s)) + bytes(ker.masks_of(least)), size)
+                   for least, size in oracle._classes(n, s, members)]
+            assert got == list(forms.items()), (n, s)
 
 
 def test_wide_universes_do_not_count_k_sets_one_by_one():
@@ -204,21 +210,41 @@ def test_search_canonicalises_once_per_class():
 
 def test_search_rejects_attainers_not_closed_under_relabelling(monkeypatch):
     # a clique count that singles out one labelled attainer (K_4 plus a
-    # pendant edge; two points) breaks the symmetry the orbit deduplication
-    # relies on, whether the orbit comes from the relabelling table or not
-    specs = [SearchSpec(5, 2, 3, m=7), SearchSpec(10, 1, 2, m=2)]
-    fids = {}
-    for spec in specs:
-        universe = oracle._Kernel(spec.n, spec.s).universe
+    # pendant edge; two points; K_5 in a 7-vertex graph) breaks the symmetry
+    # the orbit deduplication relies on, whether the orbit comes from the
+    # relabelling table or not, and on a link kernel whether the search
+    # sweeps the skewed id or skips it and recounts it in its class's orbit
+    cases = []
+    for spec in [SearchSpec(5, 2, 3, m=7), SearchSpec(10, 1, 2, m=2), SearchSpec(7, 2, 3, m=10)]:
+        ker = oracle._kernel(spec.n, spec.s)
         witness = exhaustive_search(spec).witnesses[0]
-        fids[spec.n, spec.s] = sum(1 << universe.index(e) for e in witness.edges)
+        if not ker.link:
+            cases.append((spec, sum(1 << ker.universe.index(e) for e in witness.edges)))
+            continue
+        fids = {sum(1 << ker.universe.index(e) for e in relabel(witness, perm).edges)
+                for perm in permutations(range(1, spec.n + 1))}
+        reps = set(oracle._link_reps(spec.n, spec.s)[0].tolist())
+        swept = sorted(fid for fid in fids if fid >> ker.split in reps)
+        skipped = sorted(fids.difference(swept))
+        assert swept and skipped
+        cases += [(spec, swept[-1]), (spec, skipped[0])]
     block = oracle._Kernel.block
+    skewed_id = []
 
-    def skewed(self, k, lo, full=True):
-        fid = fids[self.n, self.s]
-        return block(self, k, lo, full) + (np.arange(lo, lo + (1 << self.bits)) == fid)
+    def skewed(self, k, lo, full=True, bits=None):
+        # the ids of block()'s layout: lo | low, or [mid, block, low] for an
+        # array of block starts
+        b = self.bits if bits is None else bits
+        lb = b // 2
+        if isinstance(lo, np.ndarray):
+            ids = (lo[None, :, None] | np.arange(1 << (b - lb))[:, None, None] << lb
+                   | np.arange(1 << lb))
+        else:
+            ids = np.arange(lo, lo + (1 << b))
+        return block(self, k, lo, full, bits) + (ids == skewed_id[0])
     monkeypatch.setattr(oracle._Kernel, "block", skewed)
-    for spec in specs:
+    for spec, fid in cases:
+        skewed_id[:] = [fid]
         with pytest.raises(InternalCheckError, match="leaves the attainer set"):
             exhaustive_search(spec)
 
@@ -555,13 +581,15 @@ def test_link_sweep_matches_full_sweep(monkeypatch):
         levels = [(k, none, top[k]) for k in range(n + 1)]
         want = [hits.tolist() for hits, _ in oracle._scan(_Kernel(n, s), levels)]
         got = 0
-        for r in oracle._link_reps(n, s).tolist():
+        reps, sizes = oracle._link_reps(n, s)
+        for r, class_size in zip(reps.tolist(), sizes.tolist()):
             # the class size: the distinct ids of r's relabellings
             link = [e for j, e in enumerate(_colex_masks(n - 1, s - 1)) if r >> j & 1]
             rows = oracle._images(n - 1, s - 1, link)[0]
             size = len(np.unique(np.bitwise_or.reduce(np.uint32(1) << rows, axis=1)))
+            assert size == class_size, (n, s, r)
             with monkeypatch.context() as mp:
-                mp.setattr(oracle, "_link_reps", lambda n, s: np.array([r]))
+                mp.setattr(oracle, "_link_reps", lambda n, s: (np.array([r]), np.array([size])))
                 got += size * np.array([h for h, _ in oracle._scan(_Kernel(n, s, link=True), levels)])
         assert got.tolist() == want, (n, s)
         assert want[s] == [comb(comb(n, s), m) for m in range(comb(n, s) + 1)]
@@ -582,6 +610,45 @@ def test_link_sweep_matches_full_sweep(monkeypatch):
     assert reports[True] == reports[False]
 
 
+def test_link_search_matches_full_search(monkeypatch, capsys):
+    # on a link kernel the search counts one family per link class and
+    # weighs each by its class size: the optimum, witnesses and
+    # families_scanned are those of a search over every id, and so is the
+    # pinned payload, byte for byte
+    rng = random.Random(23)
+    specs = []
+    for n, s in ((6, 3), (7, 2)):
+        assert oracle._kernel(n, s).link
+        U = comb(n, s)
+        for _ in range(25):
+            m = rng.randint(0, U)
+            kw = {"m": m}
+            # caps from the mean i-degree up, u-clique counts up to the most
+            # that m edges span, so most specs are feasible
+            if rng.random() < 0.6:
+                i = rng.randint(1, s - 1)
+                kw.update(i=i, max_degree=rng.randint(-(-m * comb(s, i) // comb(n, i)),
+                                                      comb(n - i, s - i)))
+            if rng.random() < 0.4:
+                u = rng.randint(s + 1, n)
+                kw.update(u=u, p=rng.randint(0, k_colex(m, s, u)))
+            specs.append(SearchSpec(n, s, rng.randint(s, n), **kw))
+    specs += [SearchSpec(6, 3, 4), SearchSpec(6, 3, 4, i=2, max_degree=2),
+              SearchSpec(6, 3, 5, i=1, max_degree=4, u=4, p=3)]
+    argv = ["search", "6", "3", "4", "--edges", "6", "--degree", "1", "5"]
+    results = {}
+    for link in (True, False):
+        with monkeypatch.context() as mp:
+            if not link:
+                mp.setattr(oracle, "_kernel", lambda n, s: _Kernel(n, s, link=False))
+            results[link] = [exhaustive_search(spec) for spec in specs]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == (DATA / "search_6_3_4_edges6_degree1_5.json").read_text()
+    assert results[True] == results[False]
+    ok = [r for r in results[True] if r.status == "ok"]
+    assert len(ok) > 40 and sum(r.class_count > 1 for r in ok) > 10, len(ok)
+
+
 def test_link_representatives():
     # the links at vertex n of (5,3) and (6,3) are graphs on 4 and 5
     # vertices (OEIS A000088); those of (6,4) and (7,5) are 3-graphs on 5 and
@@ -590,8 +657,10 @@ def test_link_representatives():
     # is one class per edge count
     for (n, s), classes in {(5, 3): 11, (6, 3): 34, (6, 4): 34, (7, 5): 156,
                             (7, 2): 7, (24, 1): 2, (24, 23): 24}.items():
-        reps = oracle._link_reps(n, s)
+        reps, sizes = oracle._link_reps(n, s)
         assert len(reps) == classes and reps.tolist() == sorted(set(reps.tolist())), (n, s)
+        # the classes' sizes add up to every link
+        assert len(sizes) == classes and sizes.sum() == 2 ** comb(n - 1, s - 1), (n, s)
         if n <= MAX_CANON_GROUND:
             ker = _Kernel(n - 1, s - 1)
             for r in reps.tolist():
