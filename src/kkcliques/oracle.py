@@ -21,57 +21,68 @@ j-th edge of the colex-sorted universe is present, so id 2^m - 1 is C_s(m),
 the top-run id is the retlex segment and 2^U - 1 - id is the complement.
 Search and sweeps share one kernel, _Kernel, for universes of up to
 MAX_UNIVERSE = 24 edges: plan() lays their ids out in blocks of at most
-2^BLOCK_BITS, hits() rescans every id with m edges, masks() builds the
-k-sets' edge masks once per level, and block(), the one
-counting call, counts the k-sets whose mask lies inside (or meets) each id
-of a block with one bincount and two small matrix products, exact in
-float32 since no count reaches 2^24; a filtered caller indexes its ids in it.
-There is one kernel per (n, s) and block size: _kernel keeps it for the
-process when n <= KEEP_KERNEL_N = 16, so a process that sweeps or searches a
-shape again builds none of its levels again; a single CLI command sweeps
-each shape once and gains nothing from it.  A kept kernel holds its level
-tables: about 5 MB once every level of (16, 1) is built, 23 MB for all 53
-shapes that can be kept.  Above 16 points the per-k-set arrays alone take
-12 bytes per k-set, 12 * 2^n at s = 1, so those kernels are built per call;
-the cut rests on memory, as the build is still about 40% of a (17, 1)
-sweep.  A mask meets a family unless it lies in the complement, so every
-shadow and upshadow count is C(n,k) minus a full count of the complement
-(Kruskal 1963; Katona 1968), and the complements of one block's ids are the
-ids of one block, in reverse.  Both sweeps run on one block scan, _scan, and
+2^BLOCK_BITS, hits() rescans every id with given edge counts, masks() builds
+the k-sets' edge masks once per level, and block(), the one counting call,
+counts the k-sets whose mask lies inside (or meets) each id of a block with
+one bincount and two small matrix products, exact in float32 since no count
+reaches 2^24; a filtered caller indexes its ids in it.  On single ids
+(bits = 0) block() tests each id against the masks of one level, or of
+several levels at once.  There is one kernel per (n, s) and block size:
+_kernel keeps it for the process when n <= KEEP_KERNEL_N = 16, so a process
+that sweeps or searches a shape again builds none of its levels again; a
+single CLI command sweeps each shape once and gains nothing from it.  A kept
+kernel holds the level tables its scans built: about 5 MB once every level
+of (16, 1) is built (by searches), 23 MB for all 53 shapes that can be kept.
+A sweep of those shapes keeps 1.8 MB: on the symmetric shapes (below) it
+builds no table, only the k-sets' masks, 4 bytes per k-set (256 KB at
+(16, 1)).  Above 16 points a search's level tables alone take 12 bytes per
+k-set, 12 * 2^n at s = 1, so those kernels are built per call.  A mask meets
+a family unless it lies in the complement, so every shadow and upshadow
+count is C(n,k) minus a full count of the complement (Kruskal 1963; Katona
+1968), and the complements of one block's ids are the ids of one block, in
+reverse.  At s in {0, 1, n-1, n} (_symmetric) every family with m edges is a
+relabelling of C_s(m), the least labelling of its class (_classes), so the
+sweeps count one family per edge count: _class_counts takes every level at
+the colex and the retlex ids in one block() call on single ids, cut into
+calls of about 2^20 (id, k-set) pairs past 20 points, and a per-m extreme is
+the colex id's count.  The colex orbit is then every id with m edges, so
+verify_uniqueness needs no orbit table there, and it admits every n the
+universe cap does.  Elsewhere both sweeps run on one block scan, _scan, and
 read their meet rows at U - m.  In colex order the C(n-1, s-1) edges through
 vertex n come last, so an id is H << C(n-1, s) | low with H the link of n.
 A relabelling of [n - 1] fixes n and carries H and low along together, and
 every count the sweeps take is unchanged by relabelling, so a link kernel
 sweeps only the H that are the least labelling of their class (_link_reps),
-with every low part under each, and each per-m optimum over those ids is
-the optimum over all ids.  An attainer set is closed under relabelling, so
-it is the colex orbit exactly when its swept members are the orbit's swept
+with every low part under each, and each per-m optimum over those ids is the
+optimum over all ids.  An attainer set is closed under relabelling, so it is
+the colex orbit exactly when its swept members are the orbit's swept
 members.  _kernel takes the link sweep where it does less work (_link_pays):
-at (6,3) it counts 34 * 2^10 = 34,816 ids, not 2^20, and at (7,2)
-7 * 2^15 = 229,376, not 2^21, plus the watched ids it skips (segments and
-colex orbits, counted on their own); a report's families still counts all
-2^U families the sweep covers, and a search's families_scanned every family
-that meets its constraints, each swept id standing for its link class's
-size.  The scan counts a chunk of blocks per block() call and sorts a
-chunk's counts by edge count once; the search reads the ids with m edges off
-that order.  A failure
-row's family, and a uniqueness row's full attainer count, come from a
-rescan (_Kernel.hits) of every id with m edges.  One table
-per (n, s), _edge_perms, maps each edge to its image under every relabelling
-of [n]; canonical_form, the colex orbits of verify_uniqueness (_colex_orbits,
-kept per (n, s)) and _classes read it.  _classes is the one split of ids
-into relabelling classes: the search's witnesses and _link_reps, with their
-class sizes, come from it.  It ORs an id's edge bits under every relabelling
-into its orbit.  The search passes only the attainers it swept; an orbit id
-missing from them must be one its plan skips, and is recounted against the
-constraints and the optimum, so an attainer set not closed under
-relabelling is still caught.  At s in {0, 1, n-1, n}, the only shapes on
-n > 8 points, every permutation of the edges is a relabelling, so the
-classes are the edge counts: the search keeps only its attainers' number per
-edge count, and no table is built.  The
-expected rows and verdicts of the sweeps are kept per shape too (_row), each
-with the function it came from, and rebuilt when this module's binding of
-that function changes.  So a warm sweep runs only the scan and its checks.
+at (6,3) it counts 34 * 2^10 = 34,816 ids, not 2^20, and at (7,2) 7 * 2^15
+= 229,376, not 2^21, plus the watched ids it skips (segments and colex
+orbits, counted on their own); a report's families still counts all 2^U
+families the sweep covers, and a search's families_scanned every family that
+meets its constraints, each swept id standing for its link class's size.
+The scan counts a chunk of blocks per block() call and sorts a chunk's
+counts by edge count once; the search reads the ids with m edges off that
+order.  A failure row's family, and a uniqueness row's full attainer count,
+come from a rescan (_Kernel.hits) of every id with m edges, one rescan per
+row for all its failing m.  One table per (n, s), n <= 8, _edge_perms, maps
+each edge to its image under every relabelling of [n]; canonical_form, the
+colex orbits of verify_uniqueness (_colex_orbits, kept per (n, s)) and
+_classes read it.  _classes is the one split of ids into relabelling
+classes: the search's witnesses and _link_reps, with their class sizes, come
+from it.  It ORs an id's edge bits under every relabelling into its orbit.
+The search passes only the attainers it swept; an orbit id missing from them
+must be one its plan skips, and is recounted against the constraints and the
+optimum, so an attainer set not closed under relabelling is still caught.
+At s in {0, 1, n-1, n}, the only shapes on n > 8 points, every permutation
+of the edges is a relabelling, so the classes are the edge counts: the
+search keeps only its attainers' number per edge count, and no table is
+built.  The expected rows and verdicts of the sweeps are kept per shape too
+(_row), and so is verify_kkt's whole table of levels, expected rows and
+check labels (_kept), each with the functions it came from, and rebuilt when
+this module's binding of one of them changes.  So a warm sweep runs only the
+counting and its checks.
 """
 
 from __future__ import annotations
@@ -301,20 +312,24 @@ class _Kernel:
         self._plan: Optional[tuple[np.ndarray, ...]] = None
         self._chunks: dict[int, list[tuple]] = {}
         self._located: dict[tuple, tuple] = {}
+        self._tuples: dict[tuple, tuple] = {}
         # masks(k) per k, built once: the search's i-degree caps and a link
         # kernel's level tables read them
         self.kmasks: dict[int, np.ndarray] = {}
 
-    def hits(self, m: int, level: int, full: bool,
+    def hits(self, ms: list[int], level: int, full: bool,
              keep: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
-        """Per block of 2^bits ids, in ascending order, the ids with m edges
-        (read off the block's popcount run) whose level count passes
-        keep(ids, counts)."""
+        """Per block of 2^bits ids, in ascending order, the ids with an edge
+        count in ms (read off the block's popcount runs, one run per m, in
+        the order of ms) whose level count passes keep(ids, counts): each
+        block is counted once for all of ms."""
         import numpy as np
         order, starts, widths = _popcount_runs(self.bits)
         for lo in range(0, 1 << self.U, 1 << self.bits):
-            if 0 <= (p := m - lo.bit_count()) <= self.bits:
-                F = (order[starts[p]:starts[p] + widths[p]] + lo).astype(np.uint32)
+            runs = [order[starts[p]:starts[p] + widths[p]] for m in ms
+                    if 0 <= (p := m - lo.bit_count()) <= self.bits]
+            if runs:
+                F = (np.concatenate(runs) + lo).astype(np.uint32)
                 yield F[keep(F, self.block(level, lo, full)[F - lo])]
 
     def masks_of(self, fid: int) -> tuple[int, ...]:
@@ -413,14 +428,29 @@ class _Kernel:
         H = ids.astype(np.int64) >> self.split
         return reps[np.searchsorted(reps, H).clip(max=len(reps) - 1)] == H
 
+    def _singles(self, k: int | tuple[int, ...]) -> tuple:
+        """For block() on single ids: the masks of level k (edge_masks), or
+        of each level of the tuple k one after the other, kept per tuple;
+        where each level's masks start; and the counts' dtype."""
+        import numpy as np
+        if not isinstance(k, tuple):
+            return (self.edge_masks(k), np.zeros(1, dtype=np.intp),
+                    np.min_scalar_type(comb(self.n, k)))
+        if k not in self._tuples:
+            km = [self.kmasks[j] if j in self.kmasks else self.masks(j) for j in k]
+            self._tuples[k] = (np.concatenate(km), np.cumsum([0] + [len(a) for a in km[:-1]]),
+                               np.min_scalar_type(max(comb(self.n, j) for j in k)))
+        return self._tuples[k]
+
     def _level(self, k: int, bits: int) -> tuple:
         """For blocks of 2^bits ids: per k-set, its (mid, low) pattern index
         in N and its bits above a block; the tables [a <= x] of every mid and
         low half x against the patterns a; and the counts' dtype."""
         import numpy as np
         if (k, bits) not in self._levels:
-            # a link kernel reads a level at two block sizes (its blocks, and
-            # single ids off its plan), so only it keeps every level's masks
+            # single ids read the masks themselves (block() at bits = 0), and
+            # a link kernel counts the watched ids off its plan as single
+            # ids, so it keeps every level's masks
             km = self.edge_masks(k) if self.link or k in self.kmasks else self.masks(k)
             lb = bits // 2
             mb = bits - lb
@@ -441,13 +471,18 @@ class _Kernel:
                                      np.min_scalar_type(comb(self.n, k)))
         return self._levels[k, bits]
 
-    def block(self, k: int, lo, full: bool = True, bits: Optional[int] = None) -> np.ndarray:
+    def block(self, k: int | tuple[int, ...], lo, full: bool = True,
+              bits: Optional[int] = None) -> np.ndarray:
         """Per id of the 2^bits ids from lo (a multiple of 2^bits, bits being
         self.bits unless given), in id order, the number of k-sets whose edge
         mask lies inside the family (full) or meets it (not full).  When lo
         is an array of block starts, all its blocks are counted at once, and
         the count of id lo[i] | mid << lb | low is at [mid, i, low] (lb =
-        bits // 2); with bits = 0 that counts each id of lo on its own.
+        bits // 2).  With bits = 0 each id of lo is counted on its own (at
+        [0, i, 0]) by testing it against every k-set's mask, and k may be a
+        tuple of levels: their full counts then come from one test against
+        all their masks, as [level, i], in the narrowest dtype that holds
+        them all.
 
         The edge mask of a k-set holds the edges containing it when k < s and
         the edges inside it when k >= s, so the counts are k^k (full),
@@ -476,6 +511,11 @@ class _Kernel:
         if not full:
             comp = self.block(k, (1 << self.U) - (1 << bits) - lo, True, bits)
             return comb(self.n, k) - (comp[::-1, :, ::-1] if several else comp[::-1])
+        if not bits:
+            km, starts, dtype = self._singles(k)
+            H = np.asarray(lo, dtype=np.uint32).reshape(-1, 1)
+            cnt = np.add.reduceat((km | H) == H, starts, axis=1, dtype=dtype)
+            return cnt.T if isinstance(k, tuple) else cnt.reshape((1, -1, 1) if several else -1)
         idx, high, zm, zlT, dtype = self._level(k, bits)
         A, C = zm.shape[1], zlT.shape[0]
         if not several:
@@ -720,26 +760,36 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
 # whole-space sweeps
 
 # The expected rows and verdict rows met so far, keyed by (function name, U,
-# its arguments after m), each held as (function, row).  The function is this
-# module's binding of the name when the row was built, and the row is built
-# again once the binding changes, so a stub or wrapper bound here is still
-# the one called, and each key keeps one entry whatever was bound.
-_ROWS: dict[tuple, tuple[Callable, np.ndarray]] = {}
+# its arguments after m), and verify_kkt's table per shape, keyed by
+# ("verify_kkt", n, s), each held as (functions, array).  The functions are
+# this module's bindings of the names the array was built from, and the
+# array is built again once a binding changes, so a stub or wrapper bound
+# here is still the one called, and each key keeps one entry whatever was
+# bound.
+_ROWS: dict[tuple, tuple[tuple[Callable, ...], np.ndarray]] = {}
+
+
+def _kept(key: tuple, names: tuple[str, ...], build: Callable[[], np.ndarray]) -> np.ndarray:
+    """_ROWS[key]'s array, made read-only from build() unless it was built
+    with this module's current bindings of names."""
+    fns = tuple(globals()[name] for name in names)
+    hit = _ROWS.get(key)
+    if hit is None or any(a is not b for a, b in zip(hit[0], fns)):
+        arr = build()
+        arr.flags.writeable = False
+        _ROWS[key] = hit = (fns, arr)
+    return hit[1]
 
 
 def _row(name: str, U: int, *args: int, verdict: bool = False) -> np.ndarray:
     """[f(m, *args) for m = 0..U] (their .verdict when verdict is set) as a
     read-only int64 array, f being this module's current binding of name."""
     import numpy as np
-    fn = globals()[name]
-    key = (name, U, *args)
-    hit = _ROWS.get(key)
-    if hit is None or hit[0] is not fn:
-        vals = [fn(m, *args) for m in range(U + 1)]
-        row = np.array([v.verdict for v in vals] if verdict else vals, dtype=np.int64)
-        row.flags.writeable = False
-        _ROWS[key] = hit = (fn, row)
-    return hit[1]
+
+    def build() -> np.ndarray:
+        vals = [globals()[name](m, *args) for m in range(U + 1)]
+        return np.array([v.verdict for v in vals] if verdict else vals, dtype=np.int64)
+    return _kept((name, U, *args), (name,), build)
 
 
 def _scan(ker: _Kernel, levels: list[tuple]) -> list[tuple]:
@@ -810,6 +860,38 @@ def _scan(ker: _Kernel, levels: list[tuple]) -> list[tuple]:
     return out
 
 
+def _class_counts(ker: _Kernel) -> tuple[np.ndarray, ...]:
+    """At s in {0, 1, n - 1, n}, where every family with m edges is a
+    relabelling of C_s(m): the class size C(U, m) per m, and the full count
+    of every level 0..n at the least labelling of each class (_classes),
+    the colex id 2^m - 1, and at the retlex id with m edges, each as
+    [level, m].  Every level goes into one block() call on single ids, cut
+    into chunks of ids, and of levels past n = 20, so that a call tests
+    about 2^20 (id, k-set) pairs at most, as _scan's calls do; a level of
+    more k-sets is tested one id per call.  The level-s counts are every
+    id's edge count, which is checked."""
+    import numpy as np
+    n, U = ker.n, ker.U
+    least, sizes = np.array(_classes(n, ker.s, [comb(U, m) for m in range(U + 1)])).T
+    ids = np.concatenate((least, (1 << U) - 1 - least[::-1]))
+    cap = 1 << 20
+    cnt = np.empty((n + 1, len(ids)), dtype=np.int64)
+    k = 0
+    while k <= n:
+        # levels k..j - 1: as many as fit in cap k-sets, one at least
+        j, width = k + 1, comb(n, k)
+        while j <= n and width + comb(n, j) <= cap:
+            width += comb(n, j)
+            j += 1
+        per = max(1, cap // width)
+        for c0 in range(0, len(ids), per):
+            cnt[k:j, c0:c0 + per] = ker.block(tuple(range(k, j)), ids[c0:c0 + per], True, 0)
+        k = j
+    if not np.array_equal(cnt[ker.s], np.bitwise_count(ids)):
+        raise InternalCheckError("kernel self-test failed: k^s != edge count")
+    return sizes, cnt[:, :U + 1], cnt[:, U + 1:]
+
+
 @dataclass
 class SweepReport:
     kind: str                      # "kkt" | "uniqueness"
@@ -831,7 +913,10 @@ def verify_kkt(n: int, s: int) -> SweepReport:
     every q < s, the maximum t-clique count equals k_colex for every t >= s,
     and the minimum t-upshadow for every t > s is attained by the retlex
     segment.  By complements, the least shadow or upshadow at m is C(n,k)
-    minus the largest full count at U - m.
+    minus the largest full count at U - m.  At s in {0, 1, n - 1, n} every
+    family with m edges is a relabelling of C_s(m), so the per-m extremes
+    are the counts of the colex ids (_class_counts); elsewhere they come
+    from the block scan (_scan).
     """
     import numpy as np
     ker = _kernel(n, s)
@@ -841,39 +926,62 @@ def verify_kkt(n: int, s: int) -> SweepReport:
     # the retlex id with m edges is the complement of the colex id with U - m,
     # so a shadow row reads the retlex ids
     retlex_ids = (1 << U) - 1 - colex_ids[::-1]
-    scan = _scan(ker, [(k, retlex_ids if k < s else colex_ids, None) for k in range(n + 1)])
+    # per level and m: the largest full count, and the segment's count
+    if _symmetric(n, s):
+        _, top, retlex = _class_counts(ker)
+        seen = np.concatenate((retlex[:s], top[s:]))
+    else:
+        scan = _scan(ker, [(k, retlex_ids if k < s else colex_ids, None) for k in range(n + 1)])
+        top, seen = (np.stack([row[j] for row in scan]) for j in (0, 1))
 
-    # (kind, check label, level, full, segment name, segment ids, expected per m)
-    table = [("shadow", "min shadow q", q, False, "colex", colex_ids,
-              _row("shadow_colex", U, s, q)) for q in range(s)]
-    table += [("cliques", "max cliques t", t, True, "colex", colex_ids,
-               _row("k_colex", U, s, t)) for t in range(s, n + 1)]
-    # complementing every edge maps the retlex s-segment to the colex
-    # (n-s)-segment and its t-upshadow to the (n-t)-shadow of that
-    table += [("upshadow", "min upshadow t", t, False, "retlex", retlex_ids,
-               _row("shadow_colex", U, n - s, n - t)) for t in range(s + 1, n + 1)]
+    def build() -> np.ndarray:
+        # (kind, check label, level, full, expected per m)
+        rows = [("shadow", "min shadow q", q, False, _row("shadow_colex", U, s, q))
+                for q in range(s)]
+        rows += [("cliques", "max cliques t", t, True, _row("k_colex", U, s, t))
+                 for t in range(s, n + 1)]
+        # complementing every edge maps the retlex s-segment to the colex
+        # (n-s)-segment and its t-upshadow to the (n-t)-shadow of that
+        rows += [("upshadow", "min upshadow t", t, False, _row("shadow_colex", U, n - s, n - t))
+                 for t in range(s + 1, n + 1)]
+        return np.array(
+            [(kind, f"{label}={level}", level, full, comb(n, level), want)
+             for kind, label, level, full, want in rows],
+            dtype=[("kind", object), ("check", object), ("level", np.intp), ("full", bool),
+                   ("nK", np.int64), ("want", np.int64, (U + 1,))])
+    table = _kept(("verify_kkt", n, s), ("shadow_colex", "k_colex"), build)
 
     # per row of the table and m: the extreme count and the segment's count,
     # all rows compared at once
-    levels = [level for _, _, level, *_ in table]
-    full = np.array([row[3] for row in table])[:, None]
-    nK = np.array([comb(n, k) for k in levels])[:, None]
-    want = np.stack([row[6] for row in table])
-    ext, got = (np.stack([scan[k][j] for k in levels]) for j in (0, 1))
+    full, nK, want = table["full"][:, None], table["nK"][:, None], table["want"]
+    ext, got = top[table["level"]], seen[table["level"]]
     ext = np.where(full, ext, nK - ext[:, ::-1])
     got = np.where(full, got, nK - got[:, ::-1])
     beyond = ext != want
-    report.checks = [f"{label}={level}" for _, label, level, *_ in table]
+    report.checks = table["check"].tolist()
     for i in np.flatnonzero(beyond.any(axis=1) | (got != want).any(axis=1)):
-        kind, _, level, is_full, seg, seg_ids, expected = table[i]
-        for m in np.flatnonzero(beyond[i]):
-            e = expected[m]
-            keep = (lambda F, c: c > e) if is_full else (lambda F, c: c < e)
-            fid = next((int(F[0]) for F in ker.hits(m, level, is_full, keep) if len(F)), None)
+        kind, level, is_full, expected = (table["kind"][i], int(table["level"][i]),
+                                          bool(table["full"][i]), want[i])
+        seg, seg_ids = ("retlex", retlex_ids) if kind == "upshadow" else ("colex", colex_ids)
+        # one rescan of the ids with a failing m: the lowest id of each m
+        # beyond its expected value
+        bad = np.flatnonzero(beyond[i]).tolist()
+        first: dict[int, int] = {}
+        if bad:
+            def keep(F, c):
+                e = expected[np.bitwise_count(F)]
+                return c > e if is_full else c < e
+            for F in ker.hits(bad, level, is_full, keep):
+                pc = np.bitwise_count(F)
+                for j in np.flatnonzero(np.append(True, pc[1:] != pc[:-1])) if len(F) else ():
+                    first.setdefault(int(pc[j]), int(F[j]))
+                if len(first) == len(bad):
+                    break
+        for m in bad:
             report.failures.append({
-                "kind": kind, "m": int(m), "level": level,
-                "expected": int(e), "got": int(ext[i, m]),
-                "family": ker.family_of(seg_ids[m] if fid is None else fid).edge_lists(),
+                "kind": kind, "m": m, "level": level,
+                "expected": int(expected[m]), "got": int(ext[i, m]),
+                "family": ker.family_of(first.get(m, seg_ids[m])).edge_lists(),
             })
         if not np.array_equal(got[i], expected):
             report.failures.append({
@@ -890,11 +998,13 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
     relabelling orbit of C_s(m) iff is_colex_unique says True (strict superset
     when False with m > s+1).  For every m and t > s: a True is_clique_unique
     verdict implies the maximisers are exactly the orbit; False verdicts are
-    recorded with the observed class structure but are not failures.
+    recorded with the observed class structure but are not failures.  At s
+    in {0, 1, n - 1, n} the orbit of C_s(m) is every family with m edges,
+    so it is the attainer set exactly when C_s(m) attains (_class_counts);
+    elsewhere the block scan counts the orbits (_colex_orbits) and the
+    attainers.
     """
     import numpy as np
-    if n > MAX_CANON_GROUND:
-        raise ValueError(f"verify_uniqueness needs n <= {MAX_CANON_GROUND} for orbits")
     ker = _kernel(n, s)
     U = ker.U
     report = SweepReport("uniqueness", n, s, 1 << U)
@@ -905,48 +1015,74 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
     table += [("clique", "t", "max cliques", t, True, _row("k_colex", U, s, t),
                _row("is_clique_unique", U, s, t, n, verdict=True)) for t in range(s + 1, n + 1)]
 
-    orbit_ids, orbit_m, comp_ids, comp_m, sizes = _colex_orbits(n, s)
-    # a meet level counts the complements with C(n,q) - shadow_colex at U - m
-    levels = [(level, orbit_ids, ext) if full else
-              (level, comp_ids, comb(n, level) - ext[::-1])
-              for _, _, _, level, full, ext, _ in table]
-    # a link kernel sweeps one family per link class.  An attainer set is
-    # closed under relabelling and holds the orbit (checked below), so it is
-    # the orbit iff its swept members are the orbit's swept members: per
-    # level and m, the swept attainers, the orbit ids that attain, and the
-    # swept orbit ids
-    swept = ker.swept(orbit_ids), ker.swept(comp_ids)
-    counts = []
-    for (_, _, target), (hits, seen), (*_, full, _, _) in zip(
-            levels, _scan(ker, levels), table):
-        wm = orbit_m if full else comp_m
-        n_orb = np.bincount(wm[seen == target[wm]], minlength=U + 1)
-        counts.append((hits, n_orb, swept[0]) if full else
-                      (hits[::-1], n_orb[::-1], swept[1][::-1]))
+    # per row of the table and m: the swept attainers, the orbit ids that
+    # attain, and the swept orbit ids
+    if _symmetric(n, s):
+        sizes, colex, retlex = _class_counts(ker)
+        counts = []
+        for *_, level, full, ext, _ in table:
+            # a meet level counts C_s(m) as C(n,q) minus the full count of
+            # its complement, the retlex id with U - m edges; the orbit is
+            # the class, so all of it attains or none of it
+            have = colex[level] if full else comb(n, level) - retlex[level, ::-1]
+            counts.append((sizes, np.where(have == ext, sizes, 0), sizes))
+    else:
+        orbit_ids, orbit_m, comp_ids, comp_m, sizes = _colex_orbits(n, s)
+        # a meet level counts the complements with C(n,q) - shadow_colex at U - m
+        levels = [(level, orbit_ids, ext) if full else
+                  (level, comp_ids, comb(n, level) - ext[::-1])
+                  for _, _, _, level, full, ext, _ in table]
+        # a link kernel sweeps one family per link class.  An attainer set is
+        # closed under relabelling and holds the orbit (checked below), so it
+        # is the orbit iff its swept members are the orbit's swept members
+        swept = ker.swept(orbit_ids), ker.swept(comp_ids)
+        counts = []
+        for (_, _, target), (hits, seen), (*_, full, _, _) in zip(
+                levels, _scan(ker, levels), table):
+            wm = orbit_m if full else comp_m
+            n_orb = np.bincount(wm[seen == target[wm]], minlength=U + 1)
+            counts.append((hits, n_orb, swept[0]) if full else
+                          (hits[::-1], n_orb[::-1], swept[1][::-1]))
 
+    # the first m, and at it the first row, at which part of the orbit
+    # does not attain
+    short = np.array([n_orb != sizes for _, n_orb, _ in counts]).reshape(len(table), U + 1)
+    if short.any():
+        m = int(short.any(axis=0).argmax())
+        kind, var, goal, level, *_ = table[int(short[:, m].argmax())]
+        raise InternalCheckError(f"colex orbit not attaining {goal} at m={m}, {var}={level}")
+
+    # per row, its failure per m; a False clique verdict is "not decided",
+    # so only True can fail
+    rows = []
+    for (kind, var, _, level, full, ext, verdicts), (n_att, _, n_swept) in zip(table, counts):
+        verdict, unique = verdicts.astype(bool), n_att == n_swept
+        fails = (verdict != unique) & (verdict | (kind == "colex") & (np.arange(U + 1) > s + 1))
+        # one rescan of the ids with every edge count whose attainers are
+        # more than the orbit: the full attainer set, and its lowest id
+        # outside the orbit
+        redo = np.flatnonzero(fails & ~unique).tolist()
+        if redo:
+            hit = np.concatenate(list(ker.hits(
+                redo, level, full, lambda F, c, ext=ext: c == ext[np.bitwise_count(F)])))
+            hit_m = np.bitwise_count(hit)
+        failed = {}
+        for m in np.flatnonzero(fails).tolist():
+            attainers, family = int(sizes[m]), None
+            if not unique[m]:
+                own = hit[hit_m == m]
+                attainers = len(own)
+                family = ker.family_of(own[~np.isin(own, orbit_ids)][0]).edge_lists()
+            failed[m] = {
+                "kind": f"{kind}_unique", "m": m, "level": level, "verdict": bool(verdict[m]),
+                "attainers": attainers, "orbit": int(sizes[m]), "family": family,
+            }
+        rows.append((kind, var, level, failed))
     for m in ms:
-        for (kind, var, goal, level, full, ext, verdicts), (n_att, n_orb, n_swept) in zip(
-                table, counts):
-            if n_orb[m] != sizes[m]:
-                raise InternalCheckError(
-                    f"colex orbit not attaining {goal} at m={m}, {var}={level}"
-                )
-            verdict = bool(verdicts[m])
-            unique = bool(n_att[m] == n_swept[m])
+        for kind, var, level, failed in rows:
             report.checks.append(f"{kind} m={m} {var}={level}")
-            # a False clique verdict is "not decided", so only True can fail
-            if verdict != unique and (verdict or (kind == "colex" and m > s + 1)):
-                attainers, family = int(sizes[m]), None
-                if not unique:
-                    # the full attainer set, rescanned, and its lowest id
-                    # outside the orbit
-                    hit = np.concatenate(list(ker.hits(m, level, full, lambda F, c: c == ext[m])))
-                    attainers = len(hit)
-                    family = ker.family_of(hit[~np.isin(hit, orbit_ids)][0]).edge_lists()
-                report.failures.append({
-                    "kind": f"{kind}_unique", "m": m, "level": level, "verdict": verdict,
-                    "attainers": attainers, "orbit": int(sizes[m]), "family": family,
-                })
+            if m in failed:
+                report.failures.append(failed[m])
     return report
 
 

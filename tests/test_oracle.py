@@ -514,9 +514,15 @@ def test_whole_space_extremal_sweep(n, s):
 
 
 def test_uniqueness_sweep_domain():
-    # orbits come from relabelling, which stops at n = 8
-    with pytest.raises(ValueError, match="n <= 8"):
-        verify_uniqueness(9, 1)
+    # past 8 points the 24-edge cap admits only s in {1, n - 1, n}, where the
+    # colex orbit is every family with m edges and needs no relabelling table
+    rep = verify_uniqueness(9, 1)
+    assert rep.ok and rep.families == 2 ** 9
+    assert len(rep.checks) == 10 * 8    # m = 0..9; t = 2..9
+    r = run(["verify", "uniqueness", "9", "1"])
+    assert r.exit_status == 0 and r.payload["ok"]
+    with pytest.raises(ValueError, match="exceeds sweep cap"):
+        verify_uniqueness(9, 2)
 
 
 @pytest.mark.parametrize("n,s", [(4, 2), (5, 2)])
@@ -608,6 +614,89 @@ def test_link_sweep_matches_full_sweep(monkeypatch):
     real, flipped = reports[True]
     assert all(r.ok for r in real) and sum(map(len, flipped)) > 0
     assert reports[True] == reports[False]
+
+
+SYMMETRIC = [(n, s) for n in range(1, 17) for s in sorted({1, n - 1, n} - {0})
+             if comb(n, s) <= 16]
+
+
+def test_class_counts_match_full_sweep(monkeypatch):
+    # at s in {1, n - 1, n} every family with m edges is a relabelling of
+    # C_s(m): in a sweep over every id, all C(U, m) ids with m edges count
+    # what the colex id counts, so it is the per-m extreme, and the sweep
+    # watches the same colex and retlex counts
+    # (at 3 bits only up to 12 edges: _scan then counts 8 ids per call, and
+    # 2^16 ids take seconds per shape)
+    for bits, shapes in ((oracle.BLOCK_BITS, SYMMETRIC),
+                         (3, [(n, s) for n, s in SYMMETRIC if comb(n, s) <= 12])):
+        monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
+        for n, s in shapes:
+            ker = _Kernel(n, s)
+            U = ker.U
+            sizes, colex, retlex = oracle._class_counts(ker)
+            assert sizes.tolist() == [comb(U, m) for m in range(U + 1)]
+            colex_ids = (1 << np.arange(U + 1, dtype=np.int64)) - 1
+            watched = np.concatenate((colex_ids, (1 << U) - 1 - colex_ids[::-1]))
+            scan = oracle._scan(ker, [(k, watched, colex[k]) for k in range(n + 1)])
+            for k, (hits, seen) in enumerate(scan):
+                assert hits.tolist() == sizes.tolist(), (bits, n, s, k)
+                assert colex[k].tolist() == seen[:U + 1].tolist(), (bits, n, s, k)
+                assert retlex[k].tolist() == seen[U + 1:].tolist(), (bits, n, s, k)
+    # and the class counts are the brute-force counts of the segments
+    for n, s in [(n, s) for n, s in SYMMETRIC if n <= 6]:
+        ker = _Kernel(n, s)
+        _, colex, retlex = oracle._class_counts(ker)
+        colex_ids = (1 << np.arange(ker.U + 1, dtype=np.uint32)) - 1
+        for k in range(n + 1):
+            assert colex[k].tolist() == _direct_counts(n, s, colex_ids, k)[0].tolist()
+            assert retlex[k].tolist() == _direct_counts(
+                n, s, (1 << ker.U) - 1 - colex_ids[::-1], k)[0].tolist()
+
+
+def test_class_count_self_test(monkeypatch):
+    # level s of the class counts is every id's edge count, checked on both
+    # sweeps; one skewed count is enough
+    block = oracle._Kernel.block
+
+    def skewed(self, k, lo, full=True, bits=None):
+        cnt = block(self, k, lo, full, bits)
+        if isinstance(k, tuple) and self.s in k:
+            cnt = cnt.copy()
+            cnt[k.index(self.s), -1] += 1
+        return cnt
+    monkeypatch.setattr(oracle._Kernel, "block", skewed)
+    for sweep, shape in ((verify_kkt, (4, 3)), (verify_kkt, (18, 17)),
+                         (verify_uniqueness, (7, 6)), (verify_uniqueness, (9, 1))):
+        with pytest.raises(InternalCheckError, match="kernel self-test"):
+            sweep(*shape)
+
+
+def test_warm_symmetric_sweep_calls_a_patched_seam(monkeypatch):
+    # the kept table of a symmetric shape is rebuilt with a stub bound on
+    # the module after a warm sweep
+    assert verify_kkt(7, 6).ok and verify_uniqueness(7, 6).ok
+    calls = []
+    real = oracle.k_colex
+    monkeypatch.setattr(oracle, "k_colex", lambda m, s, t: calls.append(t) or real(m, s, t) + 1)
+    rep = verify_kkt(7, 6)
+    assert sorted(set(calls)) == [6, 7]
+    assert {(f["kind"], f["level"]) for f in rep.failures} == {
+        ("cliques", 6), ("cliques", 7), ("cliques-colex-attain", 6), ("cliques-colex-attain", 7)}
+    with pytest.raises(InternalCheckError, match="colex orbit not attaining max cliques"):
+        verify_uniqueness(7, 6)
+    monkeypatch.undo()
+    assert verify_kkt(7, 6).ok and verify_uniqueness(7, 6).ok
+
+
+def test_symmetric_sweep_memory():
+    # the class counts test about 2^20 (id, k-set) pairs per block() call
+    tracemalloc.start()
+    try:
+        assert verify_kkt(18, 17).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_link_search_matches_full_search(monkeypatch, capsys):
