@@ -278,8 +278,8 @@ def test_criterion_8_bound_soundness():
         F = np.arange(1 << U, dtype=np.uint32)
         m_of = np.bitwise_count(F)
         u, t2 = s + 1, s + 2
-        starts = range(0, 1 << U, 1 << kern.bits)
-        ku, kt2 = (np.concatenate([kern.block(k, lo) for lo in starts]) for k in (u, t2))
+        ku, kt2 = np.concatenate([kern.block((u, t2), F[c0:c0 + (1 << 16)])
+                                  for c0 in range(0, len(F), 1 << 16)], axis=1)
         for i in range(1, s):
             dmax = comb(n - i, s - i)
             d_of = np.zeros(len(F), dtype=np.int16)

@@ -187,7 +187,7 @@ def test_binom_inverse_is_correctly_rounded_at_any_size():
     assert binom_inverse(10**700, 2) == math.inf        # beyond the double range
 
 
-@pytest.mark.parametrize("s,n", [(2, 6), (3, 6), (3, 7), (2, 9)])
+@pytest.mark.parametrize("s,n", [(2, 6), (3, 6), (3, 7), (2, 9), (1, 2), (1, 9)])
 def test_complement_cascade_bridge(s, n):
     total = comb(n, s)
     for m in range(0, total + 1):
@@ -225,7 +225,8 @@ def test_lovasz_known_values():
 
 
 def test_lovasz_dominates_k_colex():
-    for s in (2, 3):
+    # at s = 1, C(x, 1) = m makes x = m, so the bound is C(m, t) = k_colex
+    for s in (1, 2, 3):
         for m in range(0, comb(9, s) + 1):
             for t in range(s, 10):
                 lb = lovasz_clique_bound(m, s, t)

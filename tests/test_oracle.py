@@ -3,7 +3,6 @@
 import dataclasses
 import random
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -166,23 +165,24 @@ def test_search_widest_universe():
 
 
 def test_classes_match_canonical_forms():
-    # over every id of a shape, _classes gives each class's canonical_form
-    # once, in order of the class's lowest id, with the number of ids in the
-    # class, whether it reads the classes off the edge counts (s in {1, n-1,
-    # n}) or walks the relabelling table, where the orbit id with the largest
-    # bit-reversed value must be canonical_form's least sorted edge row
+    # over every id of a shape, _class_table gives each class once, in order
+    # of its lowest id, with its lowest and highest ids, canonical_form's
+    # least labelling and the number of ids in the class, whether it reads
+    # the classes off the edge counts (s in {1, n-1, n}) or walks the
+    # relabellings, where the orbit id with the largest bit-reversed value
+    # must be canonical_form's least sorted edge row
     for n in range(1, MAX_CANON_GROUND + 1):
         for s in range(1, n + 1):
             if comb(n, s) > 12:
                 continue
             ker = _Kernel(n, s)
-            forms = Counter(canonical_form(ker.family_of(fid)) for fid in range(1 << ker.U))
-            every = np.arange(1 << ker.U, dtype=np.uint32)
-            members = (np.bincount(np.bitwise_count(every), minlength=ker.U + 1)
-                       if oracle._symmetric(n, s) else every)
-            got = [(bytes((n, s)) + bytes(ker.masks_of(least)), size)
-                   for least, size in oracle._classes(n, s, members)]
-            assert got == list(forms.items()), (n, s)
+            members = {}
+            for fid in range(1 << ker.U):
+                members.setdefault(canonical_form(ker.family_of(fid)), []).append(fid)
+            want = [(ids[0], ids[-1], form, len(ids)) for form, ids in members.items()]
+            got = [(lo, hi, bytes((n, s)) + bytes(ker.masks_of(least)), size)
+                   for lo, hi, least, size in zip(*(a.tolist() for a in oracle._class_table(n, s)))]
+            assert got == want, (n, s)
 
 
 def test_wide_universes_do_not_count_k_sets_one_by_one():
@@ -209,51 +209,40 @@ def test_search_canonicalises_once_per_class():
 
 
 def test_search_rejects_attainers_not_closed_under_relabelling(monkeypatch):
-    # a clique count that singles out one labelled attainer (K_4 plus a
-    # pendant edge; two points; K_5 in a 7-vertex graph) breaks the symmetry
-    # the orbit deduplication relies on, whether the orbit comes from the
-    # relabelling table or not, and on a link kernel whether the search
-    # sweeps the skewed id or skips it and recounts it in its class's orbit
-    cases = []
-    for spec in [SearchSpec(5, 2, 3, m=7), SearchSpec(10, 1, 2, m=2), SearchSpec(7, 2, 3, m=10)]:
-        ker = oracle._kernel(spec.n, spec.s)
-        witness = exhaustive_search(spec).witnesses[0]
-        if not ker.link:
-            cases.append((spec, sum(1 << ker.universe.index(e) for e in witness.edges)))
-            continue
-        fids = {sum(1 << ker.universe.index(e) for e in relabel(witness, perm).edges)
-                for perm in permutations(range(1, spec.n + 1))}
-        reps = set(oracle._link_reps(spec.n, spec.s)[0].tolist())
-        swept = sorted(fid for fid in fids if fid >> ker.split in reps)
-        skipped = sorted(fids.difference(swept))
-        assert swept and skipped
-        cases += [(spec, swept[-1]), (spec, skipped[0])]
+    # a t-clique count that singles out one labelled member of the witness's
+    # class (K_4 plus a pendant edge; K_5 in a 7-vertex graph; two points),
+    # its lowest or its highest member, the two the search counts, breaks
+    # the symmetry that lets one family stand for its class
     block = oracle._Kernel.block
     skewed_id = []
 
-    def skewed(self, k, lo, full=True, bits=None):
-        # the ids of block()'s layout: lo | low, or [mid, block, low] for an
-        # array of block starts
-        b = self.bits if bits is None else bits
-        lb = b // 2
-        if isinstance(lo, np.ndarray):
-            ids = (lo[None, :, None] | np.arange(1 << (b - lb))[:, None, None] << lb
-                   | np.arange(1 << lb))
-        else:
-            ids = np.arange(lo, lo + (1 << b))
-        return block(self, k, lo, full, bits) + (ids == skewed_id[0])
-    monkeypatch.setattr(oracle._Kernel, "block", skewed)
-    for spec, fid in cases:
-        skewed_id[:] = [fid]
-        with pytest.raises(InternalCheckError, match="leaves the attainer set"):
-            exhaustive_search(spec)
+    def skewed(self, levels, ids):
+        cnt = block(self, levels, ids).copy()
+        cnt[levels.index(spec.t)] += np.asarray(ids) == skewed_id[0]
+        return cnt
+    for spec in [SearchSpec(5, 2, 3, m=7), SearchSpec(7, 2, 3, m=10), SearchSpec(10, 1, 2, m=2)]:
+        ker = oracle._kernel(spec.n, spec.s)
+        witness = sum(1 << ker.universe.index(e) for e in exhaustive_search(spec).witnesses[0].edges)
+        lo, hi, least, _ = oracle._class_table(spec.n, spec.s)
+        c = least.tolist().index(witness)
+        assert lo[c] < hi[c]
+        for fid in (lo[c], hi[c]):
+            skewed_id[:] = [fid]
+            with monkeypatch.context() as mp:
+                mp.setattr(oracle._Kernel, "block", skewed)
+                with pytest.raises(InternalCheckError, match="counts differ within a class"):
+                    exhaustive_search(spec)
 
 
 def test_kernel_counts_do_not_wrap():
-    # the whole family, the last id of the last block, holds all C(18,9) 9-sets
+    # the whole family holds all C(18,9) 9-sets; C(24,12) = 2,704,156 is the
+    # largest count any level takes, at id 2^24 - 1
     ker = _Kernel(18, 1)
-    cnt = ker.block(9, (1 << ker.U) - (1 << ker.bits))
-    assert cnt[-1] == comb(18, 9)
+    assert ker.block((9,), [(1 << ker.U) - 1])[0, -1] == comb(18, 9)
+    ker = _Kernel(24, 1)
+    cnt = ker.block((1, 12), [0, 2**12 - 1, 2**24 - 1])
+    assert cnt.dtype == np.uint32
+    assert cnt.tolist() == [[0, 12, 24], [0, 1, comb(24, 12)]]
 
 
 def _direct_counts(n, s, F, k):
@@ -270,77 +259,27 @@ def _direct_counts(n, s, F, k):
     return (hits == np.array(kms, dtype=np.uint32)).sum(axis=1), (hits != 0).sum(axis=1)
 
 
-def _block_counts(ker, F, k, full):
-    """Per id in F (ascending), its count at level k, read off the blocks F meets."""
-    lo = F >> ker.bits << ker.bits
-    return np.concatenate([ker.block(k, int(b), full)[F[lo == b] - b] for b in np.unique(lo)])
-
-
 @pytest.mark.parametrize("n,s", [(n, s) for n in range(1, 17) for s in range(1, n + 1)
                                  if comb(n, s) <= 16])
-def test_kernel_counts_match_direct_passes(monkeypatch, n, s):
+def test_kernel_counts_match_direct_passes(n, s):
     # every id when U <= 12, else a seeded sample that includes both ends;
-    # at 3 bits a meet block reads the full counts of another block
+    # one level at a time and every level in one call, and the meet counts
+    # as C(n,k) minus the full count of the complement
     U = comb(n, s)
     if U <= 12:
         F = np.arange(1 << U, dtype=np.uint32)
     else:
         pick = random.Random(U).sample(range(1, (1 << U) - 1), 254)
         F = np.array(sorted(pick + [0, (1 << U) - 1]), dtype=np.uint32)
-    want = {k: _direct_counts(n, s, F, k) for k in range(n + 1)}
-    for bits in (oracle.BLOCK_BITS, 3):
-        monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
-        ker = _Kernel(n, s)
-        for k, (full, meet) in want.items():
-            for is_full, ref in ((True, full), (False, meet)):
-                got = _block_counts(ker, F, k, is_full)
-                assert got.dtype == np.min_scalar_type(comb(n, k))
-                assert got.tolist() == ref.tolist(), (bits, k, is_full)
-
-
-def test_kernel_float32_counts_are_exact_at_the_widest_level(monkeypatch):
-    # C(24,12) = 2,704,156 < 2^24 is the largest count a block product sums
-    # ids 0 and 2^12 - 1 lie in the first block, 2^24 - 1 in the last
-    ker = _Kernel(24, 1)
-    top, last = comb(24, 12), (1 << 24) - (1 << ker.bits)
-    for full, want in ((True, [0, 1, top]), (False, [0, top - 1, top])):
-        first = ker.block(12, 0, full)
-        assert [int(first[0]), int(first[2**12 - 1]), int(ker.block(12, last, full)[-1])] == want
-    # C(27,13) = 20,058,300 would not be exact in float32
-    monkeypatch.setattr(oracle, "MAX_UNIVERSE", 27)
-    with pytest.raises(ValueError, match="reaches 2\\^24"):
-        _Kernel(27, 1)
-
-
-@pytest.mark.parametrize("n,s", [(5, 3), (6, 2)])
-def test_scan_hit_tallies_match_direct_counts(monkeypatch, n, s):
-    # the sweeps only pass extreme counts as targets; top - (m mod 2) is hit
-    # by some ids and missed by others at odd m, and at every third m a
-    # target past C(n,k) must not wrap onto a count in the counts' uint8
-    U = comb(n, s)
-    F = np.arange(1 << U, dtype=np.uint32)
-    m = np.bitwise_count(F)
-    watched = F[::37]
-    want = []
+    ker = _Kernel(n, s)
+    every = ker.block(tuple(range(n + 1)), F)
+    assert every.dtype == np.min_scalar_type(comb(n, n // 2))
     for k in range(n + 1):
-        full = _direct_counts(n, s, F, k)[0]
-        top = np.zeros(U + 1, dtype=np.int64)
-        np.maximum.at(top, m, full)
-        target = top - np.arange(U + 1) % 2
-        target[::3] += 256
-        want.append((k, target, top, np.bincount(m[full == target[m]], minlength=U + 1),
-                     full[watched]))
-    assert sum(hits[1::2].sum() for *_, hits, _ in want) > 0
-    for bits in (oracle.BLOCK_BITS, 3):
-        monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
-        ker = _Kernel(n, s)
-        # a level without a target yields its maxima, one with a target its hits
-        tops = oracle._scan(ker, [(k, watched, None) for k, *_ in want])
-        hits = oracle._scan(ker, [(k, watched, target) for k, target, *_ in want])
-        for (k, _, top, hit, seen), (g_top, t_seen), (g_hit, h_seen) in zip(want, tops, hits):
-            assert g_top.tolist() == top.tolist(), (bits, k)
-            assert g_hit.tolist() == hit.tolist(), (bits, k)
-            assert t_seen.tolist() == h_seen.tolist() == seen.tolist(), (bits, k)
+        full, meet = _direct_counts(n, s, F, k)
+        got = ker.block((k,), F)[0]
+        assert got.dtype == np.min_scalar_type(comb(n, k))
+        assert got.tolist() == every[k].tolist() == full.tolist(), k
+        assert (comb(n, k) - ker.block((k,), (1 << U) - 1 - F)[0].astype(int)).tolist() == meet.tolist(), k
 
 
 def test_edge_perms_table():
@@ -434,23 +373,6 @@ def test_second_search_builds_no_masks(monkeypatch):
     assert calls == []
 
 
-def test_kernel_cache_is_keyed_by_block_size(monkeypatch):
-    # blocks of 8 ids need their own tables, so the block-size tests still
-    # scan small blocks after a full-size kernel of the same shape is kept
-    whole = oracle._kernel(5, 2)
-    monkeypatch.setattr(oracle, "BLOCK_BITS", 3)
-    small = oracle._kernel(5, 2)
-    assert small is not whole and (whole.bits, small.bits) == (10, 3)
-    assert oracle._kernel(5, 2) is small
-    used = set()
-    block = oracle._Kernel.block
-    monkeypatch.setattr(oracle._Kernel, "block", lambda self, k, lo, full=True, bits=None: used.add(
-        id(self)) or block(self, k, lo, full, bits))
-    assert verify_kkt(5, 2).ok and verify_uniqueness(5, 2).ok
-    assert exhaustive_search(SearchSpec(5, 2, 3, m=4)).optimum == 1
-    assert used == {id(small)}
-
-
 def test_kernels_above_16_points_are_not_kept():
     oracle._kept_kernel.cache_clear()
     assert verify_kkt(17, 1).ok
@@ -468,31 +390,35 @@ def test_colex_array_matches_colex_masks():
 
 
 def test_kkt_sweep_reports_a_segment_that_does_not_attain(monkeypatch):
-    # right extremes, but one count of the colex segment at level s + 1 read
-    # wrong: only the attain rows that read it fail
-    scan = oracle._scan
+    # right extremes, but the class of C_2(3), the triangle, read as the
+    # next class with 3 edges, the star K_{1,3} (ids 7 and 11): only the
+    # attain rows that read the triangle's counts fail, the shadow at level
+    # 1 (the star leaves one point, not two, out) and the triangle count
+    sweep_counts = oracle._sweep_counts
 
-    def skewed(ker, levels):
-        out = scan(ker, levels)
-        out[ker.s + 1][1][3] += 1
-        return out
-    monkeypatch.setattr(oracle, "_scan", skewed)
+    def skewed(ker):
+        cnt, mc, comp, colex = sweep_counts(ker)
+        lo = oracle._class_table(ker.n, ker.s)[0]
+        assert (lo[colex[3]], lo[colex[3] + 1]) == (7, 11)
+        colex = colex.copy()
+        colex[3] += 1
+        return cnt, mc, comp, colex
+    monkeypatch.setattr(oracle, "_sweep_counts", skewed)
     rep = verify_kkt(5, 2)
     assert [(f["kind"], f["level"]) for f in rep.failures] == [
-        ("cliques-colex-attain", 3), ("upshadow-retlex-attain", 3)]
+        ("shadow-colex-attain", 1), ("cliques-colex-attain", 3), ("upshadow-retlex-attain", 3)]
 
 
 def test_kkt_sweep_self_test(monkeypatch):
-    # level s counts the edges of every family; the scan counts whole blocks,
-    # one or several per call, laid out [mid, block, low]
+    # level s counts the edges of every family: a count one too high at
+    # every family with two edges, both members of each class alike, trips
+    # it, not the check within a class
     block = oracle._Kernel.block
 
-    def skewed(self, k, lo, full, bits):
-        los = np.atleast_1d(lo)
-        lb = bits // 2
-        ids = (los[:, None] + (np.arange(1 << (bits - lb))[:, None, None] << lb)
-               + np.arange(1 << lb)).reshape(np.shape(block(self, k, lo, full, bits)))
-        return block(self, k, lo, full, bits) + ((ids == 5) & (k == self.s))
+    def skewed(self, levels, ids):
+        cnt = block(self, levels, ids).copy()
+        cnt[levels.index(self.s)] += np.bitwise_count(np.asarray(ids)) == 2
+        return cnt
     monkeypatch.setattr(oracle._Kernel, "block", skewed)
     with pytest.raises(InternalCheckError, match="kernel self-test"):
         verify_kkt(4, 2)
@@ -547,122 +473,16 @@ def test_uniqueness_sweep_on_every_graph_on_7_vertices():
     assert len(rep.checks) == 22 * 6    # m = 0..21; q = 1 and t = 3..7
 
 
-def _segment_levels(n, s):
-    """verify_kkt's levels: every k, watching the colex ids (k >= s) or the
-    retlex ids (k < s), whose complements are the colex ids."""
-    U = comb(n, s)
-    colex = (1 << np.arange(U + 1, dtype=np.int64)) - 1
-    retlex = (1 << U) - 1 - colex[::-1]
-    return [(k, retlex if k < s else colex, None) for k in range(n + 1)]
-
-
-LINK_SHAPES = [(n, s) for n in range(1, 21) for s in range(1, n + 1)
-               if comb(n, s) <= 20] + [(7, 2), (7, 5)]
-
-
-def test_link_sweep_matches_full_sweep(monkeypatch):
-    # one family per class of links at vertex n, every low part under each:
-    # the per-m maxima of every level and the segment counts are those of
-    # a sweep over every high part (at 4 bits the low part of most shapes is
-    # split over several blocks)
-    for bits, shapes in ((oracle.BLOCK_BITS, LINK_SHAPES),
-                         (4, [(n, s) for n, s in LINK_SHAPES if comb(n, s) <= 10])):
-        with monkeypatch.context() as mp:
-            mp.setattr(oracle, "BLOCK_BITS", bits)
-            for n, s in shapes:
-                levels = _segment_levels(n, s)
-                full = oracle._scan(_Kernel(n, s), levels)
-                link = oracle._scan(_Kernel(n, s, link=True), levels)
-                for k, (top, seen), (l_top, l_seen) in zip(range(n + 1), full, link):
-                    assert l_top.tolist() == top.tolist(), (bits, n, s, k)
-                    assert l_seen.tolist() == seen.tolist(), (bits, n, s, k)
-    # the ids whose link lies in the class of a representative r are the
-    # relabellings of those whose link is r, low parts and all, so the hit
-    # tally of a level over every id is the sum of the representatives'
-    # tallies weighted by their class sizes; at level s, where every id hits
-    # its edge count, that sum is C(U, m) for every m
-    none = np.zeros(0, dtype=np.int64)
-    for n, s in [(n, s) for n, s in LINK_SHAPES if n <= 7]:
-        top = [t for t, _ in oracle._scan(_Kernel(n, s), _segment_levels(n, s))]
-        levels = [(k, none, top[k]) for k in range(n + 1)]
-        want = [hits.tolist() for hits, _ in oracle._scan(_Kernel(n, s), levels)]
-        got = 0
-        reps, sizes = oracle._link_reps(n, s)
-        for r, class_size in zip(reps.tolist(), sizes.tolist()):
-            # the class size: the distinct ids of r's relabellings
-            link = [e for j, e in enumerate(_colex_masks(n - 1, s - 1)) if r >> j & 1]
-            rows = oracle._images(n - 1, s - 1, link)[0]
-            size = len(np.unique(np.bitwise_or.reduce(np.uint32(1) << rows, axis=1)))
-            assert size == class_size, (n, s, r)
-            with monkeypatch.context() as mp:
-                mp.setattr(oracle, "_link_reps", lambda n, s: (np.array([r]), np.array([size])))
-                got += size * np.array([h for h, _ in oracle._scan(_Kernel(n, s, link=True), levels)])
-        assert got.tolist() == want, (n, s)
-        assert want[s] == [comb(comb(n, s), m) for m in range(comb(n, s) + 1)]
-    # the verdict rows of verify_uniqueness, with the real verdicts and, where
-    # a failure row's rescan is quick, with every verdict flipped
-    shapes = [(n, s) for n in range(1, 8) for s in range(1, n + 1) if comb(n, s) <= 21]
-    reports = {}
-    for link in (False, True):
-        monkeypatch.setattr(oracle, "_kernel", lambda n, s, link=link: _Kernel(n, s, link=link))
-        real = [verify_uniqueness(n, s) for n, s in shapes]
-        with monkeypatch.context() as mp:
-            for name in ("is_colex_unique", "is_clique_unique"):
-                mp.setattr(oracle, name, _flip_all(getattr(oracle, name)))
-            flipped = [verify_uniqueness(n, s).failures for n, s in shapes if comb(n, s) <= 20]
-        reports[link] = real, flipped
-    real, flipped = reports[True]
-    assert all(r.ok for r in real) and sum(map(len, flipped)) > 0
-    assert reports[True] == reports[False]
-
-
-SYMMETRIC = [(n, s) for n in range(1, 17) for s in sorted({1, n - 1, n} - {0})
-             if comb(n, s) <= 16]
-
-
-def test_class_counts_match_full_sweep(monkeypatch):
-    # at s in {1, n - 1, n} every family with m edges is a relabelling of
-    # C_s(m): in a sweep over every id, all C(U, m) ids with m edges count
-    # what the colex id counts, so it is the per-m extreme, and the sweep
-    # watches the same colex and retlex counts
-    # (at 3 bits only up to 12 edges: _scan then counts 8 ids per call, and
-    # 2^16 ids take seconds per shape)
-    for bits, shapes in ((oracle.BLOCK_BITS, SYMMETRIC),
-                         (3, [(n, s) for n, s in SYMMETRIC if comb(n, s) <= 12])):
-        monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
-        for n, s in shapes:
-            ker = _Kernel(n, s)
-            U = ker.U
-            sizes, colex, retlex = oracle._class_counts(ker)
-            assert sizes.tolist() == [comb(U, m) for m in range(U + 1)]
-            colex_ids = (1 << np.arange(U + 1, dtype=np.int64)) - 1
-            watched = np.concatenate((colex_ids, (1 << U) - 1 - colex_ids[::-1]))
-            scan = oracle._scan(ker, [(k, watched, colex[k]) for k in range(n + 1)])
-            for k, (hits, seen) in enumerate(scan):
-                assert hits.tolist() == sizes.tolist(), (bits, n, s, k)
-                assert colex[k].tolist() == seen[:U + 1].tolist(), (bits, n, s, k)
-                assert retlex[k].tolist() == seen[U + 1:].tolist(), (bits, n, s, k)
-    # and the class counts are the brute-force counts of the segments
-    for n, s in [(n, s) for n, s in SYMMETRIC if n <= 6]:
-        ker = _Kernel(n, s)
-        _, colex, retlex = oracle._class_counts(ker)
-        colex_ids = (1 << np.arange(ker.U + 1, dtype=np.uint32)) - 1
-        for k in range(n + 1):
-            assert colex[k].tolist() == _direct_counts(n, s, colex_ids, k)[0].tolist()
-            assert retlex[k].tolist() == _direct_counts(
-                n, s, (1 << ker.U) - 1 - colex_ids[::-1], k)[0].tolist()
-
-
 def test_class_count_self_test(monkeypatch):
     # level s of the class counts is every id's edge count, checked on both
     # sweeps; one skewed count is enough
     block = oracle._Kernel.block
 
-    def skewed(self, k, lo, full=True, bits=None):
-        cnt = block(self, k, lo, full, bits)
-        if isinstance(k, tuple) and self.s in k:
+    def skewed(self, levels, ids):
+        cnt = block(self, levels, ids)
+        if self.s in levels:
             cnt = cnt.copy()
-            cnt[k.index(self.s), -1] += 1
+            cnt[levels.index(self.s), -1] += 1
         return cnt
     monkeypatch.setattr(oracle._Kernel, "block", skewed)
     for sweep, shape in ((verify_kkt, (4, 3)), (verify_kkt, (18, 17)),
@@ -699,16 +519,78 @@ def test_symmetric_sweep_memory():
     assert peak <= 16 * 2**20
 
 
-def test_link_search_matches_full_search(monkeypatch, capsys):
-    # on a link kernel the search counts one family per link class and
-    # weighs each by its class size: the optimum, witnesses and
-    # families_scanned are those of a search over every id, and so is the
-    # pinned payload, byte for byte
-    rng = random.Random(23)
-    specs = []
-    for n, s in ((6, 3), (7, 2)):
-        assert oracle._kernel(n, s).link
+def _every_id_counts(n, s):
+    """Per level k and every id of (n, s): its full and its meet count
+    (_direct_counts, 2^16 ids at a time), as uint8 arrays [k, id]."""
+    U = comb(n, s)
+    full, meet = (np.empty((n + 1, 1 << U), dtype=np.uint8) for _ in range(2))
+    for c0 in range(0, 1 << U, 1 << 16):
+        F = np.arange(c0, min(c0 + (1 << 16), 1 << U), dtype=np.uint32)
+        for k in range(n + 1):
+            full[k, c0:c0 + len(F)], meet[k, c0:c0 + len(F)] = _direct_counts(n, s, F, k)
+    return full, meet
+
+
+def _extremes(m, v, pick, U, weights=1):
+    """Per edge count 0..U: the largest (pick = np.maximum) or least
+    (np.minimum) value of v over the entries with that count, and the
+    number of entries attaining it, each weighing weights."""
+    v = v.astype(np.int64)
+    ext = np.full(U + 1, -1 if pick is np.maximum else 1 << 30)
+    pick.at(ext, m, v)
+    return ext.tolist(), np.bincount(m, weights=np.where(v == ext[m], weights, 0),
+                                     minlength=U + 1).astype(np.int64).tolist()
+
+
+NON_SYMMETRIC = [(4, 2), (5, 2), (5, 3), (6, 2), (6, 3), (6, 4), (7, 2), (7, 5)]
+
+
+def test_class_table_matches_every_id():
+    # one family per isomorphism class stands for every id: on each shape
+    # whose classes come from the relabelling walk, the class sizes add up
+    # to 2^U, and to C(U, m) per edge count, and per level and m the largest
+    # full count, the least meet count and the number of ids attaining each,
+    # over every id, are those the classes give, each weighing its size.
+    # The class counts are those of graphs on 4 to 7 vertices (OEIS
+    # A000088) and of 3-graphs on 6 (2136); (n, s) and (n, n - s) match.
+    for (n, s), classes in zip(NON_SYMMETRIC, (11, 34, 34, 156, 2136, 156, 1044, 1044)):
         U = comb(n, s)
+        lo, _, _, sizes = oracle._class_table(n, s)
+        mc = np.bitwise_count(lo)
+        assert len(lo) == classes and int(sizes.sum()) == 1 << U, (n, s)
+        assert np.bincount(mc, weights=sizes).tolist() == [comb(U, m) for m in range(U + 1)]
+        cnt, _, comp, _ = oracle._sweep_counts(_Kernel(n, s))
+        full, meet = _every_id_counts(n, s)
+        m_all = np.bitwise_count(np.arange(1 << U, dtype=np.uint32))
+        for k in range(n + 1):
+            for every, per_class, pick in ((full[k], cnt[k], np.maximum),
+                                           (meet[k], comb(n, k) - cnt[k, comp], np.minimum)):
+                assert (_extremes(m_all, every, pick, U)
+                        == _extremes(mc, per_class, pick, U, sizes)), (n, s, k, pick)
+
+
+def test_class_table_sizes_must_add_up(monkeypatch):
+    # a walk that misses a class fails: without the (4, 1) link class of
+    # four edges, vertex 5 of degree 4, the walk over (5, 2) misses K_5,
+    # the only graph that has no vertex of smaller degree to relabel as 5
+    real = oracle._class_table
+    monkeypatch.setattr(oracle, "_class_table", lambda n, s: tuple(
+        a[:-1] for a in real(n, s)) if (n, s) == (4, 1) else real(n, s))
+    with pytest.raises(InternalCheckError, match="classes of \\(5,2\\) hold 1023 of 2\\^10"):
+        real.__wrapped__(5, 2)
+
+
+def test_link_search_matches_full_search(capsys):
+    # the search counts one family per class, walked from the link classes
+    # at vertex n, and weighs each by its class size: the optimum and
+    # families_scanned are those of a search over every id, the witnesses
+    # attain, are pairwise non-isomorphic and their classes hold every
+    # attainer, and the pinned payload holds byte for byte
+    rng = random.Random(23)
+    feasible = multiclass = 0
+    for n, s in ((6, 3), (7, 2)):
+        U = comb(n, s)
+        specs = []
         for _ in range(25):
             m = rng.randint(0, U)
             kw = {"m": m}
@@ -722,100 +604,40 @@ def test_link_search_matches_full_search(monkeypatch, capsys):
                 u = rng.randint(s + 1, n)
                 kw.update(u=u, p=rng.randint(0, k_colex(m, s, u)))
             specs.append(SearchSpec(n, s, rng.randint(s, n), **kw))
-    specs += [SearchSpec(6, 3, 4), SearchSpec(6, 3, 4, i=2, max_degree=2),
-              SearchSpec(6, 3, 5, i=1, max_degree=4, u=4, p=3)]
-    argv = ["search", "6", "3", "4", "--edges", "6", "--degree", "1", "5"]
-    results = {}
-    for link in (True, False):
-        with monkeypatch.context() as mp:
-            if not link:
-                mp.setattr(oracle, "_kernel", lambda n, s: _Kernel(n, s, link=False))
-            results[link] = [exhaustive_search(spec) for spec in specs]
-            assert main(argv) == 0
-            assert capsys.readouterr().out == (DATA / "search_6_3_4_edges6_degree1_5.json").read_text()
-    assert results[True] == results[False]
-    ok = [r for r in results[True] if r.status == "ok"]
-    assert len(ok) > 40 and sum(r.class_count > 1 for r in ok) > 10, len(ok)
-
-
-def test_link_representatives():
-    # the links at vertex n of (5,3) and (6,3) are graphs on 4 and 5
-    # vertices (OEIS A000088); those of (6,4) and (7,5) are 3-graphs on 5 and
-    # 4-graphs on 6 vertices, which complementing each edge within [n - 1]
-    # turns into graphs on 5 and 6; at s - 1 in {0, 1, n - 2, n - 1} there
-    # is one class per edge count
-    for (n, s), classes in {(5, 3): 11, (6, 3): 34, (6, 4): 34, (7, 5): 156,
-                            (7, 2): 7, (24, 1): 2, (24, 23): 24}.items():
-        reps, sizes = oracle._link_reps(n, s)
-        assert len(reps) == classes and reps.tolist() == sorted(set(reps.tolist())), (n, s)
-        # the classes' sizes add up to every link
-        assert len(sizes) == classes and sizes.sum() == 2 ** comb(n - 1, s - 1), (n, s)
-        if n <= MAX_CANON_GROUND:
-            ker = _Kernel(n - 1, s - 1)
-            for r in reps.tolist():
-                # each is canonical_form's least labelling of its class
-                masks = sorted(ker.masks_of(r))
-                assert canonical_form(ker.family_of(r)) == bytes((n - 1, s - 1)) + bytes(masks)
-    # the ids the link sweep counts: 34 * 2^10 at (6,3), 7 * 2^15 at (7,2)
-    for (n, s), ids in {(6, 3): 34 << 10, (7, 2): 7 << 15}.items():
-        ker = oracle._kernel(n, s)
-        assert len(ker.plan()[0]) << ker.sweep_bits == ids
-
-
-def _scans(pairs):
-    """Sweep reports and search results on every (n, s) in pairs."""
-    out = []
-    for n, s in pairs:
-        out.append(verify_kkt(n, s))
-        if n <= MAX_CANON_GROUND:
-            out.append(verify_uniqueness(n, s))
-        U = comb(n, s)
-        for kw in ({}, {"m": U // 2}, {"u": n, "p": 0},
-                   {"i": s - 1, "max_degree": 1} if s > 1 else {"m": U}):
-            for t in sorted({s, n}):
-                out.append(exhaustive_search(SearchSpec(n, s, t, **kw)))
-    return out
-
-
-SMALL_UNIVERSES = [(n, s) for n in range(1, 11) for s in range(1, n + 1) if comb(n, s) <= 10]
-
-
-def test_scans_agree_across_block_sizes(monkeypatch):
-    # blocks of 8 ids split every universe above 3 edges; the merged extremes,
-    # attainer counts, segment counts and search results must not change
-    whole = _scans(SMALL_UNIVERSES)
-    monkeypatch.setattr(oracle, "BLOCK_BITS", 3)
-    assert _scans(SMALL_UNIVERSES) == whole
-
-
-@pytest.mark.parametrize("shift", [1, -1])
-def test_failure_rows_agree_across_block_sizes(monkeypatch, shift):
-    # k_colex off by +1 is attained by no family (rows name the colex segment);
-    # off by -1 it is beaten (rows name the lowest-id family beyond it)
-    real_k = oracle.k_colex
-    real_unique = oracle.is_colex_unique, oracle.is_clique_unique
-    pairs = [(4, 2), (5, 2), (5, 3)]
-
-    def rows():
-        with monkeypatch.context() as mp:
-            mp.setattr(oracle, "k_colex", lambda m, s, t: max(real_k(m, s, t) + shift, 0))
-            kkt = [verify_kkt(n, s).failures for n, s in pairs]
-        # shadow_colex also gives the upshadow rows' expected values
-        with monkeypatch.context() as mp:
-            mp.setattr(oracle, "shadow_colex", _shifted_shadow(shift))
-            kkt += [verify_kkt(n, s).failures for n, s in pairs]
-        with monkeypatch.context() as mp:
-            for name, real in zip(("is_colex_unique", "is_clique_unique"), real_unique):
-                mp.setattr(oracle, name, lambda m, s, level, n, real=real: dataclasses.replace(
-                    real(m, s, level, n), verdict=(m + level + shift) % 2 == 0))
-            uniq = [verify_uniqueness(n, s).failures for n, s in pairs]
-        return kkt, uniq
-
-    whole = rows()
-    families = [f["family"] for reps in whole for rep in reps for f in rep if "family" in f]
-    assert any(families) and None in families
-    monkeypatch.setattr(oracle, "BLOCK_BITS", 3)
-    assert rows() == whole
+        if n == 6:
+            specs += [SearchSpec(6, 3, 4), SearchSpec(6, 3, 4, i=2, max_degree=2),
+                      SearchSpec(6, 3, 5, i=1, max_degree=4, u=4, p=3)]
+        full = _every_id_counts(n, s)[0]
+        F = np.arange(1 << U, dtype=np.uint32)
+        m_of = np.bitwise_count(F)
+        universe = list(_colex_masks(n, s))
+        deg = {i: np.max([np.bitwise_count(F & sum(1 << j for j, e in enumerate(universe) if e & I == I))
+                          for I in map(mask_of, combinations(range(1, n + 1), i))], axis=0)
+               for i in range(s)}
+        for spec in specs:
+            ok = np.ones(len(F), dtype=bool) if spec.m is None else m_of == spec.m
+            if spec.i is not None:
+                ok &= deg[spec.i] <= spec.max_degree
+            if spec.u is not None:
+                ok &= full[spec.u] == spec.p
+            r = exhaustive_search(spec)
+            assert r.families_scanned == int(ok.sum()), spec
+            if not ok.any():
+                assert (r.status, r.optimum, r.witnesses) == ("infeasible", None, []), spec
+                continue
+            best = int(full[spec.t][ok].max())
+            attainers = set(np.flatnonzero(ok & (full[spec.t] == best)).tolist())
+            ids = [sum(1 << universe.index(e) for e in w.edges) for w in r.witnesses]
+            sizes = [len(np.unique(np.bitwise_or.reduce(
+                np.uint32(1) << oracle._images(n, s, list(w.edges))[0], axis=1))) for w in r.witnesses]
+            assert (r.status, r.optimum, r.class_count) == ("ok", best, len(ids)), spec
+            assert set(ids) <= attainers and sum(sizes) == len(attainers), spec
+            assert len({canonical_form(w) for w in r.witnesses}) == len(ids), spec
+            feasible += 1
+            multiclass += len(ids) > 1
+    assert feasible > 40 and multiclass > 10, (feasible, multiclass)
+    assert main(["search", "6", "3", "4", "--edges", "6", "--degree", "1", "5"]) == 0
+    assert capsys.readouterr().out == (DATA / "search_6_3_4_edges6_degree1_5.json").read_text()
 
 
 def _shifted_shadow(shift):
@@ -932,7 +754,7 @@ def test_warm_sweeps_still_call_a_patched_seam(monkeypatch, name, sweep, shape, 
 def test_kept_rows_and_orbits_are_read_only():
     verify_kkt(5, 2)
     verify_uniqueness(5, 3)
-    kept = [row for _, row in oracle._ROWS.values()] + list(oracle._colex_orbits(5, 3))
+    kept = [row for _, row in oracle._ROWS.values()] + list(oracle._class_table(5, 3))
     assert oracle._ROWS and all(not a.flags.writeable for a in kept)
     with pytest.raises(ValueError):
         kept[0][0] = 1
@@ -966,8 +788,7 @@ def test_sweeps_agree_cold_and_warm():
                 + [verify_uniqueness(n, s) for n, s in SWEEP_UNIQUENESS])
 
     oracle._ROWS.clear()
-    for kept in (oracle._colex_orbits, oracle._edge_perms, oracle._kept_kernel,
-                 oracle._popcount_runs):
+    for kept in (oracle._class_table, oracle._edge_perms, oracle._kept_kernel):
         kept.cache_clear()
     cold = reports()
     assert all(r.ok for r in cold)
