@@ -23,9 +23,13 @@ upshadow counts) is unchanged by relabelling, so they count one family per
 isomorphism class (_class_table) and weigh it by its class's size; a report
 still speaks of every family.  Each class is counted at its lowest and its
 highest member, which must agree, and level s must count every family's
-edges.  A process keeps per shape the class table, the kernel's k-set masks
-(n <= KEEP_KERNEL_N) and the expected rows; a row is rebuilt when this
-module's binding of the function it came from changes.
+edges; both checks run whenever a level is counted.  A process keeps per
+shape the class table, in _class_store the class counts of every level
+counted so far, each class's max i-degree per i read and the sweep's
+arrays, and the expected rows.  So a shape's level is counted once per
+process, and a kernel (its k-set masks) lives only for the call that counts
+it; a row is rebuilt when this module's binding of the function it came
+from changes.
 """
 
 from __future__ import annotations
@@ -63,10 +67,11 @@ if TYPE_CHECKING:
 
 MAX_CANON_GROUND = 8
 MAX_UNIVERSE = 24
-# Kernels on at most this many points are kept for the process by _kernel.
-# A kernel keeps the edge masks of the levels it counted, 4 bytes per k-set
-# and level tuple: 256 KB at (16, 1) for every level, but 64 MB at (24, 1).
-KEEP_KERNEL_N = 16
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @cache
@@ -160,9 +165,7 @@ def _class_table(n: int, s: int) -> tuple[np.ndarray, ...]:
     if int(rows[3].sum()) != 1 << U:
         raise InternalCheckError(f"the classes of ({n},{s}) hold {int(rows[3].sum())} "
                                  f"of 2^{U} families")
-    for a in rows:
-        a.flags.writeable = False
-    return tuple(rows)
+    return tuple(map(_read_only, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +205,6 @@ class _Kernel:
         self.n, self.s, self.U = n, s, U
         self.universe = list(_colex_masks(n, s))
         self._tuples: dict[tuple, tuple] = {}
-        # masks(k) per k, built once: the search's i-degree caps read them
-        self.kmasks: dict[int, np.ndarray] = {}
 
     def masks_of(self, fid: int) -> tuple[int, ...]:
         return tuple(self.universe[j] for j in _bit_positions(int(fid)))
@@ -221,12 +222,6 @@ class _Kernel:
             km |= ((ks & e) == (ks if k < self.s else e)).astype(np.uint32) << j
         return km
 
-    def edge_masks(self, k: int) -> np.ndarray:
-        """masks(k), built once per kernel."""
-        if k not in self.kmasks:
-            self.kmasks[k] = self.masks(k)
-        return self.kmasks[k]
-
     def block(self, levels: tuple[int, ...], ids) -> np.ndarray:
         """Per level of levels and id of ids, as [level, id], the number of
         k-sets whose edge mask lies inside the family, in the narrowest dtype
@@ -237,7 +232,7 @@ class _Kernel:
         per tuple of levels."""
         import numpy as np
         if levels not in self._tuples:
-            km = [self.kmasks[k] if k in self.kmasks else self.masks(k) for k in levels]
+            km = [self.masks(k) for k in levels]
             self._tuples[levels] = (np.concatenate(km), np.cumsum([0] + [len(a) for a in km[:-1]]),
                                     np.min_scalar_type(max(comb(self.n, k) for k in levels)))
         km, starts, dtype = self._tuples[levels]
@@ -245,48 +240,53 @@ class _Kernel:
         return np.add.reduceat((km | H) == H, starts, axis=1, dtype=dtype).T
 
 
-def _kernel(n: int, s: int) -> _Kernel:
-    """The kernel of (n, s): kept for the process when n <= KEEP_KERNEL_N,
-    built afresh otherwise."""
-    return _kept_kernel(n, s) if n <= KEEP_KERNEL_N else _Kernel(n, s)
-
-
 @cache
-def _kept_kernel(n: int, s: int) -> _Kernel:
-    return _Kernel(n, s)
+def _class_store(n: int, s: int) -> dict:
+    """What a process keeps per shape beside _class_table, filled on first
+    use: under level k, the row of each class's full count of k-sets
+    (_class_counts); under ("degree", i), each class's most edges through
+    one i-set (exhaustive_search's cap); under "sweep", _sweep_counts'
+    arrays.  Every array is read-only."""
+    return {}
 
 
-def _class_counts(ker: _Kernel, levels: tuple[int, ...]) -> np.ndarray:
+def _class_counts(ker: _Kernel, levels: tuple[int, ...]) -> list[np.ndarray]:
     """The full count of each of levels (ascending) at every class of ker's
-    shape, as [level, class] in _class_table's order, taken at each class's
-    lowest and highest member, which must agree.  Level s counts every id's
-    edges, which is checked when it is among levels.  The levels go into
-    block() calls of about 2^20 (id, k-set) pairs at most: as many levels as
-    fit in 2^20 k-sets, one at least, and as many ids as fit with them."""
+    shape, one row per level in _class_table's order, from _class_store.
+    Levels met for the first time are counted, with level s, at each
+    class's lowest and highest member, which must agree, and level s must
+    count every id's edges, before their rows are stored.  The levels go
+    into block() calls of about 2^20 (id, k-set) pairs at most: as many
+    levels as fit in 2^20 k-sets, one at least, and as many ids as fit with
+    them."""
     import numpy as np
-    lo, hi, _, _ = _class_table(ker.n, ker.s)
-    ids = np.concatenate((lo, hi))
-    cap = 1 << 20
-    cnt = np.empty((len(levels), len(ids)), dtype=np.int64)
-    a = 0
-    while a < len(levels):
-        b, width = a + 1, comb(ker.n, levels[a])
-        while b < len(levels) and width + comb(ker.n, levels[b]) <= cap:
-            width += comb(ker.n, levels[b])
-            b += 1
-        per = max(1, cap // width)
-        for c0 in range(0, len(ids), per):
-            cnt[a:b, c0:c0 + per] = ker.block(levels[a:b], ids[c0:c0 + per])
-        a = b
-    if ker.s in levels and not np.array_equal(cnt[levels.index(ker.s)], np.bitwise_count(ids)):
-        raise InternalCheckError("kernel self-test failed: k^s != edge count")
-    at_lo, at_hi = cnt[:, :len(lo)], cnt[:, len(lo):]
-    if not np.array_equal(at_lo, at_hi):
-        j, c = np.argwhere(at_lo != at_hi)[0]
-        raise InternalCheckError(
-            f"counts differ within a class: level {levels[j]} counts {at_lo[j, c]} at "
-            f"family {lo[c]} but {at_hi[j, c]} at family {hi[c]}")
-    return at_lo
+    store = _class_store(ker.n, ker.s)
+    if any(k not in store for k in levels):
+        new = tuple(sorted({ker.s, *(k for k in levels if k not in store)}))
+        lo, hi, _, _ = _class_table(ker.n, ker.s)
+        ids = np.concatenate((lo, hi))
+        cap = 1 << 20
+        cnt = np.empty((len(new), len(ids)), dtype=np.int64)
+        a = 0
+        while a < len(new):
+            b, width = a + 1, comb(ker.n, new[a])
+            while b < len(new) and width + comb(ker.n, new[b]) <= cap:
+                width += comb(ker.n, new[b])
+                b += 1
+            per = max(1, cap // width)
+            for c0 in range(0, len(ids), per):
+                cnt[a:b, c0:c0 + per] = ker.block(new[a:b], ids[c0:c0 + per])
+            a = b
+        if not np.array_equal(cnt[new.index(ker.s)], np.bitwise_count(ids)):
+            raise InternalCheckError("kernel self-test failed: k^s != edge count")
+        at_lo, at_hi = cnt[:, :len(lo)], cnt[:, len(lo):]
+        if not np.array_equal(at_lo, at_hi):
+            j, c = np.argwhere(at_lo != at_hi)[0]
+            raise InternalCheckError(
+                f"counts differ within a class: level {new[j]} counts {at_lo[j, c]} at "
+                f"family {lo[c]} but {at_hi[j, c]} at family {hi[c]}")
+        store.update(zip(new, _read_only(at_lo.copy())))
+    return [store[k] for k in levels]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +353,7 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     import numpy as np
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    ker = _kernel(spec.n, spec.s)
+    ker = _Kernel(spec.n, spec.s)
     lo, _, least, sizes = _class_table(spec.n, spec.s)
     levels = tuple(sorted({spec.s, spec.t} | ({spec.u} if spec.u is not None else set())))
     cnt = dict(zip(levels, _class_counts(ker, levels)))
@@ -361,11 +361,15 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     if spec.m is not None:
         ok &= np.bitwise_count(lo) == spec.m
     if spec.i is not None:
-        caps = ker.edge_masks(spec.i)
-        # the most edges any i-set lies in, a few classes at a time
-        per = max(1, (1 << 20) // len(caps))
-        ok &= np.concatenate([np.bitwise_count(lo[c0:c0 + per, None].astype(np.uint32) & caps)
-                              .max(axis=1) for c0 in range(0, len(lo), per)]) <= spec.max_degree
+        store = _class_store(spec.n, spec.s)
+        if ("degree", spec.i) not in store:
+            caps = ker.masks(spec.i)
+            # the most edges any i-set lies in, a few classes at a time
+            per = max(1, (1 << 20) // len(caps))
+            store["degree", spec.i] = _read_only(np.concatenate(
+                [np.bitwise_count(lo[c0:c0 + per, None].astype(np.uint32) & caps).max(axis=1)
+                 for c0 in range(0, len(lo), per)]))
+        ok &= store["degree", spec.i] <= spec.max_degree
     if spec.u is not None:
         ok &= cnt[spec.u] == spec.p
     scanned = int(sizes[ok].sum())
@@ -396,9 +400,7 @@ def _kept(key: tuple, names: tuple[str, ...], build: Callable[[], np.ndarray]) -
     fns = tuple(globals()[name] for name in names)
     hit = _ROWS.get(key)
     if hit is None or any(a is not b for a, b in zip(hit[0], fns)):
-        arr = build()
-        arr.flags.writeable = False
-        _ROWS[key] = hit = (fns, arr)
+        _ROWS[key] = hit = (fns, _read_only(build()))
     return hit[1]
 
 
@@ -418,12 +420,16 @@ def _sweep_counts(ker: _Kernel) -> tuple[np.ndarray, ...]:
     order: the full count of every level 0..n, as [level, class]; each
     class's edge count; the index of its complement's class, whose full
     counts give the class's meet counts; and per m the index of the class of
-    C_s(m), whose lowest member is 2^m - 1."""
+    C_s(m), whose lowest member is 2^m - 1.  Kept in _class_store."""
     import numpy as np
-    lo, hi, _, _ = _class_table(ker.n, ker.s)
-    return (_class_counts(ker, tuple(range(ker.n + 1))), np.bitwise_count(lo),
+    store = _class_store(ker.n, ker.s)
+    if "sweep" not in store:
+        lo, hi, _, _ = _class_table(ker.n, ker.s)
+        store["sweep"] = tuple(map(_read_only, (
+            np.stack(_class_counts(ker, tuple(range(ker.n + 1)))), np.bitwise_count(lo),
             np.searchsorted(lo, (1 << ker.U) - 1 - hi),
-            np.searchsorted(lo, (1 << np.arange(ker.U + 1, dtype=np.int64)) - 1))
+            np.searchsorted(lo, (1 << np.arange(ker.U + 1, dtype=np.int64)) - 1))))
+    return store["sweep"]
 
 
 def _level(n: int, cnt: np.ndarray, comp: np.ndarray, level: int, full: bool) -> np.ndarray:
@@ -459,7 +465,7 @@ def verify_kkt(n: int, s: int) -> SweepReport:
     member of the first class beyond it, else the segment.
     """
     import numpy as np
-    ker = _kernel(n, s)
+    ker = _Kernel(n, s)
     U = ker.U
     report = SweepReport("kkt", n, s, 1 << U)
     colex_ids = (1 << np.arange(U + 1, dtype=np.int64)) - 1
@@ -535,10 +541,9 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
     attaining class outside the orbit.
     """
     import numpy as np
-    ker = _kernel(n, s)
+    ker = _Kernel(n, s)
     U = ker.U
     report = SweepReport("uniqueness", n, s, 1 << U)
-    ms = range(U + 1)
     # (kind, level name, goal, level, full, extremal value per m, verdict per m)
     table = [("colex", "q", "min shadow", q, False, _row("shadow_colex", U, s, q),
               _row("is_colex_unique", U, s, q, n, verdict=True)) for q in range(1, s)]
@@ -566,25 +571,20 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
         n_att = np.bincount(mc, weights=np.where(hit, sizes, 0), minlength=U + 1).astype(np.int64)
         verdict, unique = verdicts.astype(bool), n_att == orbit
         fails = (verdict != unique) & (verdict | (kind == "colex") & (np.arange(U + 1) > s + 1))
-        # per m, the lowest member of the first attaining class outside the orbit
-        other: dict[int, int] = {}
-        hit = hit.copy()
-        hit[colex] = False
-        for c in np.flatnonzero(hit).tolist():
-            other.setdefault(int(mc[c]), int(lo[c]))
         failed = {}
         for m in np.flatnonzero(fails).tolist():
+            # the lowest member of the first attaining class outside the orbit
+            other = hit & (mc == m)
+            other[colex[m]] = False
             failed[m] = {
                 "kind": f"{kind}_unique", "m": m, "level": level, "verdict": bool(verdict[m]),
                 "attainers": int(n_att[m]), "orbit": int(orbit[m]),
-                "family": None if unique[m] else ker.family_of(other[m]).edge_lists(),
+                "family": None if unique[m] else ker.family_of(lo[other.argmax()]).edge_lists(),
             }
         rows.append((kind, var, level, failed))
-    for m in ms:
-        for kind, var, level, failed in rows:
-            report.checks.append(f"{kind} m={m} {var}={level}")
-            if m in failed:
-                report.failures.append(failed[m])
+    report.checks = [f"{kind} m={m} {var}={level}"
+                     for m in range(U + 1) for kind, var, level, _ in rows]
+    report.failures = [failed[m] for m in range(U + 1) for *_, failed in rows if m in failed]
     return report
 
 

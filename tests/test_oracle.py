@@ -221,7 +221,7 @@ def test_search_rejects_attainers_not_closed_under_relabelling(monkeypatch):
         cnt[levels.index(spec.t)] += np.asarray(ids) == skewed_id[0]
         return cnt
     for spec in [SearchSpec(5, 2, 3, m=7), SearchSpec(7, 2, 3, m=10), SearchSpec(10, 1, 2, m=2)]:
-        ker = oracle._kernel(spec.n, spec.s)
+        ker = _Kernel(spec.n, spec.s)
         witness = sum(1 << ker.universe.index(e) for e in exhaustive_search(spec).witnesses[0].edges)
         lo, hi, least, _ = oracle._class_table(spec.n, spec.s)
         c = least.tolist().index(witness)
@@ -229,6 +229,7 @@ def test_search_rejects_attainers_not_closed_under_relabelling(monkeypatch):
         for fid in (lo[c], hi[c]):
             skewed_id[:] = [fid]
             with monkeypatch.context() as mp:
+                oracle._class_store.cache_clear()
                 mp.setattr(oracle._Kernel, "block", skewed)
                 with pytest.raises(InternalCheckError, match="counts differ within a class"):
                     exhaustive_search(spec)
@@ -342,43 +343,46 @@ def test_sweep_domain(n, s):
     assert r.exit_status == 1 and r.payload["error"] == "ValueError"
 
 
+def _record(monkeypatch, *names):
+    """Calls to the named _Kernel methods, as (name, first argument)."""
+    calls = []
+    for name in names:
+        real = getattr(oracle._Kernel, name)
+        monkeypatch.setattr(oracle._Kernel, name, lambda self, k, *a, name=name, real=real:
+                            calls.append((name, k)) or real(self, k, *a))
+    return calls
+
+
 def test_kkt_sweep_builds_each_level_once(monkeypatch):
     # levels 0..5 on [5]; shadows and upshadows come from the full counts
-    oracle._kept_kernel.cache_clear()
-    calls = []
-    masks = oracle._Kernel.masks
-    monkeypatch.setattr(oracle._Kernel, "masks", lambda self, k: calls.append(k) or masks(self, k))
+    oracle._class_store.cache_clear()
+    calls = _record(monkeypatch, "masks")
     assert verify_kkt(5, 2).ok
-    assert sorted(calls) == list(range(6))
+    assert sorted(k for _, k in calls) == list(range(6))
 
 
-def test_second_kkt_sweep_builds_no_masks(monkeypatch):
-    # the (6,3) kernel and its level tables are kept for the process
-    verify_kkt(6, 3)
-    calls = []
-    masks = oracle._Kernel.masks
-    monkeypatch.setattr(oracle._Kernel, "masks", lambda self, k: calls.append(k) or masks(self, k))
-    assert verify_kkt(6, 3).ok
+@pytest.mark.parametrize("n,s,spec", [(6, 3, SearchSpec(6, 3, 4, m=4, i=1, max_degree=3)),
+                                      (18, 17, SearchSpec(18, 17, 18, i=16, max_degree=2))],
+                         ids=["6-3", "18-17"])
+def test_second_sweep_or_search_counts_nothing(monkeypatch, n, s, spec):
+    # a shape's class counts and i-degree caps are kept for the process: a
+    # second sweep or search reads them and builds no kernel masks
+    oracle._class_store.cache_clear()
+    first = verify_kkt(n, s), exhaustive_search(spec)
+    assert first[0].ok and first[1].optimum == 1
+    calls = _record(monkeypatch, "block", "masks")
+    assert (verify_kkt(n, s), exhaustive_search(spec)) == first
     assert calls == []
 
 
-def test_second_search_builds_no_masks(monkeypatch):
-    # the kept (6,3) kernel keeps its level tables and the i-degree cap masks
-    spec = SearchSpec(6, 3, 4, m=4, i=1, max_degree=3)
-    exhaustive_search(spec)
-    calls = []
-    masks = oracle._Kernel.masks
-    monkeypatch.setattr(oracle._Kernel, "masks", lambda self, k: calls.append(k) or masks(self, k))
-    assert exhaustive_search(spec).optimum == 1
-    assert calls == []
-
-
-def test_kernels_above_16_points_are_not_kept():
-    oracle._kept_kernel.cache_clear()
-    assert verify_kkt(17, 1).ok
-    assert oracle._kept_kernel.cache_info().currsize == 0
-    assert oracle._kernel(17, 1) is not oracle._kernel(17, 1)
-    assert oracle._kernel(16, 1) is oracle._kernel(16, 1)
+def test_wide_search_builds_only_the_levels_it_reads(monkeypatch):
+    # levels are counted as they are read: every level of (24, 1) would
+    # take 64 MB of masks, levels 1 and 13 and the 0-degree cap 10 MB
+    oracle._class_store.cache_clear()
+    calls = _record(monkeypatch, "masks")
+    r = run(["search", "24", "1", "13", "--degree", "0", "12"])
+    assert r.exit_status == 0 and (r.payload["optimum"], r.payload["class_count"]) == ("0", 13)
+    assert sorted(k for _, k in calls) == [0, 1, 13]
 
 
 def test_colex_array_matches_colex_masks():
@@ -419,9 +423,28 @@ def test_kkt_sweep_self_test(monkeypatch):
         cnt = block(self, levels, ids).copy()
         cnt[levels.index(self.s)] += np.bitwise_count(np.asarray(ids)) == 2
         return cnt
+    oracle._class_store.cache_clear()
     monkeypatch.setattr(oracle._Kernel, "block", skewed)
     with pytest.raises(InternalCheckError, match="kernel self-test"):
         verify_kkt(4, 2)
+
+
+def test_self_test_runs_on_every_count(monkeypatch):
+    # a search that meets a new level counts level s again with it, so a
+    # skewed level s trips the self-test although level s is already kept
+    oracle._class_store.cache_clear()
+    assert exhaustive_search(SearchSpec(6, 3, 4)).optimum == 15
+    block = oracle._Kernel.block
+
+    def skewed(self, levels, ids):
+        cnt = block(self, levels, ids).copy()
+        if self.s in levels:
+            cnt[levels.index(self.s)] += 1
+        return cnt
+    monkeypatch.setattr(oracle._Kernel, "block", skewed)
+    assert exhaustive_search(SearchSpec(6, 3, 4)).optimum == 15
+    with pytest.raises(InternalCheckError, match="kernel self-test"):
+        exhaustive_search(SearchSpec(6, 3, 5))
 
 
 def test_search_rejects_bad_threads():
@@ -484,6 +507,7 @@ def test_class_count_self_test(monkeypatch):
             cnt = cnt.copy()
             cnt[levels.index(self.s), -1] += 1
         return cnt
+    oracle._class_store.cache_clear()
     monkeypatch.setattr(oracle._Kernel, "block", skewed)
     for sweep, shape in ((verify_kkt, (4, 3)), (verify_kkt, (18, 17)),
                          (verify_uniqueness, (7, 6)), (verify_uniqueness, (9, 1))):
@@ -752,9 +776,16 @@ def test_warm_sweeps_still_call_a_patched_seam(monkeypatch, name, sweep, shape, 
 
 
 def test_kept_rows_and_orbits_are_read_only():
+    # the expected rows, the class tables and the stored class counts,
+    # i-degree caps and sweep arrays
     verify_kkt(5, 2)
     verify_uniqueness(5, 3)
-    kept = [row for _, row in oracle._ROWS.values()] + list(oracle._class_table(5, 3))
+    exhaustive_search(SearchSpec(5, 3, 4, i=1, max_degree=6))
+    stored = [a for shape in ((5, 2), (5, 3)) for v in oracle._class_store(*shape).values()
+              for a in (v if isinstance(v, tuple) else (v,))]
+    assert {k for k in oracle._class_store(5, 3) if not isinstance(k, int)} == {
+        ("degree", 1), "sweep"}
+    kept = [row for _, row in oracle._ROWS.values()] + list(oracle._class_table(5, 3)) + stored
     assert oracle._ROWS and all(not a.flags.writeable for a in kept)
     with pytest.raises(ValueError):
         kept[0][0] = 1
@@ -780,19 +811,36 @@ def test_row_memo_does_not_grow_with_patches(monkeypatch):
 SWEEP_UNIQUENESS = [(6, 2), (6, 3), (6, 4), (5, 3), (7, 6)]
 
 
+# searches on swept shapes, some with an i-degree cap or a u-clique count
+SEARCHES = [SearchSpec(6, 3, 4, m=6, i=1, max_degree=5), SearchSpec(6, 3, 5, i=2, max_degree=2),
+            SearchSpec(5, 2, 4, u=3, p=4), SearchSpec(7, 2, 3, m=10),
+            SearchSpec(7, 6, 7, i=5, max_degree=1), SearchSpec(18, 17, 18, i=16, max_degree=2)]
+
+
 def test_sweeps_agree_cold_and_warm():
+    # sweeps on a cold store, then searches after them; then, on a cold
+    # store again, the searches before any sweep and the sweeps after them
     kkt = [(n, s) for n in range(1, 11) for s in range(1, n + 1) if comb(n, s) <= 21]
+    kkt.append((18, 17))
 
     def reports():
         return ([verify_kkt(n, s) for n, s in kkt]
                 + [verify_uniqueness(n, s) for n, s in SWEEP_UNIQUENESS])
 
-    oracle._ROWS.clear()
-    for kept in (oracle._class_table, oracle._edge_perms, oracle._kept_kernel):
-        kept.cache_clear()
+    def clear():
+        oracle._ROWS.clear()
+        for kept in (oracle._class_table, oracle._edge_perms, oracle._class_store):
+            kept.cache_clear()
+
+    clear()
     cold = reports()
     assert all(r.ok for r in cold)
     assert reports() == cold
+    after = [exhaustive_search(spec) for spec in SEARCHES]
+    clear()
+    assert [exhaustive_search(spec) for spec in SEARCHES] == after
+    assert reports() == cold
+    assert [exhaustive_search(spec) for spec in SEARCHES] == after
 
 
 def test_equality_theorem_catalogue():
