@@ -361,6 +361,23 @@ def test_kkt_sweep_builds_each_level_once(monkeypatch):
     assert sorted(k for _, k in calls) == list(range(6))
 
 
+def test_second_kkt_sweep_builds_no_masks(monkeypatch):
+    # the (6,3) class counts of every level are kept for the process
+    verify_kkt(6, 3)
+    calls = _record(monkeypatch, "masks")
+    assert verify_kkt(6, 3).ok
+    assert calls == []
+
+
+def test_second_search_builds_no_masks(monkeypatch):
+    # the (6,3) class counts and i-degree caps are kept for the process
+    spec = SearchSpec(6, 3, 4, m=4, i=1, max_degree=3)
+    exhaustive_search(spec)
+    calls = _record(monkeypatch, "masks")
+    assert exhaustive_search(spec).optimum == 1
+    assert calls == []
+
+
 @pytest.mark.parametrize("n,s,spec", [(6, 3, SearchSpec(6, 3, 4, m=4, i=1, max_degree=3)),
                                       (18, 17, SearchSpec(18, 17, 18, i=16, max_degree=2))],
                          ids=["6-3", "18-17"])
