@@ -24,12 +24,12 @@ isomorphism class (_class_table) and weigh it by its class's size; a report
 still speaks of every family.  Each class is counted at its lowest and its
 highest member, which must agree, and level s must count every family's
 edges; both checks run whenever a level is counted.  A process keeps per
-shape the class table, in _class_store the class counts of every level
-counted so far, each class's max i-degree per i read and the sweep's
-arrays, and the expected rows.  So a shape's level is counted once per
-process, and a kernel (its k-set masks) lives only for the call that counts
-it; a row is rebuilt when this module's binding of the function it came
-from changes.
+shape the class table and, in _class_store, the class counts, i-degree
+caps, the sweeps' arrays, the expected rows and verify_kkt's table.  So a
+shape's level is counted once per process, a kernel (its k-set masks)
+lives only for the call that counts it, and a stub bound in this module
+builds only what the store does not hold yet; the one reset is
+_class_store.cache_clear().
 """
 
 from __future__ import annotations
@@ -246,7 +246,9 @@ def _class_store(n: int, s: int) -> dict:
     use: under level k, the row of each class's full count of k-sets
     (_class_counts); under ("degree", i), each class's most edges through
     one i-set (exhaustive_search's cap); under "sweep", _sweep_counts'
-    arrays.  Every array is read-only."""
+    arrays; under a closed form's name and its arguments after m, such as
+    ("k_colex", s, t), its row (_row); under "kkt", verify_kkt's table.
+    Every array is read-only, and nothing is rebuilt until cache_clear()."""
     return {}
 
 
@@ -384,51 +386,39 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
 # ---------------------------------------------------------------------------
 # whole-space sweeps
 
-# The expected rows and verdict rows met so far, keyed by (function name, U,
-# its arguments after m), and verify_kkt's table per shape, keyed by
-# ("verify_kkt", n, s), each held as (functions, array).  The functions are
-# this module's bindings of the names the array was built from, and the
-# array is built again once a binding changes, so a stub or wrapper bound
-# here is still the one called, and each key keeps one entry whatever was
-# bound.
-_ROWS: dict[tuple, tuple[tuple[Callable, ...], np.ndarray]] = {}
-
-
-def _kept(key: tuple, names: tuple[str, ...], build: Callable[[], np.ndarray]) -> np.ndarray:
-    """_ROWS[key]'s array, made read-only from build() unless it was built
-    with this module's current bindings of names."""
-    fns = tuple(globals()[name] for name in names)
-    hit = _ROWS.get(key)
-    if hit is None or any(a is not b for a, b in zip(hit[0], fns)):
-        _ROWS[key] = hit = (fns, _read_only(build()))
-    return hit[1]
-
-
-def _row(name: str, U: int, *args: int, verdict: bool = False) -> np.ndarray:
-    """[f(m, *args) for m = 0..U] (their .verdict when verdict is set) as a
-    read-only int64 array, f being this module's current binding of name."""
+def _row(ker: _Kernel, name: str, f: Callable, *args: int, verdict: bool = False) -> np.ndarray:
+    """[f(m, *args) for m = 0..U] (their .verdict when verdict is set), a
+    read-only int64 array kept in _class_store under (name, *args): name is
+    f's name in this module, as a stub's __name__ may be "<lambda>"."""
     import numpy as np
-
-    def build() -> np.ndarray:
-        vals = [globals()[name](m, *args) for m in range(U + 1)]
-        return np.array([v.verdict for v in vals] if verdict else vals, dtype=np.int64)
-    return _kept((name, U, *args), (name,), build)
+    store = _class_store(ker.n, ker.s)
+    if (name, *args) not in store:
+        vals = [f(m, *args) for m in range(ker.U + 1)]
+        store[(name, *args)] = _read_only(
+            np.array([v.verdict for v in vals] if verdict else vals, dtype=np.int64))
+    return store[(name, *args)]
 
 
 def _sweep_counts(ker: _Kernel) -> tuple[np.ndarray, ...]:
     """For the sweeps, over the classes of ker's shape in _class_table's
     order: the full count of every level 0..n, as [level, class]; each
     class's edge count; the index of its complement's class, whose full
-    counts give the class's meet counts; and per m the index of the class of
-    C_s(m), whose lowest member is 2^m - 1.  Kept in _class_store."""
+    counts give the class's meet counts; per m the index of the class of
+    C_s(m), whose lowest member is 2^m - 1; and as [level, m] the largest
+    full count at m edges and the segment's: C_s(m)'s, below s that of the
+    complement of C_s(U - m).  Kept in _class_store."""
     import numpy as np
     store = _class_store(ker.n, ker.s)
     if "sweep" not in store:
         lo, hi, _, _ = _class_table(ker.n, ker.s)
-        store["sweep"] = tuple(map(_read_only, (
-            np.stack(_class_counts(ker, tuple(range(ker.n + 1)))), np.bitwise_count(lo),
-            np.searchsorted(lo, (1 << ker.U) - 1 - hi),
-            np.searchsorted(lo, (1 << np.arange(ker.U + 1, dtype=np.int64)) - 1))))
+        cnt = np.stack(_class_counts(ker, tuple(range(ker.n + 1))))
+        mc = np.bitwise_count(lo)
+        comp = np.searchsorted(lo, (1 << ker.U) - 1 - hi)
+        colex = np.searchsorted(lo, (1 << np.arange(ker.U + 1, dtype=np.int64)) - 1)
+        top = np.zeros((ker.n + 1, ker.U + 1), dtype=np.int64)
+        np.maximum.at(top, (slice(None), mc), cnt)
+        seen = np.concatenate((cnt[:ker.s, comp[colex[::-1]]], cnt[ker.s:, colex]))
+        store["sweep"] = tuple(map(_read_only, (cnt, mc, comp, colex, top, seen)))
     return store["sweep"]
 
 
@@ -468,33 +458,26 @@ def verify_kkt(n: int, s: int) -> SweepReport:
     ker = _Kernel(n, s)
     U = ker.U
     report = SweepReport("kkt", n, s, 1 << U)
-    colex_ids = (1 << np.arange(U + 1, dtype=np.int64)) - 1
-    # the retlex id with m edges is the complement of the colex id with U - m,
-    # so a shadow row reads the retlex ids
-    retlex_ids = (1 << U) - 1 - colex_ids[::-1]
     lo = _class_table(n, s)[0]
-    cnt, mc, comp, colex = _sweep_counts(ker)
-    # per level and m: the largest full count, and the segment's count
-    order = np.argsort(mc, kind="stable")
-    top = np.maximum.reduceat(cnt[:, order], np.searchsorted(mc[order], np.arange(U + 1)), axis=1)
-    seen = np.concatenate((cnt[:s, comp[colex[::-1]]], cnt[s:, colex]))
-
-    def build() -> np.ndarray:
+    cnt, mc, comp, _, top, seen = _sweep_counts(ker)
+    store = _class_store(n, s)
+    if "kkt" not in store:
         # (kind, check label, level, full, expected per m)
-        rows = [("shadow", "min shadow q", q, False, _row("shadow_colex", U, s, q))
+        rows = [("shadow", "min shadow q", q, False, _row(ker, "shadow_colex", shadow_colex, s, q))
                 for q in range(s)]
-        rows += [("cliques", "max cliques t", t, True, _row("k_colex", U, s, t))
+        rows += [("cliques", "max cliques t", t, True, _row(ker, "k_colex", k_colex, s, t))
                  for t in range(s, n + 1)]
         # complementing every edge maps the retlex s-segment to the colex
         # (n-s)-segment and its t-upshadow to the (n-t)-shadow of that
-        rows += [("upshadow", "min upshadow t", t, False, _row("shadow_colex", U, n - s, n - t))
+        rows += [("upshadow", "min upshadow t", t, False,
+                  _row(ker, "shadow_colex", shadow_colex, n - s, n - t))
                  for t in range(s + 1, n + 1)]
-        return np.array(
+        store["kkt"] = _read_only(np.array(
             [(kind, f"{label}={level}", level, full, comb(n, level), want)
              for kind, label, level, full, want in rows],
             dtype=[("kind", object), ("check", object), ("level", np.intp), ("full", bool),
-                   ("nK", np.int64), ("want", np.int64, (U + 1,))])
-    table = _kept(("verify_kkt", n, s), ("shadow_colex", "k_colex"), build)
+                   ("nK", np.int64), ("want", np.int64, (U + 1,))]))
+    table = store["kkt"]
 
     # per row of the table and m: the extreme count and the segment's count,
     # all rows compared at once
@@ -507,17 +490,20 @@ def verify_kkt(n: int, s: int) -> SweepReport:
     for i in np.flatnonzero(beyond.any(axis=1) | (got != want).any(axis=1)):
         kind, level, is_full, expected = (table["kind"][i], int(table["level"][i]),
                                           bool(table["full"][i]), want[i])
-        seg, seg_ids = ("retlex", retlex_ids) if kind == "upshadow" else ("colex", colex_ids)
+        seg = "retlex" if kind == "upshadow" else "colex"
         # per m, the lowest member of the first class beyond its expected value
         v = _level(n, cnt, comp, level, is_full)
         first: dict[int, int] = {}
         for c in np.flatnonzero(v > expected[mc] if is_full else v < expected[mc]).tolist():
             first.setdefault(int(mc[c]), int(lo[c]))
         for m in np.flatnonzero(beyond[i]).tolist():
+            # else the segment: the retlex one with m edges is the complement
+            # of the colex one with U - m
+            seg_id = (1 << U) - (1 << (U - m)) if seg == "retlex" else (1 << m) - 1
             report.failures.append({
                 "kind": kind, "m": m, "level": level,
                 "expected": int(expected[m]), "got": int(ext[i, m]),
-                "family": ker.family_of(first.get(m, seg_ids[m])).edge_lists(),
+                "family": ker.family_of(first.get(m, seg_id)).edge_lists(),
             })
         if not np.array_equal(got[i], expected):
             report.failures.append({
@@ -545,12 +531,14 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
     U = ker.U
     report = SweepReport("uniqueness", n, s, 1 << U)
     # (kind, level name, goal, level, full, extremal value per m, verdict per m)
-    table = [("colex", "q", "min shadow", q, False, _row("shadow_colex", U, s, q),
-              _row("is_colex_unique", U, s, q, n, verdict=True)) for q in range(1, s)]
-    table += [("clique", "t", "max cliques", t, True, _row("k_colex", U, s, t),
-               _row("is_clique_unique", U, s, t, n, verdict=True)) for t in range(s + 1, n + 1)]
+    table = [("colex", "q", "min shadow", q, False, _row(ker, "shadow_colex", shadow_colex, s, q),
+              _row(ker, "is_colex_unique", is_colex_unique, s, q, n, verdict=True))
+             for q in range(1, s)]
+    table += [("clique", "t", "max cliques", t, True, _row(ker, "k_colex", k_colex, s, t),
+               _row(ker, "is_clique_unique", is_clique_unique, s, t, n, verdict=True))
+              for t in range(s + 1, n + 1)]
     lo, _, _, sizes = _class_table(n, s)
-    cnt, mc, comp, colex = _sweep_counts(ker)
+    cnt, mc, comp, colex, _, _ = _sweep_counts(ker)
     orbit = sizes[colex]
     # per row of the table and class: whether the class attains the extreme
     # of its edge count

@@ -1,16 +1,19 @@
-"""Shared helpers: seeded random families, data paths and fresh interpreters."""
+"""Shared helpers: seeded random families, data paths, fresh interpreters and
+stubs of the oracle's seams."""
 
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import kkcliques
+import kkcliques.oracle as oracle
 from kkcliques.families import SetFamily
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -42,3 +45,23 @@ def modules_loaded_by(code: str) -> list[str]:
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
     return json.loads(out.stdout)
+
+
+@contextmanager
+def stubbed():
+    """A MonkeyPatch context for stubbing an oracle seam or a _Kernel method.
+    The per-shape store keeps whatever it was built from, so it is cleared
+    before a stub is bound, and again after the stub is undone."""
+    oracle._class_store.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            yield mp
+    finally:
+        oracle._class_store.cache_clear()
+
+
+@pytest.fixture
+def oracle_patch():
+    """stubbed() for a whole test."""
+    with stubbed() as mp:
+        yield mp

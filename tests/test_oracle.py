@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_family
+from conftest import random_family, stubbed
 
 import kkcliques.oracle as oracle
 from kkcliques.cascade import k_colex, shadow_colex
@@ -208,7 +208,7 @@ def test_search_canonicalises_once_per_class():
         assert keys == sorted(set(keys))
 
 
-def test_search_rejects_attainers_not_closed_under_relabelling(monkeypatch):
+def test_search_rejects_attainers_not_closed_under_relabelling():
     # a t-clique count that singles out one labelled member of the witness's
     # class (K_4 plus a pendant edge; K_5 in a 7-vertex graph; two points),
     # its lowest or its highest member, the two the search counts, breaks
@@ -228,8 +228,7 @@ def test_search_rejects_attainers_not_closed_under_relabelling(monkeypatch):
         assert lo[c] < hi[c]
         for fid in (lo[c], hi[c]):
             skewed_id[:] = [fid]
-            with monkeypatch.context() as mp:
-                oracle._class_store.cache_clear()
+            with stubbed() as mp:
                 mp.setattr(oracle._Kernel, "block", skewed)
                 with pytest.raises(InternalCheckError, match="counts differ within a class"):
                     exhaustive_search(spec)
@@ -353,27 +352,26 @@ def _record(monkeypatch, *names):
     return calls
 
 
-def test_kkt_sweep_builds_each_level_once(monkeypatch):
+def test_kkt_sweep_builds_each_level_once(oracle_patch):
     # levels 0..5 on [5]; shadows and upshadows come from the full counts
-    oracle._class_store.cache_clear()
-    calls = _record(monkeypatch, "masks")
+    calls = _record(oracle_patch, "masks")
     assert verify_kkt(5, 2).ok
     assert sorted(k for _, k in calls) == list(range(6))
 
 
-def test_second_kkt_sweep_builds_no_masks(monkeypatch):
+def test_second_kkt_sweep_builds_no_masks(oracle_patch):
     # the (6,3) class counts of every level are kept for the process
     verify_kkt(6, 3)
-    calls = _record(monkeypatch, "masks")
+    calls = _record(oracle_patch, "masks")
     assert verify_kkt(6, 3).ok
     assert calls == []
 
 
-def test_second_search_builds_no_masks(monkeypatch):
+def test_second_search_builds_no_masks(oracle_patch):
     # the (6,3) class counts and i-degree caps are kept for the process
     spec = SearchSpec(6, 3, 4, m=4, i=1, max_degree=3)
     exhaustive_search(spec)
-    calls = _record(monkeypatch, "masks")
+    calls = _record(oracle_patch, "masks")
     assert exhaustive_search(spec).optimum == 1
     assert calls == []
 
@@ -381,22 +379,20 @@ def test_second_search_builds_no_masks(monkeypatch):
 @pytest.mark.parametrize("n,s,spec", [(6, 3, SearchSpec(6, 3, 4, m=4, i=1, max_degree=3)),
                                       (18, 17, SearchSpec(18, 17, 18, i=16, max_degree=2))],
                          ids=["6-3", "18-17"])
-def test_second_sweep_or_search_counts_nothing(monkeypatch, n, s, spec):
+def test_second_sweep_or_search_counts_nothing(oracle_patch, n, s, spec):
     # a shape's class counts and i-degree caps are kept for the process: a
     # second sweep or search reads them and builds no kernel masks
-    oracle._class_store.cache_clear()
     first = verify_kkt(n, s), exhaustive_search(spec)
     assert first[0].ok and first[1].optimum == 1
-    calls = _record(monkeypatch, "block", "masks")
+    calls = _record(oracle_patch, "block", "masks")
     assert (verify_kkt(n, s), exhaustive_search(spec)) == first
     assert calls == []
 
 
-def test_wide_search_builds_only_the_levels_it_reads(monkeypatch):
+def test_wide_search_builds_only_the_levels_it_reads(oracle_patch):
     # levels are counted as they are read: every level of (24, 1) would
     # take 64 MB of masks, levels 1 and 13 and the 0-degree cap 10 MB
-    oracle._class_store.cache_clear()
-    calls = _record(monkeypatch, "masks")
+    calls = _record(oracle_patch, "masks")
     r = run(["search", "24", "1", "13", "--degree", "0", "12"])
     assert r.exit_status == 0 and (r.payload["optimum"], r.payload["class_count"]) == ("0", 13)
     assert sorted(k for _, k in calls) == [0, 1, 13]
@@ -410,27 +406,33 @@ def test_colex_array_matches_colex_masks():
             assert got.tolist() == list(_colex_masks(n, k)), (n, k)
 
 
-def test_kkt_sweep_reports_a_segment_that_does_not_attain(monkeypatch):
+def test_kkt_sweep_reports_a_segment_that_does_not_attain(oracle_patch):
     # right extremes, but the class of C_2(3), the triangle, read as the
     # next class with 3 edges, the star K_{1,3} (ids 7 and 11): only the
     # attain rows that read the triangle's counts fail, the shadow at level
-    # 1 (the star leaves one point, not two, out) and the triangle count
+    # 1 (the star leaves one point, not two, out) and the triangle count.
+    # The segment's counts are read off the skewed column as _sweep_counts
+    # reads them off the true one
     sweep_counts = oracle._sweep_counts
 
+    def segment_counts(cnt, comp, colex, s):
+        return np.concatenate((cnt[:s, comp[colex[::-1]]], cnt[s:, colex]))
+
     def skewed(ker):
-        cnt, mc, comp, colex = sweep_counts(ker)
+        cnt, mc, comp, colex, top, seen = sweep_counts(ker)
+        assert np.array_equal(segment_counts(cnt, comp, colex, ker.s), seen)
         lo = oracle._class_table(ker.n, ker.s)[0]
         assert (lo[colex[3]], lo[colex[3] + 1]) == (7, 11)
         colex = colex.copy()
         colex[3] += 1
-        return cnt, mc, comp, colex
-    monkeypatch.setattr(oracle, "_sweep_counts", skewed)
+        return cnt, mc, comp, colex, top, segment_counts(cnt, comp, colex, ker.s)
+    oracle_patch.setattr(oracle, "_sweep_counts", skewed)
     rep = verify_kkt(5, 2)
     assert [(f["kind"], f["level"]) for f in rep.failures] == [
         ("shadow-colex-attain", 1), ("cliques-colex-attain", 3), ("upshadow-retlex-attain", 3)]
 
 
-def test_kkt_sweep_self_test(monkeypatch):
+def test_kkt_sweep_self_test(oracle_patch):
     # level s counts the edges of every family: a count one too high at
     # every family with two edges, both members of each class alike, trips
     # it, not the check within a class
@@ -440,16 +442,14 @@ def test_kkt_sweep_self_test(monkeypatch):
         cnt = block(self, levels, ids).copy()
         cnt[levels.index(self.s)] += np.bitwise_count(np.asarray(ids)) == 2
         return cnt
-    oracle._class_store.cache_clear()
-    monkeypatch.setattr(oracle._Kernel, "block", skewed)
+    oracle_patch.setattr(oracle._Kernel, "block", skewed)
     with pytest.raises(InternalCheckError, match="kernel self-test"):
         verify_kkt(4, 2)
 
 
-def test_self_test_runs_on_every_count(monkeypatch):
+def test_self_test_runs_on_every_count(oracle_patch):
     # a search that meets a new level counts level s again with it, so a
     # skewed level s trips the self-test although level s is already kept
-    oracle._class_store.cache_clear()
     assert exhaustive_search(SearchSpec(6, 3, 4)).optimum == 15
     block = oracle._Kernel.block
 
@@ -458,7 +458,7 @@ def test_self_test_runs_on_every_count(monkeypatch):
         if self.s in levels:
             cnt[levels.index(self.s)] += 1
         return cnt
-    monkeypatch.setattr(oracle._Kernel, "block", skewed)
+    oracle_patch.setattr(oracle._Kernel, "block", skewed)
     assert exhaustive_search(SearchSpec(6, 3, 4)).optimum == 15
     with pytest.raises(InternalCheckError, match="kernel self-test"):
         exhaustive_search(SearchSpec(6, 3, 5))
@@ -513,7 +513,7 @@ def test_uniqueness_sweep_on_every_graph_on_7_vertices():
     assert len(rep.checks) == 22 * 6    # m = 0..21; q = 1 and t = 3..7
 
 
-def test_class_count_self_test(monkeypatch):
+def test_class_count_self_test(oracle_patch):
     # level s of the class counts is every id's edge count, checked on both
     # sweeps; one skewed count is enough
     block = oracle._Kernel.block
@@ -524,28 +524,28 @@ def test_class_count_self_test(monkeypatch):
             cnt = cnt.copy()
             cnt[levels.index(self.s), -1] += 1
         return cnt
-    oracle._class_store.cache_clear()
-    monkeypatch.setattr(oracle._Kernel, "block", skewed)
+    oracle_patch.setattr(oracle._Kernel, "block", skewed)
     for sweep, shape in ((verify_kkt, (4, 3)), (verify_kkt, (18, 17)),
                          (verify_uniqueness, (7, 6)), (verify_uniqueness, (9, 1))):
         with pytest.raises(InternalCheckError, match="kernel self-test"):
             sweep(*shape)
 
 
-def test_warm_symmetric_sweep_calls_a_patched_seam(monkeypatch):
-    # the kept table of a symmetric shape is rebuilt with a stub bound on
-    # the module after a warm sweep
+def test_warm_symmetric_sweep_calls_a_patched_seam():
+    # a stub bound on a store cleared after warm sweeps of a symmetric
+    # shape is the one called, and the real one after the store is cleared
+    # again
     assert verify_kkt(7, 6).ok and verify_uniqueness(7, 6).ok
     calls = []
-    real = oracle.k_colex
-    monkeypatch.setattr(oracle, "k_colex", lambda m, s, t: calls.append(t) or real(m, s, t) + 1)
-    rep = verify_kkt(7, 6)
-    assert sorted(set(calls)) == [6, 7]
-    assert {(f["kind"], f["level"]) for f in rep.failures} == {
-        ("cliques", 6), ("cliques", 7), ("cliques-colex-attain", 6), ("cliques-colex-attain", 7)}
-    with pytest.raises(InternalCheckError, match="colex orbit not attaining max cliques"):
-        verify_uniqueness(7, 6)
-    monkeypatch.undo()
+    with stubbed() as mp:
+        real = oracle.k_colex
+        mp.setattr(oracle, "k_colex", lambda m, s, t: calls.append(t) or real(m, s, t) + 1)
+        rep = verify_kkt(7, 6)
+        assert sorted(set(calls)) == [6, 7]
+        assert {(f["kind"], f["level"]) for f in rep.failures} == {
+            ("cliques", 6), ("cliques", 7), ("cliques-colex-attain", 6), ("cliques-colex-attain", 7)}
+        with pytest.raises(InternalCheckError, match="colex orbit not attaining max cliques"):
+            verify_uniqueness(7, 6)
     assert verify_kkt(7, 6).ok and verify_uniqueness(7, 6).ok
 
 
@@ -600,7 +600,7 @@ def test_class_table_matches_every_id():
         mc = np.bitwise_count(lo)
         assert len(lo) == classes and int(sizes.sum()) == 1 << U, (n, s)
         assert np.bincount(mc, weights=sizes).tolist() == [comb(U, m) for m in range(U + 1)]
-        cnt, _, comp, _ = oracle._sweep_counts(_Kernel(n, s))
+        cnt, _, comp, *_ = oracle._sweep_counts(_Kernel(n, s))
         full, meet = _every_id_counts(n, s)
         m_all = np.bitwise_count(np.arange(1 << U, dtype=np.uint32))
         for k in range(n + 1):
@@ -610,12 +610,12 @@ def test_class_table_matches_every_id():
                         == _extremes(mc, per_class, pick, U, sizes)), (n, s, k, pick)
 
 
-def test_class_table_sizes_must_add_up(monkeypatch):
+def test_class_table_sizes_must_add_up(oracle_patch):
     # a walk that misses a class fails: without the (4, 1) link class of
     # four edges, vertex 5 of degree 4, the walk over (5, 2) misses K_5,
     # the only graph that has no vertex of smaller degree to relabel as 5
     real = oracle._class_table
-    monkeypatch.setattr(oracle, "_class_table", lambda n, s: tuple(
+    oracle_patch.setattr(oracle, "_class_table", lambda n, s: tuple(
         a[:-1] for a in real(n, s)) if (n, s) == (4, 1) else real(n, s))
     with pytest.raises(InternalCheckError, match="classes of \\(5,2\\) hold 1023 of 2\\^10"):
         real.__wrapped__(5, 2)
@@ -686,10 +686,10 @@ def _shifted_shadow(shift):
 
 
 @pytest.mark.parametrize("shift", [1, -1])
-def test_meet_failure_rows_match_brute_force(monkeypatch, shift):
+def test_meet_failure_rows_match_brute_force(oracle_patch, shift):
     # with the expected values shifted every shadow and upshadow row fails;
     # its got and family must match shadow/upshadow taken on every family
-    monkeypatch.setattr(oracle, "shadow_colex", _shifted_shadow(shift))
+    oracle_patch.setattr(oracle, "shadow_colex", _shifted_shadow(shift))
     for n, s in [(4, 2), (4, 3)]:
         universe = sorted(mask_of(c) for c in combinations(range(1, n + 1), s))
         U = len(universe)
@@ -732,9 +732,9 @@ def _flip_verdict(monkeypatch, name, m, level):
     monkeypatch.setattr(oracle, name, flipped)
 
 
-def test_uniqueness_sweep_reports_wrong_colex_verdict(monkeypatch):
+def test_uniqueness_sweep_reports_wrong_colex_verdict(oracle_patch):
     # C_2(5) on [5] is the unique shadow minimiser; a False verdict fails
-    _flip_verdict(monkeypatch, "is_colex_unique", 5, 1)
+    _flip_verdict(oracle_patch, "is_colex_unique", 5, 1)
     rep = verify_uniqueness(5, 2)
     assert rep.failures == [{
         "kind": "colex_unique", "m": 5, "level": 1, "verdict": False,
@@ -742,10 +742,10 @@ def test_uniqueness_sweep_reports_wrong_colex_verdict(monkeypatch):
     }]
 
 
-def test_uniqueness_sweep_reports_wrong_clique_verdict(monkeypatch):
+def test_uniqueness_sweep_reports_wrong_clique_verdict(oracle_patch):
     # 4-edge graphs with one triangle: triangle plus pendant edge (the colex
     # orbit, 60 labellings) or triangle plus disjoint edge (10 more)
-    _flip_verdict(monkeypatch, "is_clique_unique", 4, 3)
+    _flip_verdict(oracle_patch, "is_clique_unique", 4, 3)
     rep = verify_uniqueness(5, 2)
     assert rep.failures == [{
         "kind": "clique_unique", "m": 4, "level": 3, "verdict": True,
@@ -758,9 +758,9 @@ def test_uniqueness_sweep_reports_wrong_clique_verdict(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["shadow_colex", "k_colex"])
-def test_uniqueness_sweep_rejects_orbit_outside_attainers(monkeypatch, name):
+def test_uniqueness_sweep_rejects_orbit_outside_attainers(oracle_patch, name):
     real = getattr(oracle, name)
-    monkeypatch.setattr(oracle, name, lambda m, s, level: real(m, s, level) + 1)
+    oracle_patch.setattr(oracle, name, lambda m, s, level: real(m, s, level) + 1)
     with pytest.raises(InternalCheckError, match="colex orbit not attaining"):
         verify_uniqueness(4, 3 if name == "shadow_colex" else 2)
 
@@ -780,48 +780,74 @@ SEAMS = [
 
 
 @pytest.mark.parametrize("name,sweep,shape,stub", SEAMS, ids=[s[0] for s in SEAMS])
-def test_warm_sweeps_still_call_a_patched_seam(monkeypatch, name, sweep, shape, stub):
-    # rows and verdicts are kept per shape, but a stub bound on the module
-    # after a warm sweep must be the one called, and the real one after it
+def test_warm_sweeps_still_call_a_patched_seam(name, sweep, shape, stub):
+    # rows and verdicts are kept per shape, so a stub is bound on a store
+    # cleared after warm sweeps: it is the one called, cold and warm, and
+    # the real one once the store is cleared again
     assert verify_kkt(5, 2).ok and verify_uniqueness(5, 3).ok
-    with monkeypatch.context() as mp:
+    with stubbed() as mp:
         mp.setattr(oracle, name, stub(getattr(oracle, name)))
-        warm = sweep(*shape).failures
-        oracle._ROWS.clear()
-        assert warm and sweep(*shape).failures == warm
+        cold = sweep(*shape).failures
+        assert cold and sweep(*shape).failures == cold
     assert sweep(*shape).ok
 
 
+@pytest.mark.parametrize("n,s", [(6, 3), (18, 17)], ids=["6-3", "18-17"])
+def test_warm_sweeps_call_no_closed_form(oracle_patch, n, s):
+    # a warm sweep reads its expected rows, verdict rows and table from the
+    # store: wrappers bound on the four seams, as the benchmark's tracer
+    # binds them before each traced pass, are not called
+    warm = verify_kkt(n, s), verify_uniqueness(n, s)
+    assert warm[0].ok and warm[1].ok
+    calls = []
+    for name, *_ in SEAMS:
+        real = getattr(oracle, name)
+        oracle_patch.setattr(oracle, name, lambda *a, name=name, real=real:
+                             calls.append(name) or real(*a))
+    assert (verify_kkt(n, s), verify_uniqueness(n, s)) == warm
+    assert calls == []
+
+
 def test_kept_rows_and_orbits_are_read_only():
-    # the expected rows, the class tables and the stored class counts,
-    # i-degree caps and sweep arrays
+    # the class tables and the stored class counts, i-degree caps, sweep
+    # arrays, expected and verdict rows and verify_kkt's table
+    oracle._class_store.cache_clear()
     verify_kkt(5, 2)
     verify_uniqueness(5, 3)
     exhaustive_search(SearchSpec(5, 3, 4, i=1, max_degree=6))
     stored = [a for shape in ((5, 2), (5, 3)) for v in oracle._class_store(*shape).values()
               for a in (v if isinstance(v, tuple) else (v,))]
     assert {k for k in oracle._class_store(5, 3) if not isinstance(k, int)} == {
-        ("degree", 1), "sweep"}
-    kept = [row for _, row in oracle._ROWS.values()] + list(oracle._class_table(5, 3)) + stored
-    assert oracle._ROWS and all(not a.flags.writeable for a in kept)
+        ("degree", 1), "sweep", ("shadow_colex", 3, 1), ("shadow_colex", 3, 2),
+        ("is_colex_unique", 3, 1, 5), ("is_colex_unique", 3, 2, 5), ("k_colex", 3, 4),
+        ("k_colex", 3, 5), ("is_clique_unique", 3, 4, 5), ("is_clique_unique", 3, 5, 5)}
+    assert "kkt" in oracle._class_store(5, 2)
+    kept = list(oracle._class_table(5, 3)) + stored
+    assert all(not a.flags.writeable for a in kept)
     with pytest.raises(ValueError):
         kept[0][0] = 1
 
 
-def test_row_memo_does_not_grow_with_patches(monkeypatch):
-    # one entry per (function name, shape), whatever was bound when it was built
+def test_row_memo_does_not_grow_with_patches():
+    # a row is kept under the closed form's name and arguments, not under
+    # the function bound (every lambda stub is "<lambda>"): patched sweeps
+    # leave each shape's store the keys that the real ones leave
+    def keys():
+        return [set(oracle._class_store(*shape)) for shape in ((5, 2), (5, 3))]
+    oracle._class_store.cache_clear()
     verify_kkt(5, 2)
     verify_uniqueness(5, 3)
-    size = len(oracle._ROWS)
+    warm = keys()
     for _ in range(10):
-        with monkeypatch.context() as mp:
+        with stubbed() as mp:
             for name, _, _, stub in SEAMS:
                 mp.setattr(oracle, name, stub(getattr(oracle, name)))
             verify_kkt(5, 2)
             with pytest.raises(InternalCheckError):     # k_colex + 1 leaves the orbit
                 verify_uniqueness(5, 3)
+            assert keys() == warm
         assert verify_kkt(5, 2).ok and verify_uniqueness(5, 3).ok
-        assert len(oracle._ROWS) == size
+        assert keys() == warm
 
 
 # the verify_uniqueness shapes of the verification benchmark
@@ -845,7 +871,6 @@ def test_sweeps_agree_cold_and_warm():
                 + [verify_uniqueness(n, s) for n, s in SWEEP_UNIQUENESS])
 
     def clear():
-        oracle._ROWS.clear()
         for kept in (oracle._class_table, oracle._edge_perms, oracle._class_store):
             kept.cache_clear()
 

@@ -16,6 +16,7 @@ import json
 from pathlib import Path
 
 import pytest
+from conftest import stubbed
 
 import kkcliques.oracle as oracle
 from kkcliques.cli import run
@@ -36,17 +37,17 @@ def cli_digest(command: str) -> str:
 def failure_digest(shift: int, n: int, s: int) -> str:
     """The digest of verify_kkt's failure rows with k_colex, then
     shadow_colex, off by shift, and of verify_uniqueness's with every
-    verdict whose m + level + shift is odd flipped."""
+    verdict whose m + level + shift is odd flipped, each on a cleared store."""
     rows = []
-    with pytest.MonkeyPatch.context() as mp:
+    with stubbed() as mp:
         real = oracle.k_colex
         mp.setattr(oracle, "k_colex", lambda m, s_, t: max(real(m, s_, t) + shift, 0))
         rows.append(oracle.verify_kkt(n, s).failures)
-    with pytest.MonkeyPatch.context() as mp:
+    with stubbed() as mp:
         real = oracle.shadow_colex
         mp.setattr(oracle, "shadow_colex", lambda m, s_, q: max(real(m, s_, q) + shift, 0))
         rows.append(oracle.verify_kkt(n, s).failures)
-    with pytest.MonkeyPatch.context() as mp:
+    with stubbed() as mp:
         for name in ("is_colex_unique", "is_clique_unique"):
             real = getattr(oracle, name)
             mp.setattr(oracle, name, lambda m, s_, level, n_, real=real: dataclasses.replace(
