@@ -25,11 +25,14 @@ still speaks of every family.  Each class is counted at its lowest and its
 highest member, which must agree, and level s must count every family's
 edges; both checks run whenever a level is counted.  A process keeps per
 shape the class table and, in _class_store, the class counts, i-degree
-caps, the sweeps' arrays, the expected rows and verify_kkt's table.  So a
-shape's level is counted once per process, a kernel (its k-set masks)
-lives only for the call that counts it, and a stub bound in this module
-builds only what the store does not hold yet; the one reset is
-_class_store.cache_clear().
+caps, the sweeps' arrays, the expected rows, verify_kkt's table and
+verify_uniqueness's attainer rows; and, in _equality_counts, the counts of
+the built-in designs that verify_equality_theorems reads.  So a shape's
+level or a design's shadow is counted once per process, a kernel (its
+k-set masks) lives only for the call that counts it, and a stub bound in
+this module builds only what is not kept yet, while every comparison and
+cross-check runs on every call.  The reset is _class_store.cache_clear()
+together with _equality_counts.cache_clear().
 """
 
 from __future__ import annotations
@@ -247,8 +250,10 @@ def _class_store(n: int, s: int) -> dict:
     (_class_counts); under ("degree", i), each class's most edges through
     one i-set (exhaustive_search's cap); under "sweep", _sweep_counts'
     arrays; under a closed form's name and its arguments after m, such as
-    ("k_colex", s, t), its row (_row); under "kkt", verify_kkt's table.
-    Every array is read-only, and nothing is rebuilt until cache_clear()."""
+    ("k_colex", s, t), its row (_row); under "kkt", verify_kkt's table;
+    under "uniqueness", verify_uniqueness's attainer mask over the classes
+    and attainer count per m, one row of each per row of its table.  Every
+    array is read-only, and nothing is rebuilt until cache_clear()."""
     return {}
 
 
@@ -524,7 +529,9 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
     orbit is the class of C_s(m), which must attain; the attainers are the
     classes that attain (_sweep_counts), their number the sum of their
     sizes, and a failure row's family the lowest member of the first
-    attaining class outside the orbit.
+    attaining class outside the orbit.  The attainer masks and numbers are
+    kept in _class_store; the orbit check and the comparisons with the
+    orbit sizes and verdicts run on every call.
     """
     import numpy as np
     ker = _Kernel(n, s)
@@ -539,11 +546,17 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
               for t in range(s + 1, n + 1)]
     lo, _, _, sizes = _class_table(n, s)
     cnt, mc, comp, colex, _, _ = _sweep_counts(ker)
+    store = _class_store(n, s)
+    if "uniqueness" not in store:
+        # per row of the table and class: whether the class attains the
+        # extreme of its edge count; per row and m, the attainers' number
+        att = np.array([_level(n, cnt, comp, level, full) == ext[mc]
+                        for *_, level, full, ext, _ in table], dtype=bool).reshape(len(table), len(lo))
+        n_att = np.array([np.bincount(mc, weights=np.where(hit, sizes, 0), minlength=U + 1)
+                          for hit in att]).astype(np.int64).reshape(len(table), U + 1)
+        store["uniqueness"] = (_read_only(att), _read_only(n_att))
+    att, n_att = store["uniqueness"]
     orbit = sizes[colex]
-    # per row of the table and class: whether the class attains the extreme
-    # of its edge count
-    att = np.array([_level(n, cnt, comp, level, full) == ext[mc]
-                    for *_, level, full, ext, _ in table], dtype=bool).reshape(len(table), len(lo))
 
     # the first m, and at it the first row, at which the orbit does not attain
     short = ~att[:, colex]
@@ -552,27 +565,24 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
         kind, var, goal, level, *_ = table[int(short[:, m].argmax())]
         raise InternalCheckError(f"colex orbit not attaining {goal} at m={m}, {var}={level}")
 
-    # per row, its failure per m; a False clique verdict is "not decided",
-    # so only True can fail
-    rows = []
-    for (kind, var, _, level, _, _, verdicts), hit in zip(table, att):
-        n_att = np.bincount(mc, weights=np.where(hit, sizes, 0), minlength=U + 1).astype(np.int64)
-        verdict, unique = verdicts.astype(bool), n_att == orbit
-        fails = (verdict != unique) & (verdict | (kind == "colex") & (np.arange(U + 1) > s + 1))
-        failed = {}
-        for m in np.flatnonzero(fails).tolist():
-            # the lowest member of the first attaining class outside the orbit
-            other = hit & (mc == m)
-            other[colex[m]] = False
-            failed[m] = {
-                "kind": f"{kind}_unique", "m": m, "level": level, "verdict": bool(verdict[m]),
-                "attainers": int(n_att[m]), "orbit": int(orbit[m]),
-                "family": None if unique[m] else ker.family_of(lo[other.argmax()]).edge_lists(),
-            }
-        rows.append((kind, var, level, failed))
+    # per row and m, a failure; a False clique verdict is "not decided", so
+    # only True can fail
+    verdict = np.array([v for *_, v in table], dtype=bool).reshape(len(table), U + 1)
+    unique = n_att == orbit
+    colex_rows = np.array([kind == "colex" for kind, *_ in table], dtype=bool)[:, None]
+    fails = (verdict != unique) & (verdict | colex_rows & (np.arange(U + 1) > s + 1))
     report.checks = [f"{kind} m={m} {var}={level}"
-                     for m in range(U + 1) for kind, var, level, _ in rows]
-    report.failures = [failed[m] for m in range(U + 1) for *_, failed in rows if m in failed]
+                     for m in range(U + 1) for kind, var, _, level, *_ in table]
+    for m, j in np.argwhere(fails.T).tolist():
+        # the lowest member of the first attaining class outside the orbit
+        other = att[j] & (mc == m)
+        other[colex[m]] = False
+        kind, _, _, level, *_ = table[j]
+        report.failures.append({
+            "kind": f"{kind}_unique", "m": m, "level": level, "verdict": bool(verdict[j, m]),
+            "attainers": int(n_att[j, m]), "orbit": int(orbit[m]),
+            "family": None if unique[j, m] else ker.family_of(lo[other.argmax()]).edge_lists(),
+        })
     return report
 
 
@@ -593,50 +603,78 @@ class EqualityReport:
         })
 
 
+# the designs whose j-shadows are counted, each with its least j; the
+# packings disjoint(a,r) whose s-shadow meets the edge bound at max i-degree,
+# as (a, r, i, s); those whose s-shadow meets the clique bound at max
+# 1-degree, as (a, r, s, u, t)
+_DESIGN_SHADOWS = (("fano", 2), ("s348", 3), ("pg23", 2), ("ag23", 2))
+_EDGE_PACKINGS = ((2, 4, 1, 3), (3, 4, 1, 3), (2, 5, 2, 4), (2, 5, 1, 3))
+_CLIQUE_PACKINGS = ((2, 4, 2, 3, 4), (3, 4, 2, 3, 4), (2, 5, 3, 4, 5))
+
+
+@cache
+def _equality_counts() -> tuple[tuple, ...]:
+    """What verify_equality_theorems compares with its closed forms, counted
+    once per process from the built-in designs, which are fixed data: per
+    design of _DESIGN_SHADOWS, its r, its block count and its j-shadow sizes
+    for j = i..r-1; the PG(2,3) 3-shadow's max 2-degree and its 3- and
+    4-clique counts; per packing of _EDGE_PACKINGS, its s-shadow's edge
+    count, max i-degree and t-clique counts for t = s+1..r; per packing of
+    _CLIQUE_PACKINGS, its s-shadow's u-clique count, max 1-degree and
+    t-clique count.  Tuples of ints, kept until cache_clear()."""
+    designs = []
+    for name, i in _DESIGN_SHADOWS:
+        d = builtin_design(name)
+        designs.append((d.r, len(d.blocks.edges),
+                        *(len(shadow(d.blocks, j).edges) for j in range(i, d.r))))
+    H = shadow_of_design(builtin_design("pg23"), 3)
+    pg = (max_degree(H, 2), *(len(cliques(H, t).edges) for t in (3, 4)))
+    edge = []
+    for a, r, i, s in _EDGE_PACKINGS:
+        H = shadow_of_design(builtin_design(f"disjoint({a},{r})"), s)
+        edge.append((len(H.edges), max_degree(H, i),
+                     *(len(cliques(H, t).edges) for t in range(s + 1, r + 1))))
+    clique = []
+    for a, r, s, u, t in _CLIQUE_PACKINGS:
+        H = shadow_of_design(builtin_design(f"disjoint({a},{r})"), s)
+        clique.append((len(cliques(H, u).edges), max_degree(H, 1), len(cliques(H, t).edges)))
+    return tuple(designs), pg, tuple(edge), tuple(clique)
+
+
 def verify_equality_theorems() -> EqualityReport:
     """Confirm that the stated extremal structures attain each bound exactly.
 
     Covers: j-shadow sizes of packings, Steiner shadows attaining the vertex
     bound, packing shadows attaining the edge bound, disjoint cliques attaining
     the clique bound under divisibility, and (by tiny exhaustive searches) the
-    converse direction that attainers are shadows of packings.
+    converse direction that attainers are shadows of packings.  The designs'
+    counts come from _equality_counts; every bound and comparison is
+    evaluated on each call, and so are the searches.
     """
     rep = EqualityReport()
+    designs, pg, edge, clique = _equality_counts()
 
-    for name, i in (("fano", 2), ("s348", 3), ("pg23", 2), ("ag23", 2)):
-        d = builtin_design(name)
-        b = len(d.blocks.edges)
-        for j in range(i, d.r + 1):
-            got = len(shadow(d.blocks, j).edges) if j < d.r else b
-            rep.add(f"{name} |shadow_{j}| = C(r,j)*blocks", comb(d.r, j) * b, got)
+    for (name, i), (r, b, *sizes) in zip(_DESIGN_SHADOWS, designs):
+        for j, got in enumerate([*sizes, b], start=i):
+            rep.add(f"{name} |shadow_{j}| = C(r,j)*blocks", comb(r, j) * b, got)
 
     # Steiner shadows meet the vertex bound with equality
-    pg = builtin_design("pg23")
-    H = shadow_of_design(pg, 3)
-    for t in (3, 4):
-        vb = vertex_bound(13, 2, 3, t, max_degree(H, 2))
-        got = len(cliques(H, t).edges)
+    deg, *k = pg
+    for t, got in zip((3, 4), k):
+        vb = vertex_bound(13, 2, 3, t, deg)
         rep.add(f"pg23 shadow k^{t} = vertex bound", (vb.value, "yes"),
                 (Fraction(got), vb.equality_possible))
 
     # packing shadows meet the edge bound with equality
-    for (a, r, i, s) in ((2, 4, 1, 3), (3, 4, 1, 3), (2, 5, 2, 4), (2, 5, 1, 3)):
-        d = builtin_design(f"disjoint({a},{r})")
-        Hs = shadow_of_design(d, s)
-        m = len(Hs.edges)
-        for t in range(s + 1, r + 1):
-            eb = edge_bound(m, i, s, t, max_degree(Hs, i))
-            got = len(cliques(Hs, t).edges)
+    for (a, r, i, s), (m, deg, *k) in zip(_EDGE_PACKINGS, edge):
+        for t, got in zip(range(s + 1, r + 1), k):
+            eb = edge_bound(m, i, s, t, deg)
             rep.add(f"disjoint({a},{r}) shadow_{s} k^{t} = edge bound",
                     (eb.value, a * comb(r, t)), (Fraction(got), got))
 
     # disjoint copies of K_r meet the clique bound when C(r,u) divides p
-    for (a, r, s, u, t) in ((2, 4, 2, 3, 4), (3, 4, 2, 3, 4), (2, 5, 3, 4, 5)):
-        d = builtin_design(f"disjoint({a},{r})")
-        Hs = shadow_of_design(d, s) if s < r else d.blocks
-        p = len(cliques(Hs, u).edges)
-        cb = clique_bound(p, 1, s, u, t, max_degree(Hs, 1))
-        got = len(cliques(Hs, t).edges)
+    for (a, r, s, u, t), (p, deg, got) in zip(_CLIQUE_PACKINGS, clique):
+        cb = clique_bound(p, 1, s, u, t, deg)
         rep.add(f"{a}K_{r}^({s}) k^{t} = clique bound (C({r},{u}) | {p})",
                 (cb.value, "yes"), (Fraction(got), cb.equality_possible))
 

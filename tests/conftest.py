@@ -50,14 +50,21 @@ def modules_loaded_by(code: str) -> list[str]:
 @contextmanager
 def stubbed():
     """A MonkeyPatch context for stubbing an oracle seam or a _Kernel method.
-    The per-shape store keeps whatever it was built from, so it is cleared
-    before a stub is bound, and again after the stub is undone."""
-    oracle._class_store.cache_clear()
+    The per-shape store and the equality counts keep whatever they were
+    built from, so both are cleared before a stub is bound, and again after
+    the stub is undone."""
+    clear()
     try:
         with pytest.MonkeyPatch.context() as mp:
             yield mp
     finally:
-        oracle._class_store.cache_clear()
+        clear()
+
+
+def clear() -> None:
+    """The oracle's reset: what it keeps per shape and the equality counts."""
+    oracle._class_store.cache_clear()
+    oracle._equality_counts.cache_clear()
 
 
 @pytest.fixture

@@ -352,6 +352,16 @@ def _record(monkeypatch, *names):
     return calls
 
 
+def _record_seams(monkeypatch, *names):
+    """Calls to the named oracle module functions, by name."""
+    calls = []
+    for name in names:
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, name=name, real=real:
+                            calls.append(name) or real(*a))
+    return calls
+
+
 def test_kkt_sweep_builds_each_level_once(oracle_patch):
     # levels 0..5 on [5]; shadows and upshadows come from the full counts
     calls = _record(oracle_patch, "masks")
@@ -799,18 +809,15 @@ def test_warm_sweeps_call_no_closed_form(oracle_patch, n, s):
     # binds them before each traced pass, are not called
     warm = verify_kkt(n, s), verify_uniqueness(n, s)
     assert warm[0].ok and warm[1].ok
-    calls = []
-    for name, *_ in SEAMS:
-        real = getattr(oracle, name)
-        oracle_patch.setattr(oracle, name, lambda *a, name=name, real=real:
-                             calls.append(name) or real(*a))
+    calls = _record_seams(oracle_patch, *(name for name, *_ in SEAMS))
     assert (verify_kkt(n, s), verify_uniqueness(n, s)) == warm
     assert calls == []
 
 
 def test_kept_rows_and_orbits_are_read_only():
     # the class tables and the stored class counts, i-degree caps, sweep
-    # arrays, expected and verdict rows and verify_kkt's table
+    # arrays, expected and verdict rows, verify_kkt's table and
+    # verify_uniqueness's attainer masks and counts
     oracle._class_store.cache_clear()
     verify_kkt(5, 2)
     verify_uniqueness(5, 3)
@@ -820,12 +827,18 @@ def test_kept_rows_and_orbits_are_read_only():
     assert {k for k in oracle._class_store(5, 3) if not isinstance(k, int)} == {
         ("degree", 1), "sweep", ("shadow_colex", 3, 1), ("shadow_colex", 3, 2),
         ("is_colex_unique", 3, 1, 5), ("is_colex_unique", 3, 2, 5), ("k_colex", 3, 4),
-        ("k_colex", 3, 5), ("is_clique_unique", 3, 4, 5), ("is_clique_unique", 3, 5, 5)}
+        ("k_colex", 3, 5), ("is_clique_unique", 3, 4, 5), ("is_clique_unique", 3, 5, 5),
+        "uniqueness"}
     assert "kkt" in oracle._class_store(5, 2)
+    att, n_att = oracle._class_store(5, 3)["uniqueness"]
+    assert att.shape == (4, len(oracle._class_table(5, 3)[0])) and n_att.shape == (4, 11)
     kept = list(oracle._class_table(5, 3)) + stored
+    assert any(a is att for a in kept) and any(a is n_att for a in kept)
     assert all(not a.flags.writeable for a in kept)
     with pytest.raises(ValueError):
         kept[0][0] = 1
+    with pytest.raises(ValueError):
+        att[0, 0] = not att[0, 0]
 
 
 def test_row_memo_does_not_grow_with_patches():
@@ -892,6 +905,69 @@ def test_equality_theorem_catalogue():
     names = [r["name"] for r in eq.rows]
     assert "pg23 shadow k^4 = vertex bound" in names
     assert "search n=5 s=3 deg<=6: unique Steiner attainer" in names
+
+
+def test_warm_equality_catalogue_counts_nothing(oracle_patch):
+    # the designs' shadow sizes, degrees and clique counts are kept for the
+    # process: a second call builds and counts no design
+    first = verify_equality_theorems()
+    assert first.ok
+    calls = _record_seams(oracle_patch, "cliques", "shadow", "max_degree", "shadow_of_design",
+                          "builtin_design")
+    assert verify_equality_theorems() == first
+    assert calls == []
+
+
+def test_warm_equality_catalogue_compares_every_row(oracle_patch):
+    # the bounds are evaluated on every call: an edge bound one too high,
+    # bound after a warm call, fails exactly the five edge-bound rows
+    assert verify_equality_theorems().ok
+    real = oracle.edge_bound
+    oracle_patch.setattr(oracle, "edge_bound", lambda *a: dataclasses.replace(
+        real(*a), value=real(*a).value + 1))
+    failed = [r["name"] for r in verify_equality_theorems().rows if not r["ok"]]
+    assert failed == [
+        "disjoint(2,4) shadow_3 k^4 = edge bound", "disjoint(3,4) shadow_3 k^4 = edge bound",
+        "disjoint(2,5) shadow_4 k^5 = edge bound", "disjoint(2,5) shadow_3 k^4 = edge bound",
+        "disjoint(2,5) shadow_3 k^5 = edge bound"]
+
+
+def test_equality_counts_call_a_stub_on_a_cleared_store():
+    # stubbed() clears the equality counts with the per-shape store, so a
+    # stub bound in it is the one that counts, even after a warm call
+    assert verify_equality_theorems().ok
+    with stubbed() as mp:
+        mp.setattr(oracle, "cliques", lambda H, t: SetFamily(H.n, t, frozenset()))
+        failed = [r["name"] for r in verify_equality_theorems().rows if not r["ok"]]
+        # no cliques: the vertex- and edge-bound rows fail; p = 0 u-cliques
+        # bound the clique rows by 0, which they then meet
+        assert len(failed) == 7
+        assert all(name.endswith(("vertex bound", "edge bound")) for name in failed)
+    assert verify_equality_theorems().ok
+
+
+def test_second_uniqueness_sweep_counts_nothing(oracle_patch):
+    # the attainer masks and counts are kept per shape: a second sweep
+    # reads them and takes no level's counts or meet counts
+    first = verify_uniqueness(6, 3)
+    assert first.ok
+    calls = _record_seams(oracle_patch, "_level")
+    assert verify_uniqueness(6, 3) == first
+    assert calls == []
+
+
+def test_warm_uniqueness_sweep_checks_the_orbit(oracle_patch):
+    # the colex orbit's class must attain on every call, not only when the
+    # attainer masks are built
+    assert verify_uniqueness(6, 3).ok
+    store = oracle._class_store(6, 3)
+    att, n_att = store["uniqueness"]
+    colex = oracle._sweep_counts(_Kernel(6, 3))[3]
+    bad = att.copy()
+    bad[1, colex[7]] = False
+    store["uniqueness"] = (oracle._read_only(bad), n_att)
+    with pytest.raises(InternalCheckError, match="colex orbit not attaining min shadow at m=7, q=2"):
+        verify_uniqueness(6, 3)
 
 
 def test_tightness_sweeps_match_committed_csv():

@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 
 import pytest
-from conftest import stubbed
+from conftest import clear, stubbed
 
 import kkcliques.oracle as oracle
 from kkcliques.cli import run
@@ -68,3 +68,16 @@ def test_failure_rows_match_pinned_digests(shift):
     differ = [shape for shape, want in pinned.items()
               if failure_digest(shift, *map(int, shape.split())) != want]
     assert differ == [], f"failure rows differ from the pinned digests at (n s) {differ}"
+
+
+# commands whose counts a process keeps after their first run
+KEPT = ["verify equality", "verify uniqueness 6 3", "verify uniqueness 7 2", "verify uniqueness 7 6"]
+
+
+def test_warm_payloads_match_cold_payloads():
+    # on a cleared store, then warm, each payload is the pinned one
+    clear()
+    cold = [run(c.split()).text for c in KEPT]
+    warm = [run(c.split()).text for c in KEPT]
+    assert warm == cold
+    assert [_digest(f"0\n{text}") for text in warm] == [PINNED["commands"][c] for c in KEPT]
