@@ -82,6 +82,24 @@ def steiner_divisibility(i: int, r: int, n: int) -> tuple[bool, list[tuple[int, 
     return ok, rows
 
 
+def _sum_of_two_squares(q: int) -> Optional[bool]:
+    """Whether q >= 1 is a sum of two squares: by Fermat, iff every prime
+    p = 3 (mod 4) divides q an even number of times.  Trial division stops
+    at the divisor 2^14, so None when a cofactor above 2^28 is left."""
+    d = 2
+    while d * d <= q:
+        if d > 1 << 14:
+            return None
+        e = 0
+        while q % d == 0:
+            q //= d
+            e += 1
+        if e % 2 and d % 4 == 3:
+            return False
+        d += 1
+    return q % 4 != 3       # q is now 1 or a prime
+
+
 def _steiner_existence(i: int, r: int, n: int) -> str:
     """"yes" / "no" / "unknown" for existence of S(i, r, n).
 
@@ -89,7 +107,10 @@ def _steiner_existence(i: int, r: int, n: int) -> str:
     families S(2,3,n), S(2,4,n), S(3,4,n) where the divisibility conditions
     are known to be sufficient.  Divisibility failure is always "no", and so
     is a failure of Fisher's inequality: for i >= 2 and r < n an S(i,r,n) is
-    a 2-design, which has at least n blocks, so C(n,i) >= n C(r,i).
+    a 2-design, which has at least n blocks, so C(n,i) >= n C(r,i).  An
+    S(2, q+1, q^2+q+1) is a projective plane of order q, which by Bruck and
+    Ryser (1949) does not exist when q = 1 or 2 (mod 4) and q is not a sum
+    of two squares: "no" for q = 6, 14, 21, 22, ...
     """
     if r > n:
         return "no"
@@ -98,6 +119,9 @@ def _steiner_existence(i: int, r: int, n: int) -> str:
     if i == 1:
         return "yes" if n % r == 0 else "no"
     if not steiner_divisibility(i, r, n)[0] or comb(n, i) < n * comb(r, i):
+        return "no"
+    q = r - 1
+    if i == 2 and n == q * q + q + 1 and q % 4 in (1, 2) and _sum_of_two_squares(q) is False:
         return "no"
     if (i, r) in {(2, 3), (2, 4), (3, 4)}:
         # Divisibility is sufficient for these block sizes (classical

@@ -24,14 +24,16 @@ isomorphism class (_class_table) and weigh it by its class's size; a report
 still speaks of every family.  Each class is counted at its lowest and its
 highest member, which must agree, and level s must count every family's
 edges; both checks run whenever a level is counted.  A process keeps per
-shape the class table and, in _class_store, the class counts, i-degree
-caps, the sweeps' arrays, the expected rows, verify_kkt's table and
-verify_uniqueness's attainer rows; and, in _equality_counts, the counts of
-the built-in designs that verify_equality_theorems reads.  So a shape's
-level or a design's shadow is counted once per process, a kernel (its
-k-set masks) lives only for the call that counts it, and a stub bound in
-this module builds only what is not kept yet, while every comparison and
-cross-check runs on every call.  The reset is _class_store.cache_clear()
+shape the class table and, in _class_store, the edge universe, the class
+counts, i-degree caps, the sweeps' arrays, the expected rows, and each
+sweep's table with its check labels: verify_kkt's per-m extremes and
+segment counts beside the expected values, verify_uniqueness's verdict
+rows, attainer rows and attainer counts; and, in _equality_counts, the
+counts of the built-in designs that verify_equality_theorems reads.  So a
+shape's level or a design's shadow is counted once per process, a kernel
+(its k-set masks) lives only for the call that counts it, a warm sweep
+only compares, and a stub bound in this module builds only what is not
+kept yet, while every comparison and cross-check runs on every call.  The reset is _class_store.cache_clear()
 together with _equality_counts.cache_clear().
 """
 
@@ -206,7 +208,10 @@ class _Kernel:
         if U > MAX_UNIVERSE:
             raise ValueError(f"universe C({n},{s}) = {U} exceeds sweep cap {MAX_UNIVERSE}")
         self.n, self.s, self.U = n, s, U
-        self.universe = list(_colex_masks(n, s))
+        store = _class_store(n, s)
+        if "universe" not in store:
+            store["universe"] = tuple(_colex_masks(n, s))
+        self.universe = store["universe"]
         self._tuples: dict[tuple, tuple] = {}
 
     def masks_of(self, fid: int) -> tuple[int, ...]:
@@ -246,14 +251,15 @@ class _Kernel:
 @cache
 def _class_store(n: int, s: int) -> dict:
     """What a process keeps per shape beside _class_table, filled on first
-    use: under level k, the row of each class's full count of k-sets
+    use: under "universe", the s-sets of [n] in colex order (_Kernel's);
+    under level k, the row of each class's full count of k-sets
     (_class_counts); under ("degree", i), each class's most edges through
     one i-set (exhaustive_search's cap); under "sweep", _sweep_counts'
     arrays; under a closed form's name and its arguments after m, such as
-    ("k_colex", s, t), its row (_row); under "kkt", verify_kkt's table;
-    under "uniqueness", verify_uniqueness's attainer mask over the classes
-    and attainer count per m, one row of each per row of its table.  Every
-    array is read-only, and nothing is rebuilt until cache_clear()."""
+    ("k_colex", s, t), its row (_row); under "kkt", verify_kkt's table
+    (_kkt_table); under "uniqueness", verify_uniqueness's table
+    (_uniqueness_table).  Every array is read-only, every other value a
+    tuple, and nothing is rebuilt until cache_clear()."""
     return {}
 
 
@@ -408,10 +414,8 @@ def _sweep_counts(ker: _Kernel) -> tuple[np.ndarray, ...]:
     """For the sweeps, over the classes of ker's shape in _class_table's
     order: the full count of every level 0..n, as [level, class]; each
     class's edge count; the index of its complement's class, whose full
-    counts give the class's meet counts; per m the index of the class of
-    C_s(m), whose lowest member is 2^m - 1; and as [level, m] the largest
-    full count at m edges and the segment's: C_s(m)'s, below s that of the
-    complement of C_s(U - m).  Kept in _class_store."""
+    counts give the class's meet counts; and per m the index of the class
+    of C_s(m), whose lowest member is 2^m - 1.  Kept in _class_store."""
     import numpy as np
     store = _class_store(ker.n, ker.s)
     if "sweep" not in store:
@@ -420,10 +424,7 @@ def _sweep_counts(ker: _Kernel) -> tuple[np.ndarray, ...]:
         mc = np.bitwise_count(lo)
         comp = np.searchsorted(lo, (1 << ker.U) - 1 - hi)
         colex = np.searchsorted(lo, (1 << np.arange(ker.U + 1, dtype=np.int64)) - 1)
-        top = np.zeros((ker.n + 1, ker.U + 1), dtype=np.int64)
-        np.maximum.at(top, (slice(None), mc), cnt)
-        seen = np.concatenate((cnt[:ker.s, comp[colex[::-1]]], cnt[ker.s:, colex]))
-        store["sweep"] = tuple(map(_read_only, (cnt, mc, comp, colex, top, seen)))
+        store["sweep"] = tuple(map(_read_only, (cnt, mc, comp, colex)))
     return store["sweep"]
 
 
@@ -447,59 +448,71 @@ class SweepReport:
         return not self.failures
 
 
+def _kkt_table(ker: _Kernel) -> tuple:
+    """verify_kkt's table for ker's shape, one row per check: each row's
+    (kind, level, full), its check label, and as [row, m] read-only int64
+    arrays of the expected value, the extreme count and the segment's count.
+    A full row (cliques) reads the largest full count at m edges and that
+    of C_s(m); a meet row the least meet count, C(n, level) minus the
+    largest full count at U - m (complements), and that of C_s(m) for a
+    shadow or of the retlex segment, the complement of C_s(U - m), for an
+    upshadow."""
+    import numpy as np
+    n, s, U = ker.n, ker.s, ker.U
+    # (kind, check label, level, full, expected per m)
+    rows = [("shadow", "min shadow q", q, False, _row(ker, "shadow_colex", shadow_colex, s, q))
+            for q in range(s)]
+    rows += [("cliques", "max cliques t", t, True, _row(ker, "k_colex", k_colex, s, t))
+             for t in range(s, n + 1)]
+    # complementing every edge maps the retlex s-segment to the colex
+    # (n-s)-segment and its t-upshadow to the (n-t)-shadow of that
+    rows += [("upshadow", "min upshadow t", t, False,
+              _row(ker, "shadow_colex", shadow_colex, n - s, n - t))
+             for t in range(s + 1, n + 1)]
+    cnt, mc, comp, colex = _sweep_counts(ker)
+    top = np.zeros((n + 1, U + 1), dtype=np.int64)
+    np.maximum.at(top, (slice(None), mc), cnt)
+    retlex = comp[colex[::-1]]
+    ext = [top[level] if full else comb(n, level) - top[level, ::-1]
+           for _, _, level, full, _ in rows]
+    got = [_level(n, cnt, comp, level, full)[retlex if kind == "upshadow" else colex]
+           for kind, _, level, full, _ in rows]
+    return (tuple((kind, level, full) for kind, _, level, full, _ in rows),
+            tuple(f"{label}={level}" for _, label, level, _, _ in rows),
+            *(_read_only(np.array(a, dtype=np.int64).reshape(len(rows), U + 1))
+              for a in ([want for *_, want in rows], ext, got)))
+
+
 def verify_kkt(n: int, s: int) -> SweepReport:
     """Exhaustively confirm the extremal formulas over every family on [n].
 
     For each edge count m: the minimum q-shadow equals the cascade formula for
     every q < s, the maximum t-clique count equals k_colex for every t >= s,
     and the minimum t-upshadow for every t > s is attained by the retlex
-    segment.  By complements, the least shadow or upshadow at m is C(n,k)
-    minus the largest full count at U - m.  The per-m extremes are taken
-    over one family per isomorphism class (_sweep_counts), and a failure
-    row's family is the lowest id beyond the expected value, the lowest
-    member of the first class beyond it, else the segment.
+    segment.  The per-m extremes are taken over one family per isomorphism
+    class and kept per shape with the expected values (_kkt_table); every
+    call compares them.  A failure row's family is the lowest id beyond the
+    expected value, the lowest member of the first class beyond it, else
+    the segment.
     """
     import numpy as np
     ker = _Kernel(n, s)
     U = ker.U
-    report = SweepReport("kkt", n, s, 1 << U)
-    lo = _class_table(n, s)[0]
-    cnt, mc, comp, _, top, seen = _sweep_counts(ker)
     store = _class_store(n, s)
     if "kkt" not in store:
-        # (kind, check label, level, full, expected per m)
-        rows = [("shadow", "min shadow q", q, False, _row(ker, "shadow_colex", shadow_colex, s, q))
-                for q in range(s)]
-        rows += [("cliques", "max cliques t", t, True, _row(ker, "k_colex", k_colex, s, t))
-                 for t in range(s, n + 1)]
-        # complementing every edge maps the retlex s-segment to the colex
-        # (n-s)-segment and its t-upshadow to the (n-t)-shadow of that
-        rows += [("upshadow", "min upshadow t", t, False,
-                  _row(ker, "shadow_colex", shadow_colex, n - s, n - t))
-                 for t in range(s + 1, n + 1)]
-        store["kkt"] = _read_only(np.array(
-            [(kind, f"{label}={level}", level, full, comb(n, level), want)
-             for kind, label, level, full, want in rows],
-            dtype=[("kind", object), ("check", object), ("level", np.intp), ("full", bool),
-                   ("nK", np.int64), ("want", np.int64, (U + 1,))]))
-    table = store["kkt"]
-
-    # per row of the table and m: the extreme count and the segment's count,
-    # all rows compared at once
-    full, nK, want = table["full"][:, None], table["nK"][:, None], table["want"]
-    ext, got = top[table["level"]], seen[table["level"]]
-    ext = np.where(full, ext, nK - ext[:, ::-1])
-    got = np.where(full, got, nK - got[:, ::-1])
+        store["kkt"] = _kkt_table(ker)
+    rows, labels, want, ext, got = store["kkt"]
+    report = SweepReport("kkt", n, s, 1 << U, list(labels))
     beyond = ext != want
-    report.checks = table["check"].tolist()
-    for i in np.flatnonzero(beyond.any(axis=1) | (got != want).any(axis=1)):
-        kind, level, is_full, expected = (table["kind"][i], int(table["level"][i]),
-                                          bool(table["full"][i]), want[i])
+    for i in np.flatnonzero(beyond.any(axis=1) | (got != want).any(axis=1)).tolist():
+        (kind, level, full), expected = rows[i], want[i]
         seg = "retlex" if kind == "upshadow" else "colex"
         # per m, the lowest member of the first class beyond its expected value
-        v = _level(n, cnt, comp, level, is_full)
+        lo = _class_table(n, s)[0]
+        cnt, mc, comp, _ = _sweep_counts(ker)
+        v = _level(n, cnt, comp, level, full)
         first: dict[int, int] = {}
-        for c in np.flatnonzero(v > expected[mc] if is_full else v < expected[mc]).tolist():
+        for c in np.flatnonzero(v > expected[mc] if full else v < expected[mc]).tolist():
             first.setdefault(int(mc[c]), int(lo[c]))
         for m in np.flatnonzero(beyond[i]).tolist():
             # else the segment: the retlex one with m edges is the complement
@@ -518,6 +531,38 @@ def verify_kkt(n: int, s: int) -> SweepReport:
     return report
 
 
+def _uniqueness_table(ker: _Kernel) -> tuple:
+    """verify_uniqueness's table for ker's shape, one row per check: each
+    row's (kind, level name, goal, level), and the check labels, m-major;
+    then, as read-only arrays [row, m], the verdicts and where a False
+    verdict fails too (colex rows at m > s + 1), and [row, class] whether
+    the class attains the extreme of its edge count, and [row, m] the
+    number of attainers, the sum of their class sizes."""
+    import numpy as np
+    n, s, U = ker.n, ker.s, ker.U
+    # (kind, level name, goal, level, full, extremal value per m, verdict per m)
+    table = [("colex", "q", "min shadow", q, False, _row(ker, "shadow_colex", shadow_colex, s, q),
+              _row(ker, "is_colex_unique", is_colex_unique, s, q, n, verdict=True))
+             for q in range(1, s)]
+    table += [("clique", "t", "max cliques", t, True, _row(ker, "k_colex", k_colex, s, t),
+               _row(ker, "is_clique_unique", is_clique_unique, s, t, n, verdict=True))
+              for t in range(s + 1, n + 1)]
+    sizes = _class_table(n, s)[3]
+    cnt, mc, comp, _ = _sweep_counts(ker)
+    R, C = len(table), len(sizes)
+    verdict = np.array([v for *_, v in table], dtype=bool).reshape(R, U + 1)
+    strict = np.array([kind == "colex" for kind, *_ in table], dtype=bool)[:, None] \
+        & (np.arange(U + 1) > s + 1)
+    att = np.array([_level(n, cnt, comp, level, full) == ext[mc]
+                    for *_, level, full, ext, _ in table], dtype=bool).reshape(R, C)
+    n_att = np.array([np.bincount(mc, weights=np.where(hit, sizes, 0), minlength=U + 1)
+                      for hit in att]).astype(np.int64).reshape(R, U + 1)
+    return (tuple(row[:4] for row in table),
+            tuple(f"{kind} m={m} {var}={level}"
+                  for m in range(U + 1) for kind, var, _, level, *_ in table),
+            *map(_read_only, (verdict, strict, att, n_att)))
+
+
 def verify_uniqueness(n: int, s: int) -> SweepReport:
     """Check the uniqueness predicates against the actual attainer sets on [n].
 
@@ -527,57 +572,40 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
     verdict implies the maximisers are exactly the orbit; False verdicts are
     recorded with the observed class structure but are not failures.  The
     orbit is the class of C_s(m), which must attain; the attainers are the
-    classes that attain (_sweep_counts), their number the sum of their
-    sizes, and a failure row's family the lowest member of the first
-    attaining class outside the orbit.  The attainer masks and numbers are
-    kept in _class_store; the orbit check and the comparisons with the
-    orbit sizes and verdicts run on every call.
+    classes that attain, their number the sum of their sizes, and a failure
+    row's family the lowest member of the first attaining class outside the
+    orbit.  The verdicts, attainer masks and numbers are kept per shape
+    (_uniqueness_table); the orbit check and the comparisons with the orbit
+    sizes and verdicts run on every call.
     """
     import numpy as np
     ker = _Kernel(n, s)
     U = ker.U
-    report = SweepReport("uniqueness", n, s, 1 << U)
-    # (kind, level name, goal, level, full, extremal value per m, verdict per m)
-    table = [("colex", "q", "min shadow", q, False, _row(ker, "shadow_colex", shadow_colex, s, q),
-              _row(ker, "is_colex_unique", is_colex_unique, s, q, n, verdict=True))
-             for q in range(1, s)]
-    table += [("clique", "t", "max cliques", t, True, _row(ker, "k_colex", k_colex, s, t),
-               _row(ker, "is_clique_unique", is_clique_unique, s, t, n, verdict=True))
-              for t in range(s + 1, n + 1)]
-    lo, _, _, sizes = _class_table(n, s)
-    cnt, mc, comp, colex, _, _ = _sweep_counts(ker)
     store = _class_store(n, s)
     if "uniqueness" not in store:
-        # per row of the table and class: whether the class attains the
-        # extreme of its edge count; per row and m, the attainers' number
-        att = np.array([_level(n, cnt, comp, level, full) == ext[mc]
-                        for *_, level, full, ext, _ in table], dtype=bool).reshape(len(table), len(lo))
-        n_att = np.array([np.bincount(mc, weights=np.where(hit, sizes, 0), minlength=U + 1)
-                          for hit in att]).astype(np.int64).reshape(len(table), U + 1)
-        store["uniqueness"] = (_read_only(att), _read_only(n_att))
-    att, n_att = store["uniqueness"]
-    orbit = sizes[colex]
+        store["uniqueness"] = _uniqueness_table(ker)
+    rows, labels, verdict, strict, att, n_att = store["uniqueness"]
+    report = SweepReport("uniqueness", n, s, 1 << U, list(labels))
+    lo, _, _, sizes = _class_table(n, s)
+    _, mc, _, colex = _sweep_counts(ker)
 
     # the first m, and at it the first row, at which the orbit does not attain
-    short = ~att[:, colex]
-    if short.any():
+    orbit_attains = att[:, colex]
+    if not orbit_attains.all():
+        short = ~orbit_attains
         m = int(short.any(axis=0).argmax())
-        kind, var, goal, level, *_ = table[int(short[:, m].argmax())]
+        kind, var, goal, level = rows[int(short[:, m].argmax())]
         raise InternalCheckError(f"colex orbit not attaining {goal} at m={m}, {var}={level}")
 
     # per row and m, a failure; a False clique verdict is "not decided", so
     # only True can fail
-    verdict = np.array([v for *_, v in table], dtype=bool).reshape(len(table), U + 1)
+    orbit = sizes[colex]
     unique = n_att == orbit
-    colex_rows = np.array([kind == "colex" for kind, *_ in table], dtype=bool)[:, None]
-    fails = (verdict != unique) & (verdict | colex_rows & (np.arange(U + 1) > s + 1))
-    report.checks = [f"{kind} m={m} {var}={level}"
-                     for m in range(U + 1) for kind, var, _, level, *_ in table]
-    for m, j in np.argwhere(fails.T).tolist():
+    for m, j in np.argwhere(((verdict != unique) & (verdict | strict)).T).tolist():
         # the lowest member of the first attaining class outside the orbit
         other = att[j] & (mc == m)
         other[colex[m]] = False
-        kind, _, _, level, *_ = table[j]
+        kind, _, _, level = rows[j]
         report.failures.append({
             "kind": f"{kind}_unique", "m": m, "level": level, "verdict": bool(verdict[j, m]),
             "attainers": int(n_att[j, m]), "orbit": int(orbit[m]),

@@ -142,7 +142,9 @@ def is_clique_unique(m: int, s: int, t: int, n: int) -> UniquenessVerdict:
 
     The case t = n is degenerate (only the complete family has an n-clique, so
     every m-edge family attains the maximum 0) and the conditions above do not
-    apply to it; it is handled separately by the trivial exact criterion.
+    apply to it; it is handled separately: True when all m-edge families are
+    relabellings of each other, as at n = s + 1, at s = 1, and at m <= 1 or
+    m >= C(n,s) - 1.
     """
     if not 1 <= s < t <= n:
         raise ValueError(f"need 1 <= s < t <= n, got s={s}, t={t}, n={n}")
@@ -167,6 +169,11 @@ def is_clique_unique(m: int, s: int, t: int, n: int) -> UniquenessVerdict:
                 "clique_unique", m, s, t, n, True,
                 "t=n: s-sets of [s+1] are vertex complements, any two "
                 "m-edge families are isomorphic",
+            )
+        if s == 1:
+            return UniquenessVerdict(
+                "clique_unique", m, s, t, n, True,
+                "t=n: any two m-sets of points are relabellings of each other",
             )
         if m <= 1 or m >= total - 1:
             return UniquenessVerdict(

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from kkcliques.bounds import (
     DIGITS,
     _shares_root,
+    _steiner_existence,
+    _sum_of_two_squares,
     clique_bound,
     edge_bound,
     graph_clique_bound,
@@ -329,6 +331,28 @@ def test_vertex_bound_branch_reports(args, value, integer_value, x, eq, notes):
     r = vertex_bound(*args)
     assert (type(r.value), r.value, r.integer_value) == (type(value), value, integer_value)
     assert (type(r.x), r.x, r.equality_possible, r.notes) == (type(x), x, eq, notes)
+
+
+def test_steiner_existence_bruck_ryser():
+    # S(2, q+1, q^2+q+1) is a projective plane of order q.  Bruck-Ryser
+    # rules out q = 1, 2 (mod 4) when q is not a sum of two squares, as
+    # q = 6; it leaves q = 5 = 1 + 4 and q = 10 = 1 + 9 open
+    assert _steiner_existence(2, 7, 43) == "no"
+    assert _steiner_existence(2, 6, 31) == _steiner_existence(2, 11, 111) == "unknown"
+    r = vertex_bound(43, 2, 4, 5, 10)
+    assert (r.value, r.x, r.equality_possible, r.notes) == (903, 7, "no", (
+        "no S(2,7,43) exists, and for s >= i+2 only Steiner shadows attain the bound",))
+    assert [q for q in range(2, 50) if _steiner_existence(2, q + 1, q * q + q + 1) == "no"] == [
+        6, 14, 21, 22, 30, 33, 38, 42, 46]
+    # Fermat's criterion against the squares themselves
+    assert [q for q in range(1, 2000) if _sum_of_two_squares(q)] == [
+        q for q in range(1, 2000) if any(isqrt(q - a * a) ** 2 == q - a * a
+                                         for a in range(isqrt(q) + 1))]
+    # past the trial-division cap the theorem is not applied: 2 (2^31 - 1)
+    # is no sum of two squares, but its prime factor is above the cap
+    q = 2 * (2**31 - 1)
+    assert _sum_of_two_squares(q) is None
+    assert _steiner_existence(2, q + 1, q * q + q + 1) == "unknown"
 
 
 def test_vertex_bound_verdicts_match_exhaustive_search():

@@ -421,21 +421,17 @@ def test_kkt_sweep_reports_a_segment_that_does_not_attain(oracle_patch):
     # next class with 3 edges, the star K_{1,3} (ids 7 and 11): only the
     # attain rows that read the triangle's counts fail, the shadow at level
     # 1 (the star leaves one point, not two, out) and the triangle count.
-    # The segment's counts are read off the skewed column as _sweep_counts
-    # reads them off the true one
+    # The upshadow row reads the retlex segment with 7 edges, the
+    # complement of C_2(3), whose class is read through the skewed column
     sweep_counts = oracle._sweep_counts
 
-    def segment_counts(cnt, comp, colex, s):
-        return np.concatenate((cnt[:s, comp[colex[::-1]]], cnt[s:, colex]))
-
     def skewed(ker):
-        cnt, mc, comp, colex, top, seen = sweep_counts(ker)
-        assert np.array_equal(segment_counts(cnt, comp, colex, ker.s), seen)
+        cnt, mc, comp, colex = sweep_counts(ker)
         lo = oracle._class_table(ker.n, ker.s)[0]
         assert (lo[colex[3]], lo[colex[3] + 1]) == (7, 11)
         colex = colex.copy()
         colex[3] += 1
-        return cnt, mc, comp, colex, top, segment_counts(cnt, comp, colex, ker.s)
+        return cnt, mc, comp, colex
     oracle_patch.setattr(oracle, "_sweep_counts", skewed)
     rep = verify_kkt(5, 2)
     assert [(f["kind"], f["level"]) for f in rep.failures] == [
@@ -515,6 +511,16 @@ def test_kkt_sweep_on_21_edge_universe(n, s):
     assert rep.checks == [f"min shadow q={q}" for q in range(s)] + [
         f"max cliques t={t}" for t in range(s, 8)] + [
         f"min upshadow t={t}" for t in range(s + 1, 8)]
+
+
+def test_uniqueness_sweep_holds_every_clique_verdict_at_s_1():
+    # at s = 1 every m-set of points is a relabelling of every other, so
+    # every clique verdict is True, t = n included, and each must meet its
+    # attainers: all C(n, m) families with m edges
+    for n in range(2, 9):
+        assert verify_uniqueness(n, 1).ok, n
+        rows, _, verdict, *_ = oracle._class_store(n, 1)["uniqueness"]
+        assert [kind for kind, *_ in rows] == ["clique"] * (n - 1) and verdict.all(), n
 
 
 def test_uniqueness_sweep_on_every_graph_on_7_vertices():
@@ -814,27 +820,40 @@ def test_warm_sweeps_call_no_closed_form(oracle_patch, n, s):
     assert calls == []
 
 
+def _leaves(v):
+    """The values inside nested tuples."""
+    return [a for x in v for a in _leaves(x)] if isinstance(v, tuple) else [v]
+
+
 def test_kept_rows_and_orbits_are_read_only():
-    # the class tables and the stored class counts, i-degree caps, sweep
-    # arrays, expected and verdict rows, verify_kkt's table and
-    # verify_uniqueness's attainer masks and counts
+    # the class tables and the stored universes, class counts, i-degree
+    # caps, sweep arrays, expected and verdict rows, and the two sweeps'
+    # tables: every array is read-only, every other value a tuple of ints,
+    # bools and strings
     oracle._class_store.cache_clear()
     verify_kkt(5, 2)
     verify_uniqueness(5, 3)
     exhaustive_search(SearchSpec(5, 3, 4, i=1, max_degree=6))
-    stored = [a for shape in ((5, 2), (5, 3)) for v in oracle._class_store(*shape).values()
-              for a in (v if isinstance(v, tuple) else (v,))]
     assert {k for k in oracle._class_store(5, 3) if not isinstance(k, int)} == {
-        ("degree", 1), "sweep", ("shadow_colex", 3, 1), ("shadow_colex", 3, 2),
+        "universe", ("degree", 1), "sweep", ("shadow_colex", 3, 1), ("shadow_colex", 3, 2),
         ("is_colex_unique", 3, 1, 5), ("is_colex_unique", 3, 2, 5), ("k_colex", 3, 4),
         ("k_colex", 3, 5), ("is_clique_unique", 3, 4, 5), ("is_clique_unique", 3, 5, 5),
         "uniqueness"}
-    assert "kkt" in oracle._class_store(5, 2)
-    att, n_att = oracle._class_store(5, 3)["uniqueness"]
-    assert att.shape == (4, len(oracle._class_table(5, 3)[0])) and n_att.shape == (4, 11)
-    kept = list(oracle._class_table(5, 3)) + stored
-    assert any(a is att for a in kept) and any(a is n_att for a in kept)
-    assert all(not a.flags.writeable for a in kept)
+    assert {"universe", "sweep", "kkt"} <= set(oracle._class_store(5, 2))
+    rows, labels, want, ext, got = oracle._class_store(5, 2)["kkt"]
+    # shadows q = 0, 1; cliques t = 2..5; upshadows t = 3..5
+    assert len(rows) == len(labels) == 9 and want.shape == ext.shape == got.shape == (9, 11)
+    rows, labels, verdict, strict, att, n_att = oracle._class_store(5, 3)["uniqueness"]
+    assert len(rows) == 4 and len(labels) == 4 * 11
+    assert att.shape == (4, len(oracle._class_table(5, 3)[0]))
+    assert verdict.shape == strict.shape == n_att.shape == (4, 11)
+    kept = list(oracle._class_table(5, 3)) + [
+        a for shape in ((5, 2), (5, 3)) for v in oracle._class_store(*shape).values()
+        for a in _leaves(v)]
+    arrays = [a for a in kept if isinstance(a, np.ndarray)]
+    assert all(isinstance(a, (int, bool, str)) for a in kept if not isinstance(a, np.ndarray))
+    assert all(any(a is b for b in arrays) for a in (ext, got, verdict, strict, att, n_att))
+    assert all(not a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         kept[0][0] = 1
     with pytest.raises(ValueError):
@@ -960,14 +979,57 @@ def test_warm_uniqueness_sweep_checks_the_orbit(oracle_patch):
     # the colex orbit's class must attain on every call, not only when the
     # attainer masks are built
     assert verify_uniqueness(6, 3).ok
-    store = oracle._class_store(6, 3)
-    att, n_att = store["uniqueness"]
     colex = oracle._sweep_counts(_Kernel(6, 3))[3]
-    bad = att.copy()
-    bad[1, colex[7]] = False
-    store["uniqueness"] = (oracle._read_only(bad), n_att)
+    _edit_kept((6, 3), "uniqueness", 4, lambda att: att.__setitem__((1, colex[7]), False))
     with pytest.raises(InternalCheckError, match="colex orbit not attaining min shadow at m=7, q=2"):
         verify_uniqueness(6, 3)
+
+
+def _edit_kept(shape, key, field, edit):
+    """Replace array field of the shape's kept entry key by a read-only
+    copy that edit changed in place."""
+    store = oracle._class_store(*shape)
+    entry = list(store[key])
+    a = entry[field].copy()
+    edit(a)
+    entry[field] = oracle._read_only(a)
+    store[key] = tuple(entry)
+
+
+@pytest.mark.parametrize("label,m,delta", [("max cliques t=4", 10, 1), ("min shadow q=2", 5, -1)],
+                         ids=["full", "meet"])
+def test_warm_kkt_sweep_compares_the_kept_extremes(oracle_patch, label, m, delta):
+    # a warm sweep compares the kept extremes with the expected rows: one
+    # kept extreme off by delta fails exactly its row, whose family is the
+    # segment, since no class's count is beyond the expected value
+    assert verify_kkt(6, 3).ok
+    rows, labels, want, *_ = oracle._class_store(6, 3)["kkt"]
+    i = labels.index(label)
+    kind, level, _ = rows[i]
+    _edit_kept((6, 3), "kkt", 3, lambda ext: ext.__setitem__((i, m), ext[i, m] + delta))
+    assert verify_kkt(6, 3).failures == [{
+        "kind": kind, "m": m, "level": level, "expected": int(want[i, m]),
+        "got": int(want[i, m]) + delta, "family": colex_segment(m, 3).edge_lists(),
+    }]
+
+
+def test_warm_uniqueness_sweep_compares_the_kept_verdicts(oracle_patch):
+    # a warm sweep compares the kept verdicts with the attainer counts: a
+    # False clique verdict flipped to True where other classes attain fails
+    # exactly that row, with a family that attains but is no relabelling of
+    # C_3(m)
+    assert verify_uniqueness(6, 3).ok
+    rows, _, verdict, _, _, n_att = oracle._class_store(6, 3)["uniqueness"]
+    j = rows.index(("clique", "t", "max cliques", 4))
+    orbit = oracle._class_table(6, 3)[3][oracle._sweep_counts(_Kernel(6, 3))[3]]
+    m = next(m for m in range(21) if not verdict[j, m] and n_att[j, m] != orbit[m])
+    _edit_kept((6, 3), "uniqueness", 2, lambda v: v.__setitem__((j, m), True))
+    rep = verify_uniqueness(6, 3)
+    assert [(f["kind"], f["m"], f["level"], f["verdict"], f["attainers"])
+            for f in rep.failures] == [("clique_unique", m, 4, True, int(n_att[j, m]))]
+    H = SetFamily.from_edge_lists(6, 3, rep.failures[0]["family"])
+    assert len(cliques(H, 4).edges) == k_colex(m, 3, 4)
+    assert canonical_form(H) != canonical_form(SetFamily(6, 3, colex_segment(m, 3).edges))
 
 
 def test_tightness_sweeps_match_committed_csv():

@@ -1,12 +1,15 @@
 """The package namespace: what `import kkcliques` loads and what its names are."""
 
+import doctest
 import sys
 
 import pytest
 
 import kkcliques
 import kkcliques.bounds
+import kkcliques.cascade
 import kkcliques.designs
+import kkcliques.families
 import kkcliques.oracle
 from conftest import modules_loaded_by
 
@@ -45,3 +48,10 @@ def test_deferred_names_follow_their_home_module(monkeypatch):
     assert "verify_kkt" not in vars(kkcliques)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         kkcliques.no_such_name
+
+
+def test_usage_examples_in_docstrings_run():
+    # the usage blocks of the two modules that have them
+    for module in (kkcliques.cascade, kkcliques.families):
+        result = doctest.testmod(module)
+        assert result.attempted > 0 and result.failed == 0, module.__name__

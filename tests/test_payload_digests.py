@@ -71,7 +71,8 @@ def test_failure_rows_match_pinned_digests(shift):
 
 
 # commands whose counts a process keeps after their first run
-KEPT = ["verify equality", "verify uniqueness 6 3", "verify uniqueness 7 2", "verify uniqueness 7 6"]
+KEPT = ["verify equality", "verify kkt 6 3", "verify kkt 7 2", "verify uniqueness 6 3",
+        "verify uniqueness 7 2", "verify uniqueness 7 6"]
 
 
 def test_warm_payloads_match_cold_payloads():

@@ -115,6 +115,11 @@ def test_clique_unique_t_equals_n():
     # at n = s+1 every s-set is a vertex complement: always one class
     for m in range(5):
         assert is_clique_unique(m, 3, 4, 4)
+    # at s = 1 an m-edge family is an m-set of points: always one class
+    assert is_clique_unique(3, 1, 6, 6).triggered_condition == (
+        "t=n: any two m-sets of points are relabellings of each other")
+    for n in range(2, 12):
+        assert all(is_clique_unique(m, 1, n, n) for m in range(n + 1)), n
 
 
 @pytest.mark.parametrize("call", [
