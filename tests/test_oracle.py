@@ -980,18 +980,18 @@ def test_warm_uniqueness_sweep_checks_the_orbit(oracle_patch):
     # attainer masks are built
     assert verify_uniqueness(6, 3).ok
     colex = oracle._sweep_counts(_Kernel(6, 3))[3]
-    _edit_kept((6, 3), "uniqueness", 4, lambda att: att.__setitem__((1, colex[7]), False))
+    _edit_kept((6, 3), "uniqueness", 4, (1, colex[7]), False)
     with pytest.raises(InternalCheckError, match="colex orbit not attaining min shadow at m=7, q=2"):
         verify_uniqueness(6, 3)
 
 
-def _edit_kept(shape, key, field, edit):
+def _edit_kept(shape, key, field, index, value):
     """Replace array field of the shape's kept entry key by a read-only
-    copy that edit changed in place."""
+    copy that holds value at index."""
     store = oracle._class_store(*shape)
     entry = list(store[key])
     a = entry[field].copy()
-    edit(a)
+    a[index] = value
     entry[field] = oracle._read_only(a)
     store[key] = tuple(entry)
 
@@ -1006,7 +1006,7 @@ def test_warm_kkt_sweep_compares_the_kept_extremes(oracle_patch, label, m, delta
     rows, labels, want, *_ = oracle._class_store(6, 3)["kkt"]
     i = labels.index(label)
     kind, level, _ = rows[i]
-    _edit_kept((6, 3), "kkt", 3, lambda ext: ext.__setitem__((i, m), ext[i, m] + delta))
+    _edit_kept((6, 3), "kkt", 3, (i, m), want[i, m] + delta)
     assert verify_kkt(6, 3).failures == [{
         "kind": kind, "m": m, "level": level, "expected": int(want[i, m]),
         "got": int(want[i, m]) + delta, "family": colex_segment(m, 3).edge_lists(),
@@ -1023,7 +1023,7 @@ def test_warm_uniqueness_sweep_compares_the_kept_verdicts(oracle_patch):
     j = rows.index(("clique", "t", "max cliques", 4))
     orbit = oracle._class_table(6, 3)[3][oracle._sweep_counts(_Kernel(6, 3))[3]]
     m = next(m for m in range(21) if not verdict[j, m] and n_att[j, m] != orbit[m])
-    _edit_kept((6, 3), "uniqueness", 2, lambda v: v.__setitem__((j, m), True))
+    _edit_kept((6, 3), "uniqueness", 2, (j, m), True)
     rep = verify_uniqueness(6, 3)
     assert [(f["kind"], f["m"], f["level"], f["verdict"], f["attainers"])
             for f in rep.failures] == [("clique_unique", m, 4, True, int(n_att[j, m]))]
