@@ -6,6 +6,8 @@ S(i, r, n) covers every i-set of [n] exactly once.  Their s-shadows are the
 extremal families for the degree-bounded clique problems, and the recognition
 routine inverts the shadow map constructively: each covered i-set I, together
 with the vertex support of its neighborhood, spans the unique block through I.
+Recognition and the neighborhood criterion read every link from one pass over
+the edges (_links), which groups them by the i-sets they cover.
 
 The embedded designs (Fano plane, S(3,4,8), PG(2,3) lines, AG(2,3) lines) are
 stored as literal block lists in data/designs.json and re-verified at load.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
@@ -28,9 +30,6 @@ from .families import (
     _colex_masks,
     _submasks,
     cliques,
-    mask_of,
-    max_degree,
-    neighborhood,
     shadow,
     vertices_of,
 )
@@ -115,6 +114,16 @@ class RecognitionResult:
         return self.design is not None
 
 
+def _links(H: SetFamily, i: int) -> dict[int, list[int]]:
+    """The link of every covered i-set I, as {I: [e ^ I for each edge e
+    through I]}: one pass over the edges of H, unrelabelled on [n]."""
+    links: dict[int, list[int]] = defaultdict(list)
+    for e in H.edges:
+        for I in _submasks(e, i):
+            links[I].append(e ^ I)
+    return links
+
+
 def recognize_packing_shadow(H: SetFamily, i: int, r: int) -> RecognitionResult:
     """Decide whether H is the s-shadow of a packing P(i, r), reconstructing
     the blocks when it is.
@@ -139,14 +148,17 @@ def recognize_packing_shadow(H: SetFamily, i: int, r: int) -> RecognitionResult:
         raise ValueError(f"block size r = {r} must be at least the arity s = {s}")
     want_n = r - i
     want_edges = comb(r - i, s - i)
+    links = _links(H, i)
     blocks = set()
-    for I in sorted(shadow(H, i).edges):
-        nb = neighborhood(H, I)
+    for I in sorted(links):
+        supp = 0
+        for m in links[I]:
+            supp |= m
         # complete iff the support has exactly r-i vertices carrying all
         # C(r-i, s-i) possible edges
-        if nb.family.n != want_n or len(nb.family.edges) != want_edges:
+        if supp.bit_count() != want_n or len(links[I]) != want_edges:
             return RecognitionResult(None, vertices_of(I))
-        blocks.add(I | mask_of(nb.labels))
+        blocks.add(I | supp)
     design = BlockDesign(H.n, r, SetFamily(H.n, r, frozenset(blocks)))
     cert = verify_design(design, i)
     if cert.kind == "neither":
@@ -165,8 +177,10 @@ def check_neighborhood_clique_criterion(
 
     mode="covered" quantifies over i-sets contained in an edge (true iff H is a
     packing shadow); mode="all" over every i-set of [n] (true iff H is a
-    Steiner shadow).  Requires i+2 <= s <= t <= r and max i-degree at most
-    C(r-i, s-i).  The covered-mode verdict is cross-validated against
+    Steiner shadow), where an uncovered i-set's neighborhood is empty.
+    Requires i+2 <= s <= t <= r and max i-degree at most C(r-i, s-i).  Each
+    neighborhood's cliques are counted on [n] without relabelling, which
+    leaves their number unchanged.  The verdict is cross-validated against
     recognize_packing_shadow.
     """
     s = H.s
@@ -182,22 +196,18 @@ def check_neighborhood_clique_criterion(
         )
     if not s <= t <= r:
         raise ValueError(f"need s <= t <= r, got s={s}, t={t}, r={r}")
-    if max_degree(H, i) > comb(r - i, s - i):
+    links = _links(H, i)
+    if max(map(len, links.values()), default=0) > comb(r - i, s - i):
         raise ValueError(
             f"max {i}-degree exceeds C(r-i, s-i) = {comb(r - i, s - i)}; "
             f"the criterion presumes the degree bound"
         )
     want = comb(r - i, t - i)
-    if mode == "covered":
-        isets = sorted(shadow(H, i).edges)
-    else:
-        isets = _colex_masks(H.n, i)
-    result = True
-    for I in isets:
-        nb = neighborhood(H, I)
-        if len(cliques(nb.family, t - i).edges) != want:
-            result = False
-            break
+    # want >= 1, so an uncovered i-set's empty neighborhood fails mode="all"
+    result = (mode == "covered" or len(links) == comb(H.n, i)) and all(
+        len(cliques(SetFamily(H.n, s - i, frozenset(link)), t - i).edges) == want
+        for link in links.values()
+    )
     rec = recognize_packing_shadow(H, i, r)
     if mode == "covered":
         expected = rec.ok

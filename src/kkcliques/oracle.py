@@ -253,13 +253,16 @@ def _class_store(n: int, s: int) -> dict:
     """What a process keeps per shape beside _class_table, filled on first
     use: under "universe", the s-sets of [n] in colex order (_Kernel's);
     under level k, the row of each class's full count of k-sets
-    (_class_counts); under ("degree", i), each class's most edges through
-    one i-set (exhaustive_search's cap); under "sweep", _sweep_counts'
+    (_class_counts); under "edges", each class's edge count, under
+    ("degree", i), each class's most edges through one i-set, and under
+    ("witness", c), class c's least labelling as its edge masks and its
+    SetFamily (exhaustive_search's); under "sweep", _sweep_counts'
     arrays; under a closed form's name and its arguments after m, such as
     ("k_colex", s, t), its row (_row); under "kkt", verify_kkt's table
     (_kkt_table); under "uniqueness", verify_uniqueness's table
     (_uniqueness_table).  Every array is read-only, every other value a
-    tuple, and nothing is rebuilt until cache_clear()."""
+    tuple (a witness's SetFamily is frozen), and nothing is rebuilt until
+    cache_clear()."""
     return {}
 
 
@@ -360,7 +363,9 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     per isomorphism class (_class_table, counted by _class_counts), and
     families_scanned adds up the sizes of the classes that pass the filters.
     The witnesses are the least labellings of the attaining classes, one per
-    class, sorted by canonical form.  threads is kept for compatibility and
+    class, sorted by canonical form; each class's edge count, and each
+    attaining class's edge masks and SetFamily, are kept in _class_store, so
+    a warm search builds no witness.  threads is kept for compatibility and
     has no effect; it must be >= 1.
     """
     import numpy as np
@@ -370,11 +375,13 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     lo, _, least, sizes = _class_table(spec.n, spec.s)
     levels = tuple(sorted({spec.s, spec.t} | ({spec.u} if spec.u is not None else set())))
     cnt = dict(zip(levels, _class_counts(ker, levels)))
+    store = _class_store(spec.n, spec.s)
+    if "edges" not in store:
+        store["edges"] = _read_only(np.bitwise_count(lo))
     ok = np.ones(len(lo), dtype=bool)
     if spec.m is not None:
-        ok &= np.bitwise_count(lo) == spec.m
+        ok &= store["edges"] == spec.m
     if spec.i is not None:
-        store = _class_store(spec.n, spec.s)
         if ("degree", spec.i) not in store:
             caps = ker.masks(spec.i)
             # the most edges any i-set lies in, a few classes at a time
@@ -389,9 +396,14 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     if not ok.any():
         return SearchResult("infeasible", None, [], 0, scanned)
     best = int(cnt[spec.t][ok].max())
-    reps = sorted(ker.masks_of(x) for x in least[ok & (cnt[spec.t] == best)])
-    witnesses = [SetFamily(spec.n, spec.s, frozenset(r)) for r in reps]
-    return SearchResult("ok", best, witnesses, len(reps), scanned)
+    found = []
+    for c in np.flatnonzero(ok & (cnt[spec.t] == best)).tolist():
+        if ("witness", c) not in store:
+            masks = ker.masks_of(least[c])
+            store["witness", c] = (masks, SetFamily(spec.n, spec.s, frozenset(masks)))
+        found.append(store["witness", c])
+    witnesses = [w for _, w in sorted(found, key=lambda mw: mw[0])]
+    return SearchResult("ok", best, witnesses, len(witnesses), scanned)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +503,8 @@ def verify_kkt(n: int, s: int) -> SweepReport:
     and the minimum t-upshadow for every t > s is attained by the retlex
     segment.  The per-m extremes are taken over one family per isomorphism
     class and kept per shape with the expected values (_kkt_table); every
-    call compares them.  A failure row's family is the lowest id beyond the
+    call compares them, first as whole tables, then row by row when they
+    differ.  A failure row's family is the lowest id beyond the
     expected value, the lowest member of the first class beyond it, else
     the segment.
     """
@@ -503,6 +516,9 @@ def verify_kkt(n: int, s: int) -> SweepReport:
         store["kkt"] = _kkt_table(ker)
     rows, labels, want, ext, got = store["kkt"]
     report = SweepReport("kkt", n, s, 1 << U, list(labels))
+    # all three are int64 [check, m]: equal bytes in C order, equal values
+    if ext.tobytes() == want.tobytes() == got.tobytes():
+        return report
     beyond = ext != want
     for i in np.flatnonzero(beyond.any(axis=1) | (got != want).any(axis=1)).tolist():
         (kind, level, full), expected = rows[i], want[i]

@@ -1,6 +1,11 @@
 """Designs, packings, shadow recognition, and the neighborhood criterion."""
 
+import random
+from itertools import combinations
+from math import comb
+
 import pytest
+from conftest import random_family
 
 import kkcliques.designs as designs
 from kkcliques.designs import (
@@ -13,7 +18,16 @@ from kkcliques.designs import (
 )
 from kkcliques.bounds import steiner_divisibility
 from kkcliques.errors import UnsupportedError
-from kkcliques.families import SetFamily, colex_segment, max_degree
+from kkcliques.families import (
+    SetFamily,
+    cliques,
+    colex_segment,
+    mask_of,
+    max_degree,
+    neighborhood,
+    shadow,
+    vertices_of,
+)
 
 
 def test_builtin_shapes():
@@ -111,6 +125,80 @@ def test_recognition_rejects_perturbed_shadow():
     Hp = SetFamily.from_edge_lists(8, 3, sorted(lists))
     rec = recognize_packing_shadow(Hp, 1, 4)
     assert not rec.ok and rec.witness == (1,)
+
+
+def _recognize_ref(H, i, r):
+    """Recognition by one relabelled neighborhood per covered i-set, in
+    sorted order: (ok, witness, blocks)."""
+    blocks = set()
+    for I in sorted(shadow(H, i).edges):
+        nb = neighborhood(H, I)
+        if nb.family.n != r - i or len(nb.family.edges) != comb(r - i, H.s - i):
+            return False, vertices_of(I), None
+        blocks.add(I | mask_of(nb.labels))
+    return True, None, frozenset(blocks)
+
+
+def _criterion_ref(H, i, r, t, mode):
+    """The criterion's verdict by relabelled neighborhoods, or ValueError
+    when the degree bound fails."""
+    if max_degree(H, i) > comb(r - i, H.s - i):
+        return ValueError
+    isets = (sorted(shadow(H, i).edges) if mode == "covered"
+             else [mask_of(c) for c in combinations(range(1, H.n + 1), i)])
+    return all(len(cliques(neighborhood(H, I).family, t - i).edges) == comb(r - i, t - i)
+               for I in isets)
+
+
+def _recognition_cases():
+    """(H, i, r): packing shadows and built-in designs' shadows, each also
+    with one edge removed and with one edge added, and random families.
+    fano and ag23 have 3-blocks, too small for a shadow at s >= i + 2."""
+    rng = random.Random(3217)
+    cases = []
+    exact = [(builtin_design(f"disjoint({a},{r})"), s, i)
+             for a, r, s, i in ((2, 4, 3, 1), (3, 4, 3, 1), (2, 5, 4, 2), (2, 5, 3, 1),
+                                (2, 5, 4, 1), (3, 5, 4, 2), (2, 6, 4, 2), (2, 6, 5, 3))]
+    exact += [(builtin_design(name), 3, 1) for name in ("s348", "pg23")]
+    for d, s, i in exact:
+        H = shadow_of_design(d, s)
+        missing = [mask_of(c) for c in combinations(range(1, H.n + 1), s)
+                   if mask_of(c) not in H.edges]
+        cases.append((H, i, d.r))
+        cases.append((SetFamily(H.n, s, H.edges - {rng.choice(sorted(H.edges))}), i, d.r))
+        if missing:     # the 3-shadow of S(3,4,8) holds every triple
+            cases.append((SetFamily(H.n, s, H.edges | {rng.choice(missing)}), i, d.r))
+    for _ in range(120):
+        n, s = rng.randrange(5, 10), rng.choice((3, 4))
+        i = rng.randrange(1, s - 1)
+        H = random_family(rng, n, s, rng.choice((0.1, 0.3, 0.6, 0.9)))
+        cases.append((H, i, rng.randrange(s + 1, s + 4)))
+    return cases
+
+
+def test_recognition_matches_relabelled_neighborhoods():
+    # links read off one pass over the edges give every verdict, witness
+    # and block that relabelled neighborhoods give, and so does the
+    # criterion at every t and in both modes
+    verdicts = set()
+    for H, i, r in _recognition_cases():
+        rec = recognize_packing_shadow(H, i, r)
+        ok, witness, blocks = _recognize_ref(H, i, r)
+        assert (rec.ok, rec.witness) == (ok, witness), (H, i, r)
+        if ok:
+            assert rec.design.blocks.edges == blocks and (rec.design.n, rec.design.r) == (H.n, r)
+        verdicts.add(("recognize", ok))
+        for t in range(H.s, r + 1):
+            for mode in ("covered", "all"):
+                want = _criterion_ref(H, i, r, t, mode)
+                if want is ValueError:
+                    with pytest.raises(ValueError, match="degree"):
+                        check_neighborhood_clique_criterion(H, i, r, t, mode)
+                else:
+                    assert check_neighborhood_clique_criterion(H, i, r, t, mode) == want
+                verdicts.add((mode, want))
+    assert verdicts >= {(kind, v) for kind in ("recognize", "covered", "all") for v in (True, False)}
+    assert ("covered", ValueError) in verdicts
 
 
 def test_recognition_open_case_raises():

@@ -826,19 +826,29 @@ def _leaves(v):
 
 
 def test_kept_rows_and_orbits_are_read_only():
-    # the class tables and the stored universes, class counts, i-degree
-    # caps, sweep arrays, expected and verdict rows, and the two sweeps'
-    # tables: every array is read-only, every other value a tuple of ints,
-    # bools and strings
+    # the class tables and the stored universes, class counts, edge counts,
+    # i-degree caps, witnesses, sweep arrays, expected and verdict rows, and
+    # the two sweeps' tables: every array is read-only, every witness a
+    # frozen SetFamily, every other value a tuple of ints, bools and strings
     oracle._class_store.cache_clear()
     verify_kkt(5, 2)
     verify_uniqueness(5, 3)
-    exhaustive_search(SearchSpec(5, 3, 4, i=1, max_degree=6))
+    res = exhaustive_search(SearchSpec(5, 3, 4, i=1, max_degree=6))
+    # K_5^(3), the one attaining class, is the last class of (5, 3)
+    full = len(oracle._class_table(5, 3)[0]) - 1
     assert {k for k in oracle._class_store(5, 3) if not isinstance(k, int)} == {
-        "universe", ("degree", 1), "sweep", ("shadow_colex", 3, 1), ("shadow_colex", 3, 2),
+        "universe", "edges", ("degree", 1), ("witness", full), "sweep",
+        ("shadow_colex", 3, 1), ("shadow_colex", 3, 2),
         ("is_colex_unique", 3, 1, 5), ("is_colex_unique", 3, 2, 5), ("k_colex", 3, 4),
         ("k_colex", 3, 5), ("is_clique_unique", 3, 4, 5), ("is_clique_unique", 3, 5, 5),
         "uniqueness"}
+    masks, witness = oracle._class_store(5, 3)["witness", full]
+    assert res.witnesses == [witness] and res.witnesses[0] is witness
+    assert masks == tuple(sorted(witness.edges)) and isinstance(witness.edges, frozenset)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        witness.edges = frozenset()
+    edges = oracle._class_store(5, 3)["edges"]
+    assert isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"
     assert {"universe", "sweep", "kkt"} <= set(oracle._class_store(5, 2))
     rows, labels, want, ext, got = oracle._class_store(5, 2)["kkt"]
     # shadows q = 0, 1; cliques t = 2..5; upshadows t = 3..5
@@ -851,13 +861,48 @@ def test_kept_rows_and_orbits_are_read_only():
         a for shape in ((5, 2), (5, 3)) for v in oracle._class_store(*shape).values()
         for a in _leaves(v)]
     arrays = [a for a in kept if isinstance(a, np.ndarray)]
-    assert all(isinstance(a, (int, bool, str)) for a in kept if not isinstance(a, np.ndarray))
-    assert all(any(a is b for b in arrays) for a in (ext, got, verdict, strict, att, n_att))
+    assert all(isinstance(a, (int, bool, str)) for a in kept
+               if not isinstance(a, (np.ndarray, SetFamily)))
+    assert [a for a in kept if isinstance(a, SetFamily)] == [witness]
+    assert all(any(a is b for b in arrays)
+               for a in (ext, got, verdict, strict, att, n_att, edges))
     assert all(not a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         kept[0][0] = 1
     with pytest.raises(ValueError):
         att[0, 0] = not att[0, 0]
+
+
+# the verification benchmark's searches: SearchSpec(n, s, t, m, i, max_degree, u, p)
+SEARCH_SPECS = [SearchSpec(*a) for a in (
+    (6, 3, 4, 6, 1, 5, None, None), (6, 3, 4, 4, 1, 3, None, None),
+    (5, 3, 4, None, 1, 6, None, None), (5, 2, 4, None, None, None, 3, 4),
+    (6, 2, 3, None, 1, 2, None, None), (6, 2, 3, 8, 1, 3, None, None),
+    (5, 2, 3, 6, None, None, None, None), (6, 2, 3, 9, None, None, None, None),
+    (5, 3, 4, 7, None, None, None, None), (6, 3, 4, 5, None, None, None, None),
+    (6, 2, 4, 10, None, None, None, None))]
+
+
+def test_warm_search_returns_the_kept_witnesses():
+    # each attaining class's witness is built once per process: two warm
+    # searches return equal results holding the same SetFamily objects, and
+    # a cleared store builds them afresh, equal to the kept ones
+    def witnesses(results):
+        return [w for res in results for w in res.witnesses]
+
+    specs = SEARCH_SPECS + SEARCHES
+    oracle._class_store.cache_clear()
+    first = [exhaustive_search(spec) for spec in specs]
+    assert all(res.status == "ok" and res.class_count == len(res.witnesses) for res in first)
+    assert all(res.witnesses == sorted(res.witnesses, key=lambda w: sorted(w.edges))
+               for res in first)
+    warm = [exhaustive_search(spec) for spec in specs]
+    assert warm == first
+    assert all(a is b for a, b in zip(witnesses(warm), witnesses(first)))
+    oracle._class_store.cache_clear()
+    cold = [exhaustive_search(spec) for spec in specs]
+    assert cold == first
+    assert not any(a is b for a, b in zip(witnesses(cold), witnesses(first)))
 
 
 def test_row_memo_does_not_grow_with_patches():
@@ -1010,6 +1055,23 @@ def test_warm_kkt_sweep_compares_the_kept_extremes(oracle_patch, label, m, delta
     assert verify_kkt(6, 3).failures == [{
         "kind": kind, "m": m, "level": level, "expected": int(want[i, m]),
         "got": int(want[i, m]) + delta, "family": colex_segment(m, 3).edge_lists(),
+    }]
+
+
+@pytest.mark.parametrize("label,seg", [("max cliques t=4", "colex"),
+                                       ("min upshadow t=4", "retlex")], ids=["colex", "retlex"])
+def test_warm_kkt_sweep_compares_the_kept_segment_counts(oracle_patch, label, seg):
+    # a warm sweep compares the kept segment counts with the expected rows
+    # too: one kept count one short fails exactly its attain row
+    assert verify_kkt(6, 3).ok
+    rows, labels, want, *_ = oracle._class_store(6, 3)["kkt"]
+    i = labels.index(label)
+    kind, level, _ = rows[i]
+    _edit_kept((6, 3), "kkt", 4, (i, 10), want[i, 10] - 1)
+    got = want[i].tolist()
+    got[10] -= 1
+    assert verify_kkt(6, 3).failures == [{
+        "kind": f"{kind}-{seg}-attain", "level": level, "expected": want[i].tolist(), "got": got,
     }]
 
 
