@@ -132,8 +132,8 @@ def recognize_packing_shadow(H: SetFamily, i: int, r: int) -> RecognitionResult:
     support of the neighborhood H(I); H is a packing shadow iff every H(I) is a
     complete (s-i)-graph on exactly r-i vertices.  Requires i+2 <= s (the
     s = i+1 case is an open problem and raises UnsupportedError).  Success is
-    post-validated: the blocks must form a packing whose s-shadow is exactly H
-    (violations indicate a bug, not bad input).
+    post-validated: the blocks must form a packing whose s-shadow is exactly H,
+    the blocks themselves when r = s (violations indicate a bug, not bad input).
     """
     s = H.s
     if i < 1:
@@ -165,7 +165,7 @@ def recognize_packing_shadow(H: SetFamily, i: int, r: int) -> RecognitionResult:
         raise InternalCheckError(
             f"reconstructed blocks are not a packing (doubly covered {cert.witness})"
         )
-    if shadow_of_design(design, s).edges != H.edges:
+    if (design.blocks if r == s else shadow_of_design(design, s)).edges != H.edges:
         raise InternalCheckError("reconstructed packing's shadow differs from the input family")
     return RecognitionResult(design, None)
 

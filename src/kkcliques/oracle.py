@@ -20,28 +20,24 @@ universe is present, for universes of at most MAX_UNIVERSE = 24 edges, so
 id 2^m - 1 is C_s(m) and 2^U - 1 - id is the complement.  Every quantity the
 search and the sweeps read (edge count, i-degree, clique, shadow and
 upshadow counts) is unchanged by relabelling, so they count one family per
-isomorphism class (_class_table) and weigh it by its class's size; a report
-still speaks of every family.  Each class is counted at its lowest and its
-highest member, which must agree, and level s must count every family's
-edges; both checks run whenever a level is counted.  A process keeps per
-shape the class table and, in _class_store, the edge universe, the class
-counts, i-degree caps, the sweeps' arrays, the expected rows, and each
-sweep's table with its check labels: verify_kkt's per-m extremes and
-segment counts beside the expected values, verify_uniqueness's verdict
-rows, attainer rows and attainer counts; and, in _equality_counts, the
-counts of the built-in designs that verify_equality_theorems reads.  So a
-shape's level or a design's shadow is counted once per process, a kernel
-(its k-set masks) lives only for the call that counts it, a warm sweep
-only compares, and a stub bound in this module builds only what is not
-kept yet, while every comparison and cross-check runs on every call.  The reset is _class_store.cache_clear()
-together with _equality_counts.cache_clear().
+isomorphism class (_Shape.classes) and weigh it by its class's size; a
+report still speaks of every family.  Each class is counted at its lowest
+and its highest member, which must agree, and level s must count every
+family's edges; both checks run whenever a level is counted.  A process
+keeps what it builds per shape in one _Shape record (_shape(n, s)) and the
+built-in designs' counts in _equality_counts, so a shape's level or a
+design's shadow is counted once per process, a kernel (its k-set masks)
+lives only for the call that counts it, a warm sweep only compares, and a
+stub bound in this module builds only what is not kept yet, while every
+comparison and cross-check runs on every call.  The reset is
+_shape.cache_clear() together with _equality_counts.cache_clear().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import permutations
 from math import comb, factorial
 from typing import TYPE_CHECKING, Callable, Optional
@@ -115,64 +111,6 @@ def canonical_form(H: SetFamily) -> bytes:
     return bytes((H.n, H.s)) + _images(H.n, H.s, list(H.edges))[1].tobytes()
 
 
-@cache
-def _class_table(n: int, s: int) -> tuple[np.ndarray, ...]:
-    """One row per isomorphism class of s-uniform families on [n], in order
-    of each class's lowest member id: that id, the highest member id, the
-    least labelling (canonical_form's) as an id, and the class size.
-    Read-only int64 arrays.
-
-    At s in {1, n - 1, n} every permutation of the edges is a relabelling,
-    so the class of m edges is every id with m edges: from 2^m - 1 up to the
-    retlex id, least labelling 2^m - 1, size C(U, m).  These are the only
-    shapes on n > 8 points the universe cap admits.  Elsewhere (n <= 7) the
-    link at vertex n is the top C(n-1, s-1) bits of an id, a relabelling of
-    [n - 1] fixes n and carries link and low part along together, so every
-    class has a member whose link is the lowest member of a class of
-    (n - 1, s - 1).  The walk takes each such id (link rank x low part) that
-    no earlier class covered and ORs its edge bits under every relabelling
-    into its orbit: the lowest and highest ids are the orbit's extremes, the
-    least labelling the orbit id with the largest bit-reversed value (of two
-    ids, the least sorted edge list holds the lowest bit where they differ),
-    and the size n! over the relabellings that fix the id.  The class sizes
-    must add up to 2^U."""
-    import numpy as np
-    U = comb(n, s)
-    if s in (0, 1, n - 1, n):
-        m = np.arange(U + 1, dtype=np.int64)
-        rows = [(1 << m) - 1, (1 << U) - (1 << (U - m)), (1 << m) - 1,
-                np.array([comb(U, k) for k in range(U + 1)], dtype=np.int64)]
-    else:
-        reps = _class_table(n - 1, s - 1)[0]
-        split = comb(n - 1, s)
-        low = (1 << split) - 1
-        # where the ids of each link start in uncovered: rank << split for a
-        # representative, else a spare run past the walk's ids, never read
-        walked = len(reps) << split
-        start = np.full(1 << comb(n - 1, s - 1), walked, dtype=np.int64)
-        start[reps] = np.arange(walked, step=1 << split)
-        uncovered = np.ones(walked + (1 << split), dtype=bool)
-        uncovered[walked:] = False
-        # row j: edge j's bit under every relabelling, and that bit reversed
-        P = np.ascontiguousarray(_edge_perms(n, s)[1].T)
-        EB, ER = np.uint32(1) << P, np.uint32(1) << (U - 1 - P)
-        found, k = [], 0
-        while uncovered[k]:
-            fid = int(reps[k >> split]) << split | k & low
-            pos = _bit_positions(fid)
-            orbit = np.bitwise_or.reduce(EB[pos], axis=0) if pos else EB[0] & 0
-            uncovered[start[orbit >> split] + (orbit & low)] = False
-            least = orbit[np.bitwise_or.reduce(ER[pos], axis=0).argmax()] if pos else 0
-            found.append((int(orbit.min()), int(orbit.max()), int(least),
-                          factorial(n) // int(np.count_nonzero(orbit == fid))))
-            k += int(uncovered[k:].argmax())
-        rows = [np.array(col, dtype=np.int64) for col in zip(*sorted(found))]
-    if int(rows[3].sum()) != 1 << U:
-        raise InternalCheckError(f"the classes of ({n},{s}) hold {int(rows[3].sum())} "
-                                 f"of 2^{U} families")
-    return tuple(map(_read_only, rows))
-
-
 # ---------------------------------------------------------------------------
 # family-id kernel
 
@@ -198,27 +136,14 @@ def _colex_array(n: int, k: int) -> np.ndarray:
 
 
 class _Kernel:
-    """The C(n,s) s-sets of [n] in colex order, and exact counts over family
-    ids: bit j of an id says that universe[j] is an edge."""
+    """Exact counts over the family ids of (n, s): bit j of an id says that
+    universe[j], the j-th s-set of [n] in colex order, is an edge.  Built
+    only to count a level or a degree cap, so its masks live for that call."""
 
     def __init__(self, n: int, s: int):
-        if not 1 <= s <= n:
-            raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
-        U = comb(n, s)
-        if U > MAX_UNIVERSE:
-            raise ValueError(f"universe C({n},{s}) = {U} exceeds sweep cap {MAX_UNIVERSE}")
-        self.n, self.s, self.U = n, s, U
-        store = _class_store(n, s)
-        if "universe" not in store:
-            store["universe"] = tuple(_colex_masks(n, s))
-        self.universe = store["universe"]
+        shape = _shape(n, s)
+        self.n, self.s, self.U, self.universe = n, s, shape.U, shape.universe
         self._tuples: dict[tuple, tuple] = {}
-
-    def masks_of(self, fid: int) -> tuple[int, ...]:
-        return tuple(self.universe[j] for j in _bit_positions(int(fid)))
-
-    def family_of(self, fid: int) -> SetFamily:
-        return SetFamily(self.n, self.s, frozenset(self.masks_of(fid)))
 
     def masks(self, k: int) -> np.ndarray:
         """The edge mask of every k-set of [n], in colex order: the edges
@@ -248,62 +173,243 @@ class _Kernel:
         return np.add.reduceat((km | H) == H, starts, axis=1, dtype=dtype).T
 
 
+# ---------------------------------------------------------------------------
+# per-shape record
+
+class _Shape:
+    """What a process keeps about the s-uniform families on [n], each part
+    built on first use and kept until _shape.cache_clear(): the universe,
+    the s-sets of [n] in colex order; the class table (classes); per level
+    counted, each class's full count (counts, filled by counts_of), whose
+    level-s row is each class's edge count; per i-degree cap read, each
+    class's most edges through one i-set (degree), and per attaining class
+    c found, its least labelling as edge masks and SetFamily (witness), both
+    filled by exhaustive_search; per closed form and its arguments after m,
+    its row (rows, filled by row); the sweeps' arrays (sweep) and the two
+    sweeps' tables (kkt, uniqueness).  Every array is read-only, every other
+    value a tuple (a witness's SetFamily is frozen)."""
+
+    def __init__(self, n: int, s: int):
+        if not 1 <= s <= n:
+            raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
+        U = comb(n, s)
+        if U > MAX_UNIVERSE:
+            raise ValueError(f"universe C({n},{s}) = {U} exceeds sweep cap {MAX_UNIVERSE}")
+        self.n, self.s, self.U = n, s, U
+        self.universe = tuple(_colex_masks(n, s))
+        self.counts: dict[int, np.ndarray] = {}
+        self.degree: dict[int, np.ndarray] = {}
+        self.witness: dict[int, tuple[tuple[int, ...], SetFamily]] = {}
+        self.rows: dict[tuple, np.ndarray] = {}
+
+    def masks_of(self, fid: int) -> tuple[int, ...]:
+        return tuple(self.universe[j] for j in _bit_positions(int(fid)))
+
+    def family_of(self, fid: int) -> SetFamily:
+        return SetFamily(self.n, self.s, frozenset(self.masks_of(fid)))
+
+    @cached_property
+    def classes(self) -> tuple[np.ndarray, ...]:
+        """One row per isomorphism class, in order of each class's lowest
+        member id: that id, the highest member id, the least labelling
+        (canonical_form's) as an id, and the class size.  Read-only int64
+        arrays.
+
+        At s in {1, n - 1, n} every permutation of the edges is a
+        relabelling, so the class of m edges is every id with m edges: from
+        2^m - 1 up to the retlex id, least labelling 2^m - 1, size C(U, m).
+        These are the only shapes on n > 8 points the universe cap admits.
+        Elsewhere (n <= 7) the link at vertex n is the top C(n-1, s-1) bits
+        of an id, a relabelling of [n - 1] fixes n and carries link and low
+        part along together, so every class has a member whose link is the
+        lowest member of a class of (n - 1, s - 1).  The walk takes each such
+        id (link rank x low part) that no earlier class covered and ORs its
+        edge bits under every relabelling into its orbit: the lowest and
+        highest ids are the orbit's extremes, the least labelling the orbit
+        id with the largest bit-reversed value (of two ids, the least sorted
+        edge list holds the lowest bit where they differ), and the size n!
+        over the relabellings that fix the id.  The class sizes must add up
+        to 2^U."""
+        import numpy as np
+        n, s, U = self.n, self.s, self.U
+        if s in (1, n - 1, n):
+            m = np.arange(U + 1, dtype=np.int64)
+            rows = [(1 << m) - 1, (1 << U) - (1 << (U - m)), (1 << m) - 1,
+                    np.array([comb(U, k) for k in range(U + 1)], dtype=np.int64)]
+        else:
+            reps = _shape(n - 1, s - 1).classes[0]
+            split = comb(n - 1, s)
+            low = (1 << split) - 1
+            # where the ids of each link start in uncovered: rank << split for
+            # a representative, else a spare run past the walk's ids, never read
+            walked = len(reps) << split
+            start = np.full(1 << comb(n - 1, s - 1), walked, dtype=np.int64)
+            start[reps] = np.arange(walked, step=1 << split)
+            uncovered = np.ones(walked + (1 << split), dtype=bool)
+            uncovered[walked:] = False
+            # row j: edge j's bit under every relabelling, and that bit reversed
+            P = np.ascontiguousarray(_edge_perms(n, s)[1].T)
+            EB, ER = np.uint32(1) << P, np.uint32(1) << (U - 1 - P)
+            found, k = [], 0
+            while uncovered[k]:
+                fid = int(reps[k >> split]) << split | k & low
+                pos = _bit_positions(fid)
+                orbit = np.bitwise_or.reduce(EB[pos], axis=0) if pos else EB[0] & 0
+                uncovered[start[orbit >> split] + (orbit & low)] = False
+                least = orbit[np.bitwise_or.reduce(ER[pos], axis=0).argmax()] if pos else 0
+                found.append((int(orbit.min()), int(orbit.max()), int(least),
+                              factorial(n) // int(np.count_nonzero(orbit == fid))))
+                k += int(uncovered[k:].argmax())
+            rows = [np.array(col, dtype=np.int64) for col in zip(*sorted(found))]
+        if int(rows[3].sum()) != 1 << U:
+            raise InternalCheckError(f"the classes of ({n},{s}) hold {int(rows[3].sum())} "
+                                     f"of 2^{U} families")
+        return tuple(map(_read_only, rows))
+
+    def counts_of(self, levels: tuple[int, ...]) -> list[np.ndarray]:
+        """The full count of each of levels (ascending) at every class, one
+        row per level in classes' order, from counts.  Levels met for the
+        first time are counted, with level s, at each class's lowest and
+        highest member, which must agree, and level s must count every id's
+        edges, before their rows are kept.  The levels go into block() calls
+        of about 2^20 (id, k-set) pairs at most: as many levels as fit in
+        2^20 k-sets, one at least, and as many ids as fit with them."""
+        import numpy as np
+        if any(k not in self.counts for k in levels):
+            ker = _Kernel(self.n, self.s)
+            new = tuple(sorted({self.s, *(k for k in levels if k not in self.counts)}))
+            lo, hi, _, _ = self.classes
+            ids = np.concatenate((lo, hi))
+            cap = 1 << 20
+            cnt = np.empty((len(new), len(ids)), dtype=np.int64)
+            a = 0
+            while a < len(new):
+                b, width = a + 1, comb(self.n, new[a])
+                while b < len(new) and width + comb(self.n, new[b]) <= cap:
+                    width += comb(self.n, new[b])
+                    b += 1
+                per = max(1, cap // width)
+                for c0 in range(0, len(ids), per):
+                    cnt[a:b, c0:c0 + per] = ker.block(new[a:b], ids[c0:c0 + per])
+                a = b
+            if not np.array_equal(cnt[new.index(self.s)], np.bitwise_count(ids)):
+                raise InternalCheckError("kernel self-test failed: k^s != edge count")
+            at_lo, at_hi = cnt[:, :len(lo)], cnt[:, len(lo):]
+            if not np.array_equal(at_lo, at_hi):
+                j, c = np.argwhere(at_lo != at_hi)[0]
+                raise InternalCheckError(
+                    f"counts differ within a class: level {new[j]} counts {at_lo[j, c]} at "
+                    f"family {lo[c]} but {at_hi[j, c]} at family {hi[c]}")
+            self.counts.update(zip(new, _read_only(at_lo.copy())))
+        return [self.counts[k] for k in levels]
+
+    def row(self, name: str, f: Callable, *args: int, verdict: bool = False) -> np.ndarray:
+        """[f(m, *args) for m = 0..U] (their .verdict when verdict is set), a
+        read-only int64 array kept in rows under (name, *args): name is f's
+        name in this module, as a stub's __name__ may be "<lambda>"."""
+        import numpy as np
+        if (name, *args) not in self.rows:
+            vals = [f(m, *args) for m in range(self.U + 1)]
+            self.rows[(name, *args)] = _read_only(
+                np.array([v.verdict for v in vals] if verdict else vals, dtype=np.int64))
+        return self.rows[(name, *args)]
+
+    @cached_property
+    def sweep(self) -> tuple[np.ndarray, ...]:
+        """For the sweeps, over the classes in classes' order: the full count
+        of every level 0..n, as [level, class], whose rows counts then holds,
+        so each count is kept once and row s is each class's edge count; the
+        index of its complement's class, whose full counts give the class's
+        meet counts; and per m the index of the class of C_s(m), whose
+        lowest member is 2^m - 1."""
+        import numpy as np
+        lo, hi, _, _ = self.classes
+        cnt = _read_only(np.stack(self.counts_of(tuple(range(self.n + 1)))))
+        self.counts.update(enumerate(cnt))
+        comp = np.searchsorted(lo, (1 << self.U) - 1 - hi)
+        colex = np.searchsorted(lo, (1 << np.arange(self.U + 1, dtype=np.int64)) - 1)
+        return cnt, _read_only(comp), _read_only(colex)
+
+    @cached_property
+    def kkt(self) -> tuple:
+        """verify_kkt's table, one row per check: each row's (kind, level,
+        full), its check label, and as [row, m] read-only int64 arrays of the
+        expected value, the extreme count and the segment's count.  A full
+        row (cliques) reads the largest full count at m edges and that of
+        C_s(m); a meet row the least meet count, C(n, level) minus the
+        largest full count at U - m (complements), and that of C_s(m) for a
+        shadow or of the retlex segment, the complement of C_s(U - m), for an
+        upshadow."""
+        import numpy as np
+        n, s, U = self.n, self.s, self.U
+        # (kind, check label, level, full, expected per m)
+        rows = [("shadow", "min shadow q", q, False, self.row("shadow_colex", shadow_colex, s, q))
+                for q in range(s)]
+        rows += [("cliques", "max cliques t", t, True, self.row("k_colex", k_colex, s, t))
+                 for t in range(s, n + 1)]
+        # complementing every edge maps the retlex s-segment to the colex
+        # (n-s)-segment and its t-upshadow to the (n-t)-shadow of that
+        rows += [("upshadow", "min upshadow t", t, False,
+                  self.row("shadow_colex", shadow_colex, n - s, n - t))
+                 for t in range(s + 1, n + 1)]
+        cnt, comp, colex = self.sweep
+        top = np.zeros((n + 1, U + 1), dtype=np.int64)
+        np.maximum.at(top, (slice(None), cnt[s]), cnt)
+        retlex = comp[colex[::-1]]
+        ext = [top[level] if full else comb(n, level) - top[level, ::-1]
+               for _, _, level, full, _ in rows]
+        got = [_level(n, cnt, comp, level, full)[retlex if kind == "upshadow" else colex]
+               for kind, _, level, full, _ in rows]
+        return (tuple((kind, level, full) for kind, _, level, full, _ in rows),
+                tuple(f"{label}={level}" for _, label, level, _, _ in rows),
+                *(_read_only(np.array(a, dtype=np.int64).reshape(len(rows), U + 1))
+                  for a in ([want for *_, want in rows], ext, got)))
+
+    @cached_property
+    def uniqueness(self) -> tuple:
+        """verify_uniqueness's table, one row per check: each row's (kind,
+        level name, goal, level), and the check labels, m-major; then, as
+        read-only arrays [row, m], the verdicts and where a False verdict
+        fails too (colex rows at m > s + 1), and [row, class] whether the
+        class attains the extreme of its edge count, and [row, m] the number
+        of attainers, the sum of their class sizes."""
+        import numpy as np
+        n, s, U = self.n, self.s, self.U
+        # (kind, level name, goal, level, full, extremal value per m, verdict per m)
+        table = [("colex", "q", "min shadow", q, False,
+                  self.row("shadow_colex", shadow_colex, s, q),
+                  self.row("is_colex_unique", is_colex_unique, s, q, n, verdict=True))
+                 for q in range(1, s)]
+        table += [("clique", "t", "max cliques", t, True, self.row("k_colex", k_colex, s, t),
+                   self.row("is_clique_unique", is_clique_unique, s, t, n, verdict=True))
+                  for t in range(s + 1, n + 1)]
+        sizes = self.classes[3]
+        cnt, comp, _ = self.sweep
+        mc = cnt[s]
+        R, C = len(table), len(sizes)
+        verdict = np.array([v for *_, v in table], dtype=bool).reshape(R, U + 1)
+        strict = np.array([kind == "colex" for kind, *_ in table], dtype=bool)[:, None] \
+            & (np.arange(U + 1) > s + 1)
+        att = np.array([_level(n, cnt, comp, level, full) == ext[mc]
+                        for *_, level, full, ext, _ in table], dtype=bool).reshape(R, C)
+        n_att = np.array([np.bincount(mc, weights=np.where(hit, sizes, 0), minlength=U + 1)
+                          for hit in att]).astype(np.int64).reshape(R, U + 1)
+        return (tuple(row[:4] for row in table),
+                tuple(f"{kind} m={m} {var}={level}"
+                      for m in range(U + 1) for kind, var, _, level, *_ in table),
+                *map(_read_only, (verdict, strict, att, n_att)))
+
+
 @cache
-def _class_store(n: int, s: int) -> dict:
-    """What a process keeps per shape beside _class_table, filled on first
-    use: under "universe", the s-sets of [n] in colex order (_Kernel's);
-    under level k, the row of each class's full count of k-sets
-    (_class_counts); under "edges", each class's edge count, under
-    ("degree", i), each class's most edges through one i-set, and under
-    ("witness", c), class c's least labelling as its edge masks and its
-    SetFamily (exhaustive_search's); under "sweep", _sweep_counts'
-    arrays; under a closed form's name and its arguments after m, such as
-    ("k_colex", s, t), its row (_row); under "kkt", verify_kkt's table
-    (_kkt_table); under "uniqueness", verify_uniqueness's table
-    (_uniqueness_table).  Every array is read-only, every other value a
-    tuple (a witness's SetFamily is frozen), and nothing is rebuilt until
-    cache_clear()."""
-    return {}
+def _shape(n: int, s: int) -> _Shape:
+    """The one _Shape record of (n, s) in this process."""
+    return _Shape(n, s)
 
 
-def _class_counts(ker: _Kernel, levels: tuple[int, ...]) -> list[np.ndarray]:
-    """The full count of each of levels (ascending) at every class of ker's
-    shape, one row per level in _class_table's order, from _class_store.
-    Levels met for the first time are counted, with level s, at each
-    class's lowest and highest member, which must agree, and level s must
-    count every id's edges, before their rows are stored.  The levels go
-    into block() calls of about 2^20 (id, k-set) pairs at most: as many
-    levels as fit in 2^20 k-sets, one at least, and as many ids as fit with
-    them."""
-    import numpy as np
-    store = _class_store(ker.n, ker.s)
-    if any(k not in store for k in levels):
-        new = tuple(sorted({ker.s, *(k for k in levels if k not in store)}))
-        lo, hi, _, _ = _class_table(ker.n, ker.s)
-        ids = np.concatenate((lo, hi))
-        cap = 1 << 20
-        cnt = np.empty((len(new), len(ids)), dtype=np.int64)
-        a = 0
-        while a < len(new):
-            b, width = a + 1, comb(ker.n, new[a])
-            while b < len(new) and width + comb(ker.n, new[b]) <= cap:
-                width += comb(ker.n, new[b])
-                b += 1
-            per = max(1, cap // width)
-            for c0 in range(0, len(ids), per):
-                cnt[a:b, c0:c0 + per] = ker.block(new[a:b], ids[c0:c0 + per])
-            a = b
-        if not np.array_equal(cnt[new.index(ker.s)], np.bitwise_count(ids)):
-            raise InternalCheckError("kernel self-test failed: k^s != edge count")
-        at_lo, at_hi = cnt[:, :len(lo)], cnt[:, len(lo):]
-        if not np.array_equal(at_lo, at_hi):
-            j, c = np.argwhere(at_lo != at_hi)[0]
-            raise InternalCheckError(
-                f"counts differ within a class: level {new[j]} counts {at_lo[j, c]} at "
-                f"family {lo[c]} but {at_hi[j, c]} at family {hi[c]}")
-        store.update(zip(new, _read_only(at_lo.copy())))
-    return [store[k] for k in levels]
-
+def _level(n: int, cnt: np.ndarray, comp: np.ndarray, level: int, full: bool) -> np.ndarray:
+    """Per class, its full count at level, or its meet count: C(n, level)
+    minus the full count of its complement."""
+    return cnt[level] if full else comb(n, level) - cnt[level, comp]
 
 # ---------------------------------------------------------------------------
 # exhaustive search
@@ -360,36 +466,33 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
 
     The edge count, the i-degree and the u- and t-clique counts are
     unchanged by relabelling, so the search filters and compares one family
-    per isomorphism class (_class_table, counted by _class_counts), and
+    per isomorphism class (_Shape.classes, counted by _Shape.counts_of), and
     families_scanned adds up the sizes of the classes that pass the filters.
     The witnesses are the least labellings of the attaining classes, one per
-    class, sorted by canonical form; each class's edge count, and each
-    attaining class's edge masks and SetFamily, are kept in _class_store, so
-    a warm search builds no witness.  threads is kept for compatibility and
-    has no effect; it must be >= 1.
+    class, sorted by canonical form; each i-degree cap, and each attaining
+    class's edge masks and SetFamily, are kept in the shape's degree and
+    witness, so a warm search builds no witness.  threads is kept for
+    compatibility and has no effect; it must be >= 1.
     """
     import numpy as np
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    ker = _Kernel(spec.n, spec.s)
-    lo, _, least, sizes = _class_table(spec.n, spec.s)
+    shape = _shape(spec.n, spec.s)
+    lo, _, least, sizes = shape.classes
     levels = tuple(sorted({spec.s, spec.t} | ({spec.u} if spec.u is not None else set())))
-    cnt = dict(zip(levels, _class_counts(ker, levels)))
-    store = _class_store(spec.n, spec.s)
-    if "edges" not in store:
-        store["edges"] = _read_only(np.bitwise_count(lo))
+    cnt = dict(zip(levels, shape.counts_of(levels)))
     ok = np.ones(len(lo), dtype=bool)
     if spec.m is not None:
-        ok &= store["edges"] == spec.m
+        ok &= cnt[spec.s] == spec.m
     if spec.i is not None:
-        if ("degree", spec.i) not in store:
-            caps = ker.masks(spec.i)
+        if spec.i not in shape.degree:
+            caps = _Kernel(spec.n, spec.s).masks(spec.i)
             # the most edges any i-set lies in, a few classes at a time
             per = max(1, (1 << 20) // len(caps))
-            store["degree", spec.i] = _read_only(np.concatenate(
+            shape.degree[spec.i] = _read_only(np.concatenate(
                 [np.bitwise_count(lo[c0:c0 + per, None].astype(np.uint32) & caps).max(axis=1)
                  for c0 in range(0, len(lo), per)]))
-        ok &= store["degree", spec.i] <= spec.max_degree
+        ok &= shape.degree[spec.i] <= spec.max_degree
     if spec.u is not None:
         ok &= cnt[spec.u] == spec.p
     scanned = int(sizes[ok].sum())
@@ -398,53 +501,16 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     best = int(cnt[spec.t][ok].max())
     found = []
     for c in np.flatnonzero(ok & (cnt[spec.t] == best)).tolist():
-        if ("witness", c) not in store:
-            masks = ker.masks_of(least[c])
-            store["witness", c] = (masks, SetFamily(spec.n, spec.s, frozenset(masks)))
-        found.append(store["witness", c])
+        if c not in shape.witness:
+            masks = shape.masks_of(least[c])
+            shape.witness[c] = masks, SetFamily(spec.n, spec.s, frozenset(masks))
+        found.append(shape.witness[c])
     witnesses = [w for _, w in sorted(found, key=lambda mw: mw[0])]
     return SearchResult("ok", best, witnesses, len(witnesses), scanned)
 
 
 # ---------------------------------------------------------------------------
 # whole-space sweeps
-
-def _row(ker: _Kernel, name: str, f: Callable, *args: int, verdict: bool = False) -> np.ndarray:
-    """[f(m, *args) for m = 0..U] (their .verdict when verdict is set), a
-    read-only int64 array kept in _class_store under (name, *args): name is
-    f's name in this module, as a stub's __name__ may be "<lambda>"."""
-    import numpy as np
-    store = _class_store(ker.n, ker.s)
-    if (name, *args) not in store:
-        vals = [f(m, *args) for m in range(ker.U + 1)]
-        store[(name, *args)] = _read_only(
-            np.array([v.verdict for v in vals] if verdict else vals, dtype=np.int64))
-    return store[(name, *args)]
-
-
-def _sweep_counts(ker: _Kernel) -> tuple[np.ndarray, ...]:
-    """For the sweeps, over the classes of ker's shape in _class_table's
-    order: the full count of every level 0..n, as [level, class]; each
-    class's edge count; the index of its complement's class, whose full
-    counts give the class's meet counts; and per m the index of the class
-    of C_s(m), whose lowest member is 2^m - 1.  Kept in _class_store."""
-    import numpy as np
-    store = _class_store(ker.n, ker.s)
-    if "sweep" not in store:
-        lo, hi, _, _ = _class_table(ker.n, ker.s)
-        cnt = np.stack(_class_counts(ker, tuple(range(ker.n + 1))))
-        mc = np.bitwise_count(lo)
-        comp = np.searchsorted(lo, (1 << ker.U) - 1 - hi)
-        colex = np.searchsorted(lo, (1 << np.arange(ker.U + 1, dtype=np.int64)) - 1)
-        store["sweep"] = tuple(map(_read_only, (cnt, mc, comp, colex)))
-    return store["sweep"]
-
-
-def _level(n: int, cnt: np.ndarray, comp: np.ndarray, level: int, full: bool) -> np.ndarray:
-    """Per class, its full count at level, or its meet count: C(n, level)
-    minus the full count of its complement."""
-    return cnt[level] if full else comb(n, level) - cnt[level, comp]
-
 
 @dataclass
 class SweepReport:
@@ -460,41 +526,6 @@ class SweepReport:
         return not self.failures
 
 
-def _kkt_table(ker: _Kernel) -> tuple:
-    """verify_kkt's table for ker's shape, one row per check: each row's
-    (kind, level, full), its check label, and as [row, m] read-only int64
-    arrays of the expected value, the extreme count and the segment's count.
-    A full row (cliques) reads the largest full count at m edges and that
-    of C_s(m); a meet row the least meet count, C(n, level) minus the
-    largest full count at U - m (complements), and that of C_s(m) for a
-    shadow or of the retlex segment, the complement of C_s(U - m), for an
-    upshadow."""
-    import numpy as np
-    n, s, U = ker.n, ker.s, ker.U
-    # (kind, check label, level, full, expected per m)
-    rows = [("shadow", "min shadow q", q, False, _row(ker, "shadow_colex", shadow_colex, s, q))
-            for q in range(s)]
-    rows += [("cliques", "max cliques t", t, True, _row(ker, "k_colex", k_colex, s, t))
-             for t in range(s, n + 1)]
-    # complementing every edge maps the retlex s-segment to the colex
-    # (n-s)-segment and its t-upshadow to the (n-t)-shadow of that
-    rows += [("upshadow", "min upshadow t", t, False,
-              _row(ker, "shadow_colex", shadow_colex, n - s, n - t))
-             for t in range(s + 1, n + 1)]
-    cnt, mc, comp, colex = _sweep_counts(ker)
-    top = np.zeros((n + 1, U + 1), dtype=np.int64)
-    np.maximum.at(top, (slice(None), mc), cnt)
-    retlex = comp[colex[::-1]]
-    ext = [top[level] if full else comb(n, level) - top[level, ::-1]
-           for _, _, level, full, _ in rows]
-    got = [_level(n, cnt, comp, level, full)[retlex if kind == "upshadow" else colex]
-           for kind, _, level, full, _ in rows]
-    return (tuple((kind, level, full) for kind, _, level, full, _ in rows),
-            tuple(f"{label}={level}" for _, label, level, _, _ in rows),
-            *(_read_only(np.array(a, dtype=np.int64).reshape(len(rows), U + 1))
-              for a in ([want for *_, want in rows], ext, got)))
-
-
 def verify_kkt(n: int, s: int) -> SweepReport:
     """Exhaustively confirm the extremal formulas over every family on [n].
 
@@ -502,30 +533,28 @@ def verify_kkt(n: int, s: int) -> SweepReport:
     every q < s, the maximum t-clique count equals k_colex for every t >= s,
     and the minimum t-upshadow for every t > s is attained by the retlex
     segment.  The per-m extremes are taken over one family per isomorphism
-    class and kept per shape with the expected values (_kkt_table); every
+    class and kept per shape with the expected values (_Shape.kkt); every
     call compares them, first as whole tables, then row by row when they
     differ.  A failure row's family is the lowest id beyond the
     expected value, the lowest member of the first class beyond it, else
     the segment.
     """
     import numpy as np
-    ker = _Kernel(n, s)
-    U = ker.U
-    store = _class_store(n, s)
-    if "kkt" not in store:
-        store["kkt"] = _kkt_table(ker)
-    rows, labels, want, ext, got = store["kkt"]
+    shape = _shape(n, s)
+    U = shape.U
+    rows, labels, want, ext, got = shape.kkt
     report = SweepReport("kkt", n, s, 1 << U, list(labels))
     # all three are int64 [check, m]: equal bytes in C order, equal values
     if ext.tobytes() == want.tobytes() == got.tobytes():
         return report
+    lo = shape.classes[0]
+    cnt, comp, _ = shape.sweep
+    mc = cnt[s]
     beyond = ext != want
     for i in np.flatnonzero(beyond.any(axis=1) | (got != want).any(axis=1)).tolist():
         (kind, level, full), expected = rows[i], want[i]
         seg = "retlex" if kind == "upshadow" else "colex"
         # per m, the lowest member of the first class beyond its expected value
-        lo = _class_table(n, s)[0]
-        cnt, mc, comp, _ = _sweep_counts(ker)
         v = _level(n, cnt, comp, level, full)
         first: dict[int, int] = {}
         for c in np.flatnonzero(v > expected[mc] if full else v < expected[mc]).tolist():
@@ -537,7 +566,7 @@ def verify_kkt(n: int, s: int) -> SweepReport:
             report.failures.append({
                 "kind": kind, "m": m, "level": level,
                 "expected": int(expected[m]), "got": int(ext[i, m]),
-                "family": ker.family_of(first.get(m, seg_id)).edge_lists(),
+                "family": shape.family_of(first.get(m, seg_id)).edge_lists(),
             })
         if not np.array_equal(got[i], expected):
             report.failures.append({
@@ -545,38 +574,6 @@ def verify_kkt(n: int, s: int) -> SweepReport:
                 "expected": expected.tolist(), "got": got[i].tolist(),
             })
     return report
-
-
-def _uniqueness_table(ker: _Kernel) -> tuple:
-    """verify_uniqueness's table for ker's shape, one row per check: each
-    row's (kind, level name, goal, level), and the check labels, m-major;
-    then, as read-only arrays [row, m], the verdicts and where a False
-    verdict fails too (colex rows at m > s + 1), and [row, class] whether
-    the class attains the extreme of its edge count, and [row, m] the
-    number of attainers, the sum of their class sizes."""
-    import numpy as np
-    n, s, U = ker.n, ker.s, ker.U
-    # (kind, level name, goal, level, full, extremal value per m, verdict per m)
-    table = [("colex", "q", "min shadow", q, False, _row(ker, "shadow_colex", shadow_colex, s, q),
-              _row(ker, "is_colex_unique", is_colex_unique, s, q, n, verdict=True))
-             for q in range(1, s)]
-    table += [("clique", "t", "max cliques", t, True, _row(ker, "k_colex", k_colex, s, t),
-               _row(ker, "is_clique_unique", is_clique_unique, s, t, n, verdict=True))
-              for t in range(s + 1, n + 1)]
-    sizes = _class_table(n, s)[3]
-    cnt, mc, comp, _ = _sweep_counts(ker)
-    R, C = len(table), len(sizes)
-    verdict = np.array([v for *_, v in table], dtype=bool).reshape(R, U + 1)
-    strict = np.array([kind == "colex" for kind, *_ in table], dtype=bool)[:, None] \
-        & (np.arange(U + 1) > s + 1)
-    att = np.array([_level(n, cnt, comp, level, full) == ext[mc]
-                    for *_, level, full, ext, _ in table], dtype=bool).reshape(R, C)
-    n_att = np.array([np.bincount(mc, weights=np.where(hit, sizes, 0), minlength=U + 1)
-                      for hit in att]).astype(np.int64).reshape(R, U + 1)
-    return (tuple(row[:4] for row in table),
-            tuple(f"{kind} m={m} {var}={level}"
-                  for m in range(U + 1) for kind, var, _, level, *_ in table),
-            *map(_read_only, (verdict, strict, att, n_att)))
 
 
 def verify_uniqueness(n: int, s: int) -> SweepReport:
@@ -591,19 +588,16 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
     classes that attain, their number the sum of their sizes, and a failure
     row's family the lowest member of the first attaining class outside the
     orbit.  The verdicts, attainer masks and numbers are kept per shape
-    (_uniqueness_table); the orbit check and the comparisons with the orbit
+    (_Shape.uniqueness); the orbit check and the comparisons with the orbit
     sizes and verdicts run on every call.
     """
     import numpy as np
-    ker = _Kernel(n, s)
-    U = ker.U
-    store = _class_store(n, s)
-    if "uniqueness" not in store:
-        store["uniqueness"] = _uniqueness_table(ker)
-    rows, labels, verdict, strict, att, n_att = store["uniqueness"]
+    shape = _shape(n, s)
+    U = shape.U
+    rows, labels, verdict, strict, att, n_att = shape.uniqueness
     report = SweepReport("uniqueness", n, s, 1 << U, list(labels))
-    lo, _, _, sizes = _class_table(n, s)
-    _, mc, _, colex = _sweep_counts(ker)
+    lo, _, _, sizes = shape.classes
+    cnt, _, colex = shape.sweep
 
     # the first m, and at it the first row, at which the orbit does not attain
     orbit_attains = att[:, colex]
@@ -619,13 +613,13 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
     unique = n_att == orbit
     for m, j in np.argwhere(((verdict != unique) & (verdict | strict)).T).tolist():
         # the lowest member of the first attaining class outside the orbit
-        other = att[j] & (mc == m)
+        other = att[j] & (cnt[s] == m)
         other[colex[m]] = False
         kind, _, _, level = rows[j]
         report.failures.append({
             "kind": f"{kind}_unique", "m": m, "level": level, "verdict": bool(verdict[j, m]),
             "attainers": int(n_att[j, m]), "orbit": int(orbit[m]),
-            "family": None if unique[j, m] else ker.family_of(lo[other.argmax()]).edge_lists(),
+            "family": None if unique[j, m] else shape.family_of(lo[other.argmax()]).edge_lists(),
         })
     return report
 

@@ -50,9 +50,10 @@ def modules_loaded_by(code: str) -> list[str]:
 @contextmanager
 def stubbed():
     """A MonkeyPatch context for stubbing an oracle seam or a _Kernel method.
-    The per-shape store and the equality counts keep whatever they were
-    built from, so both are cleared before a stub is bound, and again after
-    the stub is undone."""
+    The per-shape records (oracle._shape) and the equality counts keep
+    whatever they were built from, so _shape.cache_clear() and
+    _equality_counts.cache_clear() run before a stub is bound, and again
+    after the stub is undone."""
     clear()
     try:
         with pytest.MonkeyPatch.context() as mp:
@@ -62,8 +63,9 @@ def stubbed():
 
 
 def clear() -> None:
-    """The oracle's reset: what it keeps per shape and the equality counts."""
-    oracle._class_store.cache_clear()
+    """The oracle's reset: _shape.cache_clear(), which drops every per-shape
+    record, and _equality_counts.cache_clear()."""
+    oracle._shape.cache_clear()
     oracle._equality_counts.cache_clear()
 
 

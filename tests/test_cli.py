@@ -196,6 +196,16 @@ def test_recognize_round_trip(tmp_path):
     check_schema(json.loads(json.dumps(r.payload)), "recognize")
 
 
+def test_recognize_packing_at_r_equal_s(tmp_path):
+    # two disjoint 4-blocks read as a 4-uniform family are their own 4-shadow
+    f = tmp_path / "blocks.txt"
+    f.write_text(to_text(builtin_design("disjoint(2,4)").blocks))
+    r = run(["recognize", str(f), "1", "4"])
+    assert r.exit_status == 0 and r.payload["ok"] is True
+    assert r.payload["blocks"] == [(1, 2, 3, 4), (5, 6, 7, 8)]
+    check_schema(json.loads(json.dumps(r.payload)), "recognize")
+
+
 def test_recognize_failure_witness(tmp_path):
     r = run(["colex", "segment", "7", "3"])
     f = tmp_path / "c7.txt"

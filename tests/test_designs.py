@@ -211,6 +211,25 @@ def test_recognition_open_case_raises():
         recognize_packing_shadow(H, 1, 2)  # r < s
 
 
+def test_recognition_at_r_equal_s():
+    # a packing of r-blocks read as its own r-shadow: the rebuilt blocks are
+    # compared with H itself, since there is no shadow below r to take
+    P = builtin_design("disjoint(2,4)").blocks
+    rec = recognize_packing_shadow(P, 1, 4)
+    assert rec.ok and rec.design.blocks.edges == P.edges and rec.witness is None
+    Q = SetFamily.from_edge_lists(7, 4, [(1, 2, 3, 4), (1, 5, 6, 7)])
+    rec = recognize_packing_shadow(Q, 2, 4)     # blocks meeting in one point
+    assert rec.ok and rec.design.blocks.edges == Q.edges
+    assert verify_design(rec.design, 2).kind == "packing"
+    # not packings: vertex 1, and then the pair {1, 2}, lie in two blocks
+    assert recognize_packing_shadow(Q, 1, 4).witness == (1,)
+    R = SetFamily.from_edge_lists(6, 4, [(1, 2, 3, 4), (1, 2, 5, 6)])
+    rec = recognize_packing_shadow(R, 2, 4)
+    assert not rec.ok and rec.witness == (1, 2)
+    assert check_neighborhood_clique_criterion(P, 1, 4, 4)
+    assert check_neighborhood_clique_criterion(P, 1, 4, 4, mode="all")
+
+
 def test_criterion_covered_vs_all():
     H = shadow_of_design(builtin_design("disjoint(2,4)"), 3)
     # two disjoint 4-blocks on 8 vertices cover every vertex: an S(1,4,8)

@@ -165,7 +165,7 @@ def test_search_widest_universe():
 
 
 def test_classes_match_canonical_forms():
-    # over every id of a shape, _class_table gives each class once, in order
+    # over every id of a shape, _Shape.classes gives each class once, in order
     # of its lowest id, with its lowest and highest ids, canonical_form's
     # least labelling and the number of ids in the class, whether it reads
     # the classes off the edge counts (s in {1, n-1, n}) or walks the
@@ -175,13 +175,13 @@ def test_classes_match_canonical_forms():
         for s in range(1, n + 1):
             if comb(n, s) > 12:
                 continue
-            ker = _Kernel(n, s)
+            shape = oracle._shape(n, s)
             members = {}
-            for fid in range(1 << ker.U):
-                members.setdefault(canonical_form(ker.family_of(fid)), []).append(fid)
+            for fid in range(1 << shape.U):
+                members.setdefault(canonical_form(shape.family_of(fid)), []).append(fid)
             want = [(ids[0], ids[-1], form, len(ids)) for form, ids in members.items()]
-            got = [(lo, hi, bytes((n, s)) + bytes(ker.masks_of(least)), size)
-                   for lo, hi, least, size in zip(*(a.tolist() for a in oracle._class_table(n, s)))]
+            got = [(lo, hi, bytes((n, s)) + bytes(shape.masks_of(least)), size)
+                   for lo, hi, least, size in zip(*(a.tolist() for a in shape.classes))]
             assert got == want, (n, s)
 
 
@@ -223,7 +223,7 @@ def test_search_rejects_attainers_not_closed_under_relabelling():
     for spec in [SearchSpec(5, 2, 3, m=7), SearchSpec(7, 2, 3, m=10), SearchSpec(10, 1, 2, m=2)]:
         ker = _Kernel(spec.n, spec.s)
         witness = sum(1 << ker.universe.index(e) for e in exhaustive_search(spec).witnesses[0].edges)
-        lo, hi, least, _ = oracle._class_table(spec.n, spec.s)
+        lo, hi, least, _ = oracle._shape(spec.n, spec.s).classes
         c = least.tolist().index(witness)
         assert lo[c] < hi[c]
         for fid in (lo[c], hi[c]):
@@ -423,16 +423,13 @@ def test_kkt_sweep_reports_a_segment_that_does_not_attain(oracle_patch):
     # 1 (the star leaves one point, not two, out) and the triangle count.
     # The upshadow row reads the retlex segment with 7 edges, the
     # complement of C_2(3), whose class is read through the skewed column
-    sweep_counts = oracle._sweep_counts
-
-    def skewed(ker):
-        cnt, mc, comp, colex = sweep_counts(ker)
-        lo = oracle._class_table(ker.n, ker.s)[0]
-        assert (lo[colex[3]], lo[colex[3] + 1]) == (7, 11)
-        colex = colex.copy()
-        colex[3] += 1
-        return cnt, mc, comp, colex
-    oracle_patch.setattr(oracle, "_sweep_counts", skewed)
+    shape = oracle._shape(5, 2)
+    cnt, comp, colex = shape.sweep
+    lo = shape.classes[0]
+    assert (lo[colex[3]], lo[colex[3] + 1]) == (7, 11)
+    colex = colex.copy()
+    colex[3] += 1
+    shape.sweep = cnt, comp, colex
     rep = verify_kkt(5, 2)
     assert [(f["kind"], f["level"]) for f in rep.failures] == [
         ("shadow-colex-attain", 1), ("cliques-colex-attain", 3), ("upshadow-retlex-attain", 3)]
@@ -519,7 +516,7 @@ def test_uniqueness_sweep_holds_every_clique_verdict_at_s_1():
     # attainers: all C(n, m) families with m edges
     for n in range(2, 9):
         assert verify_uniqueness(n, 1).ok, n
-        rows, _, verdict, *_ = oracle._class_store(n, 1)["uniqueness"]
+        rows, _, verdict, *_ = oracle._shape(n, 1).uniqueness
         assert [kind for kind, *_ in rows] == ["clique"] * (n - 1) and verdict.all(), n
 
 
@@ -612,11 +609,12 @@ def test_class_table_matches_every_id():
     # A000088) and of 3-graphs on 6 (2136); (n, s) and (n, n - s) match.
     for (n, s), classes in zip(NON_SYMMETRIC, (11, 34, 34, 156, 2136, 156, 1044, 1044)):
         U = comb(n, s)
-        lo, _, _, sizes = oracle._class_table(n, s)
+        shape = oracle._shape(n, s)
+        lo, _, _, sizes = shape.classes
         mc = np.bitwise_count(lo)
         assert len(lo) == classes and int(sizes.sum()) == 1 << U, (n, s)
         assert np.bincount(mc, weights=sizes).tolist() == [comb(U, m) for m in range(U + 1)]
-        cnt, _, comp, *_ = oracle._sweep_counts(_Kernel(n, s))
+        cnt, comp, _ = shape.sweep
         full, meet = _every_id_counts(n, s)
         m_all = np.bitwise_count(np.arange(1 << U, dtype=np.uint32))
         for k in range(n + 1):
@@ -630,11 +628,10 @@ def test_class_table_sizes_must_add_up(oracle_patch):
     # a walk that misses a class fails: without the (4, 1) link class of
     # four edges, vertex 5 of degree 4, the walk over (5, 2) misses K_5,
     # the only graph that has no vertex of smaller degree to relabel as 5
-    real = oracle._class_table
-    oracle_patch.setattr(oracle, "_class_table", lambda n, s: tuple(
-        a[:-1] for a in real(n, s)) if (n, s) == (4, 1) else real(n, s))
+    link = oracle._shape(4, 1)
+    link.classes = tuple(a[:-1] for a in link.classes)
     with pytest.raises(InternalCheckError, match="classes of \\(5,2\\) hold 1023 of 2\\^10"):
-        real.__wrapped__(5, 2)
+        oracle._shape(5, 2).classes
 
 
 def test_link_search_matches_full_search(capsys):
@@ -821,54 +818,68 @@ def test_warm_sweeps_call_no_closed_form(oracle_patch, n, s):
 
 
 def _leaves(v):
-    """The values inside nested tuples."""
+    """The values inside nested tuples and dicts."""
+    if isinstance(v, dict):
+        v = tuple(v.values())
     return [a for x in v for a in _leaves(x)] if isinstance(v, tuple) else [v]
 
 
 def test_kept_rows_and_orbits_are_read_only():
-    # the class tables and the stored universes, class counts, edge counts,
-    # i-degree caps, witnesses, sweep arrays, expected and verdict rows, and
-    # the two sweeps' tables: every array is read-only, every witness a
-    # frozen SetFamily, every other value a tuple of ints, bools and strings
-    oracle._class_store.cache_clear()
+    # each shape's universe, class table, class counts, i-degree caps,
+    # witnesses, expected and verdict rows, sweep arrays and the two sweeps'
+    # tables: every array is read-only, every witness a frozen SetFamily,
+    # every other value an int, bool or string inside tuples; and after a
+    # search and both sweeps each class's edge count is kept once, as the
+    # level-s count row
+    oracle._shape.cache_clear()
     verify_kkt(5, 2)
+    verify_kkt(5, 3)
     verify_uniqueness(5, 3)
     res = exhaustive_search(SearchSpec(5, 3, 4, i=1, max_degree=6))
+    shape = oracle._shape(5, 3)
     # K_5^(3), the one attaining class, is the last class of (5, 3)
-    full = len(oracle._class_table(5, 3)[0]) - 1
-    assert {k for k in oracle._class_store(5, 3) if not isinstance(k, int)} == {
-        "universe", "edges", ("degree", 1), ("witness", full), "sweep",
-        ("shadow_colex", 3, 1), ("shadow_colex", 3, 2),
-        ("is_colex_unique", 3, 1, 5), ("is_colex_unique", 3, 2, 5), ("k_colex", 3, 4),
-        ("k_colex", 3, 5), ("is_clique_unique", 3, 4, 5), ("is_clique_unique", 3, 5, 5),
-        "uniqueness"}
-    masks, witness = oracle._class_store(5, 3)["witness", full]
+    full = len(shape.classes[0]) - 1
+    assert set(vars(shape)) == {"n", "s", "U", "universe", "counts", "degree", "witness", "rows",
+                                "classes", "sweep", "kkt", "uniqueness"}
+    assert (set(shape.counts), set(shape.degree), set(shape.witness)) == (
+        set(range(6)), {1}, {full})
+    # shadows q = 0..2, cliques t = 3..5, upshadows t = 4, 5 as the
+    # 1- and 0-shadows of 2-sets, and the verdicts at q = 1, 2 and t = 4, 5
+    assert set(shape.rows) == {
+        ("shadow_colex", 3, 0), ("shadow_colex", 3, 1), ("shadow_colex", 3, 2),
+        ("k_colex", 3, 3), ("k_colex", 3, 4), ("k_colex", 3, 5),
+        ("shadow_colex", 2, 1), ("shadow_colex", 2, 0),
+        ("is_colex_unique", 3, 1, 5), ("is_colex_unique", 3, 2, 5),
+        ("is_clique_unique", 3, 4, 5), ("is_clique_unique", 3, 5, 5)}
+    masks, witness = shape.witness[full]
     assert res.witnesses == [witness] and res.witnesses[0] is witness
     assert masks == tuple(sorted(witness.edges)) and isinstance(witness.edges, frozenset)
     with pytest.raises(dataclasses.FrozenInstanceError):
         witness.edges = frozenset()
-    edges = oracle._class_store(5, 3)["edges"]
-    assert isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"
-    assert {"universe", "sweep", "kkt"} <= set(oracle._class_store(5, 2))
-    rows, labels, want, ext, got = oracle._class_store(5, 2)["kkt"]
+    rows, labels, want, ext, got = oracle._shape(5, 2).kkt
     # shadows q = 0, 1; cliques t = 2..5; upshadows t = 3..5
     assert len(rows) == len(labels) == 9 and want.shape == ext.shape == got.shape == (9, 11)
-    rows, labels, verdict, strict, att, n_att = oracle._class_store(5, 3)["uniqueness"]
+    rows, labels, verdict, strict, att, n_att = shape.uniqueness
     assert len(rows) == 4 and len(labels) == 4 * 11
-    assert att.shape == (4, len(oracle._class_table(5, 3)[0]))
+    assert att.shape == (4, len(shape.classes[0]))
     assert verdict.shape == strict.shape == n_att.shape == (4, 11)
-    kept = list(oracle._class_table(5, 3)) + [
-        a for shape in ((5, 2), (5, 3)) for v in oracle._class_store(*shape).values()
-        for a in _leaves(v)]
+    kept = [a for n, s in ((5, 2), (5, 3)) for a in _leaves(vars(oracle._shape(n, s)))]
     arrays = [a for a in kept if isinstance(a, np.ndarray)]
     assert all(isinstance(a, (int, bool, str)) for a in kept
                if not isinstance(a, (np.ndarray, SetFamily)))
     assert [a for a in kept if isinstance(a, SetFamily)] == [witness]
     assert all(any(a is b for b in arrays)
-               for a in (ext, got, verdict, strict, att, n_att, edges))
+               for a in (ext, got, verdict, strict, att, n_att, shape.counts[3]))
     assert all(not a.flags.writeable for a in arrays)
+    # the sweep keeps its level counts, complements and colex classes, and
+    # no array but the level-s row holds each class's edge count
+    edges = np.bitwise_count(shape.classes[0])
+    assert len(shape.sweep) == 3
+    held = [a for a in _leaves(vars(shape)) if isinstance(a, np.ndarray) and np.array_equal(a, edges)]
+    assert len(held) == 1 and held[0] is shape.counts[3]
+    assert np.shares_memory(shape.counts[3], shape.sweep[0])
     with pytest.raises(ValueError):
-        kept[0][0] = 1
+        shape.classes[0][0] = 1
     with pytest.raises(ValueError):
         att[0, 0] = not att[0, 0]
 
@@ -891,7 +902,7 @@ def test_warm_search_returns_the_kept_witnesses():
         return [w for res in results for w in res.witnesses]
 
     specs = SEARCH_SPECS + SEARCHES
-    oracle._class_store.cache_clear()
+    oracle._shape.cache_clear()
     first = [exhaustive_search(spec) for spec in specs]
     assert all(res.status == "ok" and res.class_count == len(res.witnesses) for res in first)
     assert all(res.witnesses == sorted(res.witnesses, key=lambda w: sorted(w.edges))
@@ -899,7 +910,7 @@ def test_warm_search_returns_the_kept_witnesses():
     warm = [exhaustive_search(spec) for spec in specs]
     assert warm == first
     assert all(a is b for a, b in zip(witnesses(warm), witnesses(first)))
-    oracle._class_store.cache_clear()
+    oracle._shape.cache_clear()
     cold = [exhaustive_search(spec) for spec in specs]
     assert cold == first
     assert not any(a is b for a, b in zip(witnesses(cold), witnesses(first)))
@@ -908,10 +919,10 @@ def test_warm_search_returns_the_kept_witnesses():
 def test_row_memo_does_not_grow_with_patches():
     # a row is kept under the closed form's name and arguments, not under
     # the function bound (every lambda stub is "<lambda>"): patched sweeps
-    # leave each shape's store the keys that the real ones leave
+    # leave each shape the parts and row keys that the real ones leave
     def keys():
-        return [set(oracle._class_store(*shape)) for shape in ((5, 2), (5, 3))]
-    oracle._class_store.cache_clear()
+        return [(set(vars(sh)), set(sh.rows)) for sh in (oracle._shape(5, 2), oracle._shape(5, 3))]
+    oracle._shape.cache_clear()
     verify_kkt(5, 2)
     verify_uniqueness(5, 3)
     warm = keys()
@@ -948,7 +959,7 @@ def test_sweeps_agree_cold_and_warm():
                 + [verify_uniqueness(n, s) for n, s in SWEEP_UNIQUENESS])
 
     def clear():
-        for kept in (oracle._class_table, oracle._edge_perms, oracle._class_store):
+        for kept in (oracle._edge_perms, oracle._shape):
             kept.cache_clear()
 
     clear()
@@ -1024,21 +1035,21 @@ def test_warm_uniqueness_sweep_checks_the_orbit(oracle_patch):
     # the colex orbit's class must attain on every call, not only when the
     # attainer masks are built
     assert verify_uniqueness(6, 3).ok
-    colex = oracle._sweep_counts(_Kernel(6, 3))[3]
+    colex = oracle._shape(6, 3).sweep[2]
     _edit_kept((6, 3), "uniqueness", 4, (1, colex[7]), False)
     with pytest.raises(InternalCheckError, match="colex orbit not attaining min shadow at m=7, q=2"):
         verify_uniqueness(6, 3)
 
 
 def _edit_kept(shape, key, field, index, value):
-    """Replace array field of the shape's kept entry key by a read-only
-    copy that holds value at index."""
-    store = oracle._class_store(*shape)
-    entry = list(store[key])
+    """Replace array field of the shape's kept table key ("kkt" or
+    "uniqueness") by a read-only copy that holds value at index."""
+    kept = oracle._shape(*shape)
+    entry = list(getattr(kept, key))
     a = entry[field].copy()
     a[index] = value
     entry[field] = oracle._read_only(a)
-    store[key] = tuple(entry)
+    setattr(kept, key, tuple(entry))
 
 
 @pytest.mark.parametrize("label,m,delta", [("max cliques t=4", 10, 1), ("min shadow q=2", 5, -1)],
@@ -1048,7 +1059,7 @@ def test_warm_kkt_sweep_compares_the_kept_extremes(oracle_patch, label, m, delta
     # kept extreme off by delta fails exactly its row, whose family is the
     # segment, since no class's count is beyond the expected value
     assert verify_kkt(6, 3).ok
-    rows, labels, want, *_ = oracle._class_store(6, 3)["kkt"]
+    rows, labels, want, *_ = oracle._shape(6, 3).kkt
     i = labels.index(label)
     kind, level, _ = rows[i]
     _edit_kept((6, 3), "kkt", 3, (i, m), want[i, m] + delta)
@@ -1064,7 +1075,7 @@ def test_warm_kkt_sweep_compares_the_kept_segment_counts(oracle_patch, label, se
     # a warm sweep compares the kept segment counts with the expected rows
     # too: one kept count one short fails exactly its attain row
     assert verify_kkt(6, 3).ok
-    rows, labels, want, *_ = oracle._class_store(6, 3)["kkt"]
+    rows, labels, want, *_ = oracle._shape(6, 3).kkt
     i = labels.index(label)
     kind, level, _ = rows[i]
     _edit_kept((6, 3), "kkt", 4, (i, 10), want[i, 10] - 1)
@@ -1081,9 +1092,9 @@ def test_warm_uniqueness_sweep_compares_the_kept_verdicts(oracle_patch):
     # exactly that row, with a family that attains but is no relabelling of
     # C_3(m)
     assert verify_uniqueness(6, 3).ok
-    rows, _, verdict, _, _, n_att = oracle._class_store(6, 3)["uniqueness"]
+    rows, _, verdict, _, _, n_att = oracle._shape(6, 3).uniqueness
     j = rows.index(("clique", "t", "max cliques", 4))
-    orbit = oracle._class_table(6, 3)[3][oracle._sweep_counts(_Kernel(6, 3))[3]]
+    orbit = oracle._shape(6, 3).classes[3][oracle._shape(6, 3).sweep[2]]
     m = next(m for m in range(21) if not verdict[j, m] and n_att[j, m] != orbit[m])
     _edit_kept((6, 3), "uniqueness", 2, (j, m), True)
     rep = verify_uniqueness(6, 3)
