@@ -27,9 +27,10 @@ family's edges; both checks run whenever a level is counted.  A process
 keeps what it builds per shape in one _Shape record (_shape(n, s)) and the
 built-in designs' counts in _equality_counts, so a shape's level or a
 design's shadow is counted once per process, a kernel (its k-set masks)
-lives only for the call that counts it, a warm sweep only compares, and a
-stub bound in this module builds only what is not kept yet, while every
-comparison and cross-check runs on every call.  The reset is
+lives only for the call that counts it, a warm sweep only compares, a warm
+search of a spec met before reads its kept result, and a stub bound in
+this module builds only what is not kept yet, while every comparison and
+cross-check runs on every call.  The reset is
 _shape.cache_clear() together with _equality_counts.cache_clear().
 """
 
@@ -182,12 +183,13 @@ class _Shape:
     the s-sets of [n] in colex order; the class table (classes); per level
     counted, each class's full count (counts, filled by counts_of), whose
     level-s row is each class's edge count; per i-degree cap read, each
-    class's most edges through one i-set (degree), and per attaining class
-    c found, its least labelling as edge masks and SetFamily (witness), both
-    filled by exhaustive_search; per closed form and its arguments after m,
-    its row (rows, filled by row); the sweeps' arrays (sweep) and the two
-    sweeps' tables (kkt, uniqueness).  Every array is read-only, every other
-    value a tuple (a witness's SetFamily is frozen)."""
+    class's most edges through one i-set (degree), and per normalised spec
+    key (t, m, i, max_degree, u, p) searched, its status, optimum, witnesses
+    and families_scanned (search), both filled by exhaustive_search; per
+    closed form and its arguments after m, its row (rows, filled by row);
+    the sweeps' arrays (sweep) and the two sweeps' tables (kkt,
+    uniqueness).  Every array is read-only, every other value a tuple (a
+    witness's SetFamily is frozen, an infeasible search's optimum None)."""
 
     def __init__(self, n: int, s: int):
         if not 1 <= s <= n:
@@ -199,7 +201,7 @@ class _Shape:
         self.universe = tuple(_colex_masks(n, s))
         self.counts: dict[int, np.ndarray] = {}
         self.degree: dict[int, np.ndarray] = {}
-        self.witness: dict[int, tuple[tuple[int, ...], SetFamily]] = {}
+        self.search: dict[tuple, tuple] = {}
         self.rows: dict[tuple, np.ndarray] = {}
 
     def masks_of(self, fid: int) -> tuple[int, ...]:
@@ -469,44 +471,52 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     per isomorphism class (_Shape.classes, counted by _Shape.counts_of), and
     families_scanned adds up the sizes of the classes that pass the filters.
     The witnesses are the least labellings of the attaining classes, one per
-    class, sorted by canonical form; each i-degree cap, and each attaining
-    class's edge masks and SetFamily, are kept in the shape's degree and
-    witness, so a warm search builds no witness.  threads is kept for
+    class, sorted by canonical form.  Each i-degree cap is kept in the
+    shape's degree, and each result in its search under the spec's
+    normalised key: a cap of C(n-i, s-i) or more admits every class and a
+    negative one none, and a u-clique count outside 0..C(n, u) matches no
+    class, so caps and counts are clamped to one past those ends.  A warm
+    search builds no count, cap or witness and returns a new SearchResult
+    with a new list of the kept witnesses.  threads is kept for
     compatibility and has no effect; it must be >= 1.
     """
     import numpy as np
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    shape = _shape(spec.n, spec.s)
-    lo, _, least, sizes = shape.classes
-    levels = tuple(sorted({spec.s, spec.t} | ({spec.u} if spec.u is not None else set())))
-    cnt = dict(zip(levels, shape.counts_of(levels)))
-    ok = np.ones(len(lo), dtype=bool)
-    if spec.m is not None:
-        ok &= cnt[spec.s] == spec.m
-    if spec.i is not None:
-        if spec.i not in shape.degree:
-            caps = _Kernel(spec.n, spec.s).masks(spec.i)
-            # the most edges any i-set lies in, a few classes at a time
-            per = max(1, (1 << 20) // len(caps))
-            shape.degree[spec.i] = _read_only(np.concatenate(
-                [np.bitwise_count(lo[c0:c0 + per, None].astype(np.uint32) & caps).max(axis=1)
-                 for c0 in range(0, len(lo), per)]))
-        ok &= shape.degree[spec.i] <= spec.max_degree
-    if spec.u is not None:
-        ok &= cnt[spec.u] == spec.p
-    scanned = int(sizes[ok].sum())
-    if not ok.any():
-        return SearchResult("infeasible", None, [], 0, scanned)
-    best = int(cnt[spec.t][ok].max())
-    found = []
-    for c in np.flatnonzero(ok & (cnt[spec.t] == best)).tolist():
-        if c not in shape.witness:
-            masks = shape.masks_of(least[c])
-            shape.witness[c] = masks, SetFamily(spec.n, spec.s, frozenset(masks))
-        found.append(shape.witness[c])
-    witnesses = [w for _, w in sorted(found, key=lambda mw: mw[0])]
-    return SearchResult("ok", best, witnesses, len(witnesses), scanned)
+    n, s, t, i, u = spec.n, spec.s, spec.t, spec.i, spec.u
+    shape = _shape(n, s)
+    cap = None if i is None else min(max(spec.max_degree, -1), comb(n - i, s - i))
+    p = None if u is None else min(max(spec.p, -1), comb(n, u) + 1)
+    key = (t, spec.m, i, cap, u, p)
+    if key not in shape.search:
+        lo, _, least, sizes = shape.classes
+        levels = tuple(sorted({s, t} | ({u} if u is not None else set())))
+        cnt = dict(zip(levels, shape.counts_of(levels)))
+        ok = np.ones(len(lo), dtype=bool)
+        if spec.m is not None:
+            ok &= cnt[s] == spec.m
+        if i is not None:
+            if i not in shape.degree:
+                caps = _Kernel(n, s).masks(i)
+                # the most edges any i-set lies in, a few classes at a time
+                per = max(1, (1 << 20) // len(caps))
+                shape.degree[i] = _read_only(np.concatenate(
+                    [np.bitwise_count(lo[c0:c0 + per, None].astype(np.uint32) & caps).max(axis=1)
+                     for c0 in range(0, len(lo), per)]))
+            ok &= shape.degree[i] <= cap
+        if u is not None:
+            ok &= cnt[u] == p
+        scanned = int(sizes[ok].sum())
+        if not ok.any():
+            shape.search[key] = ("infeasible", None, (), scanned)
+        else:
+            best = int(cnt[t][ok].max())
+            found = sorted(shape.masks_of(least[c])
+                           for c in np.flatnonzero(ok & (cnt[t] == best)).tolist())
+            shape.search[key] = ("ok", best, tuple(SetFamily(n, s, frozenset(masks))
+                                                   for masks in found), scanned)
+    status, best, witnesses, scanned = shape.search[key]
+    return SearchResult(status, best, list(witnesses), len(witnesses), scanned)
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +696,9 @@ def verify_equality_theorems() -> EqualityReport:
     bound, packing shadows attaining the edge bound, disjoint cliques attaining
     the clique bound under divisibility, and (by tiny exhaustive searches) the
     converse direction that attainers are shadows of packings.  The designs'
-    counts come from _equality_counts; every bound and comparison is
-    evaluated on each call, and so are the searches.
+    counts come from _equality_counts and the two searches' results from
+    their shapes' kept searches; every bound and comparison is evaluated,
+    and every witness recognized and its design verified, on each call.
     """
     rep = EqualityReport()
     designs, pg, edge, clique = _equality_counts()

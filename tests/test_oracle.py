@@ -826,8 +826,8 @@ def _leaves(v):
 
 def test_kept_rows_and_orbits_are_read_only():
     # each shape's universe, class table, class counts, i-degree caps,
-    # witnesses, expected and verdict rows, sweep arrays and the two sweeps'
-    # tables: every array is read-only, every witness a frozen SetFamily,
+    # search results, expected and verdict rows, sweep arrays and the two
+    # sweeps' tables: every array is read-only, every witness a frozen SetFamily,
     # every other value an int, bool or string inside tuples; and after a
     # search and both sweeps each class's edge count is kept once, as the
     # level-s count row
@@ -839,10 +839,12 @@ def test_kept_rows_and_orbits_are_read_only():
     shape = oracle._shape(5, 3)
     # K_5^(3), the one attaining class, is the last class of (5, 3)
     full = len(shape.classes[0]) - 1
-    assert set(vars(shape)) == {"n", "s", "U", "universe", "counts", "degree", "witness", "rows",
+    assert set(vars(shape)) == {"n", "s", "U", "universe", "counts", "degree", "search", "rows",
                                 "classes", "sweep", "kkt", "uniqueness"}
-    assert (set(shape.counts), set(shape.degree), set(shape.witness)) == (
-        set(range(6)), {1}, {full})
+    # the spec's key: t, m, i, the cap C(4, 2) = 6, u, p
+    key = (4, None, 1, 6, None, None)
+    assert (set(shape.counts), set(shape.degree), set(shape.search)) == (
+        set(range(6)), {1}, {key})
     # shadows q = 0..2, cliques t = 3..5, upshadows t = 4, 5 as the
     # 1- and 0-shadows of 2-sets, and the verdicts at q = 1, 2 and t = 4, 5
     assert set(shape.rows) == {
@@ -851,8 +853,10 @@ def test_kept_rows_and_orbits_are_read_only():
         ("shadow_colex", 2, 1), ("shadow_colex", 2, 0),
         ("is_colex_unique", 3, 1, 5), ("is_colex_unique", 3, 2, 5),
         ("is_clique_unique", 3, 4, 5), ("is_clique_unique", 3, 5, 5)}
-    masks, witness = shape.witness[full]
+    status, best, (witness,), scanned = shape.search[key]
+    assert (status, best, scanned) == (res.status, res.optimum, res.families_scanned)
     assert res.witnesses == [witness] and res.witnesses[0] is witness
+    masks = shape.masks_of(shape.classes[2][full])
     assert masks == tuple(sorted(witness.edges)) and isinstance(witness.edges, frozenset)
     with pytest.raises(dataclasses.FrozenInstanceError):
         witness.edges = frozenset()
@@ -895,9 +899,9 @@ SEARCH_SPECS = [SearchSpec(*a) for a in (
 
 
 def test_warm_search_returns_the_kept_witnesses():
-    # each attaining class's witness is built once per process: two warm
-    # searches return equal results holding the same SetFamily objects, and
-    # a cleared store builds them afresh, equal to the kept ones
+    # each spec's witnesses are built once per process: two warm searches
+    # return equal results holding the same SetFamily objects, and a
+    # cleared store builds them afresh, equal to the kept ones
     def witnesses(results):
         return [w for res in results for w in res.witnesses]
 
@@ -914,6 +918,81 @@ def test_warm_search_returns_the_kept_witnesses():
     cold = [exhaustive_search(spec) for spec in specs]
     assert cold == first
     assert not any(a is b for a, b in zip(witnesses(cold), witnesses(first)))
+
+
+# verify_equality_theorems' two searches, and two searches that no class
+# passes: a negative i-degree cap, and a u-clique count past C(5, 3)
+EQUALITY_SEARCHES = [SearchSpec(6, 3, 4, m=4, i=1, max_degree=3),
+                     SearchSpec(5, 3, 4, i=1, max_degree=6)]
+INFEASIBLE = [SearchSpec(6, 3, 4, i=1, max_degree=-1), SearchSpec(5, 2, 4, u=3, p=10**30)]
+
+
+def test_warm_search_answers_from_the_kept_result():
+    # a warm search returns the kept result as a new SearchResult with a new
+    # list, so a caller that empties one leaves the next whole, and warm
+    # results equal those a cleared store builds afresh
+    specs = SEARCH_SPECS + SEARCHES + EQUALITY_SEARCHES + INFEASIBLE
+    oracle._shape.cache_clear()
+    cold = [exhaustive_search(spec) for spec in specs]
+    assert [(r.status, r.optimum, r.witnesses, r.class_count, r.families_scanned)
+            for r in cold[-2:]] == [("infeasible", None, [], 0, 0)] * 2
+    for spec, first in zip(specs, cold):
+        a, b = exhaustive_search(spec), exhaustive_search(spec)
+        assert a == b == first, spec
+        assert len({id(a), id(b), id(first)}) == 3, spec
+        assert len({id(a.witnesses), id(b.witnesses), id(first.witnesses)}) == 3, spec
+        a.witnesses.clear()
+        assert exhaustive_search(spec) == b == first, spec
+    warm = [exhaustive_search(spec) for spec in specs]
+    oracle._shape.cache_clear()
+    assert [exhaustive_search(spec) for spec in specs] == warm == cold
+
+
+def test_search_key_is_bounded():
+    # a cap of C(n-i, s-i) or more admits every class and a negative one
+    # none, and a u-clique count outside 0..C(n, u) matches no class: such
+    # specs share one kept result, whatever integer the caller passes
+    oracle._shape.cache_clear()
+    shape = oracle._shape(6, 3)
+    free = exhaustive_search(SearchSpec(6, 3, 4, m=5))
+    for caps in ((comb(5, 2), 10**9, 10**30), (-1, -2, -10**30)):
+        before = len(shape.search)
+        got = [exhaustive_search(SearchSpec(6, 3, 4, m=5, i=1, max_degree=d)) for d in caps]
+        assert len(shape.search) == before + 1 and got[1:] == got[:-1], caps
+    assert got[0].families_scanned == 0
+    assert exhaustive_search(SearchSpec(6, 3, 4, m=5, i=1, max_degree=10**30)) == free
+    for ps in ((comb(6, 4) + 1, 10**30), (-1, -10**30)):
+        before = len(shape.search)
+        got = [exhaustive_search(SearchSpec(6, 3, 5, u=4, p=p)) for p in ps]
+        assert len(shape.search) == before + 1 and got[0] == got[1], ps
+        assert (got[0].status, got[0].families_scanned) == ("infeasible", 0), ps
+    before = len(shape.search)
+    for k in range(1000):
+        exhaustive_search(SearchSpec(6, 3, 5, i=2, max_degree=10**12 + k))
+    assert len(shape.search) <= before + 1
+
+
+def test_first_search_of_a_spec_calls_a_stubbed_kernel():
+    # stubbed() clears the kept results, so a stubbed block (every count but
+    # the edge count one too high) is reached by a spec's first search and
+    # kept for its second; once the stub is undone the real result is back
+    spec = SearchSpec(6, 3, 4, m=5)
+    real = exhaustive_search(spec)
+    block = _Kernel.block
+    calls = []
+
+    def skewed(self, levels, ids):
+        calls.append(levels)
+        out = block(self, levels, ids).copy()
+        out[np.array(levels) != self.s] += 1
+        return out
+    with stubbed() as mp:
+        mp.setattr(_Kernel, "block", skewed)
+        stub = exhaustive_search(spec)
+        assert calls and stub.optimum == real.optimum + 1
+        n_calls = len(calls)
+        assert exhaustive_search(spec) == stub and len(calls) == n_calls
+    assert exhaustive_search(spec) == real and len(calls) == n_calls
 
 
 def test_row_memo_does_not_grow_with_patches():
