@@ -16,22 +16,22 @@ closed-form operations by raw enumeration:
   * tightness_sweep: worst-case ratio data for the non-divisible regime.
 
 A family is an id whose bit j says that the j-th edge of the colex-sorted
-universe is present, for universes of at most MAX_UNIVERSE = 24 edges, so
-id 2^m - 1 is C_s(m) and 2^U - 1 - id is the complement.  Every quantity the
-search and the sweeps read (edge count, i-degree, clique, shadow and
-upshadow counts) is unchanged by relabelling, so they count one family per
-isomorphism class (_Shape.classes) and weigh it by its class's size; a
-report still speaks of every family.  Each class is counted at its lowest
-and its highest member, which must agree, and level s must count every
-family's edges; both checks run whenever a level is counted.  A process
-keeps what it builds per shape in one _Shape record (_shape(n, s)) and the
-built-in designs' counts in _equality_counts, so a shape's level or a
-design's shadow is counted once per process, a kernel (its k-set masks)
-lives only for the call that counts it, a warm sweep only compares, a warm
-search of a spec met before reads its kept result, and a stub bound in
-this module builds only what is not kept yet, while every comparison and
-cross-check runs on every call.  The reset is
-_shape.cache_clear() together with _equality_counts.cache_clear().
+universe is present, for universes of at most MAX_UNIVERSE = 24 edges on as
+many points at most, so id 2^m - 1 is C_s(m) and 2^U - 1 - id is the
+complement.  Every quantity the search and the sweeps read (edge count,
+i-degree, clique, shadow and upshadow counts) is unchanged by relabelling,
+so they count one family per isomorphism class (_Shape.classes) and weigh
+it by its class's size; a report still speaks of every family.  Each class
+is counted at its lowest and its highest member, which must agree, and
+level s must count every family's edges; both checks run whenever a level
+is counted.  A process keeps what it builds per shape in one _Shape record
+(_shape(n, s)) and the built-in designs' counts in _equality_counts, so a
+shape's level or a design's shadow is counted once per process and kept
+once, a kernel (its k-set masks) lives only for the call that counts it, a
+warm sweep only compares, a warm search of a spec met before reads its
+kept result, and a stub bound in this module builds only what is not kept
+yet, while every comparison and cross-check runs on every call.  The reset
+is _shape.cache_clear() together with _equality_counts.cache_clear().
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations
 from math import comb, factorial
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .bounds import clique_bound, edge_bound, vertex_bound
 from .cascade import k_colex, shadow_colex
@@ -178,31 +178,31 @@ class _Kernel:
 # per-shape record
 
 class _Shape:
-    """What a process keeps about the s-uniform families on [n], each part
-    built on first use and kept until _shape.cache_clear(): the universe,
-    the s-sets of [n] in colex order; the class table (classes); per level
-    counted, each class's full count (counts, filled by counts_of), whose
-    level-s row is each class's edge count; per i-degree cap read, each
-    class's most edges through one i-set (degree), and per normalised spec
-    key (t, m, i, max_degree, u, p) searched, its status, optimum, witnesses
-    and families_scanned (search), both filled by exhaustive_search; per
-    closed form and its arguments after m, its row (rows, filled by row);
-    the sweeps' arrays (sweep) and the two sweeps' tables (kkt,
-    uniqueness).  Every array is read-only, every other value a tuple (a
-    witness's SetFamily is frozen, an infeasible search's optimum None)."""
+    """What a process keeps about the s-uniform families on [n], n at most
+    MAX_UNIVERSE points, each part built on first use and kept until
+    _shape.cache_clear(): the universe, the s-sets of [n] in colex order;
+    the class table (classes); per level counted, each class's full count
+    (counts, filled by counts_of), whose level-s row is each class's edge
+    count, the one home of every count; per normalised spec key (t, m, i,
+    max_degree, u, p) searched, its status, optimum, witnesses and
+    families_scanned (search, filled by exhaustive_search); the complement
+    and colex class indices (sweep) and the two sweeps' tables (kkt,
+    uniqueness), which read their levels from counts.  Every array is
+    read-only, every other value a tuple (a witness's SetFamily is frozen,
+    an infeasible search's optimum None)."""
 
     def __init__(self, n: int, s: int):
         if not 1 <= s <= n:
             raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
+        if n > MAX_UNIVERSE:
+            raise ValueError(f"{n} points exceed the point cap {MAX_UNIVERSE}")
         U = comb(n, s)
         if U > MAX_UNIVERSE:
             raise ValueError(f"universe C({n},{s}) = {U} exceeds sweep cap {MAX_UNIVERSE}")
         self.n, self.s, self.U = n, s, U
         self.universe = tuple(_colex_masks(n, s))
         self.counts: dict[int, np.ndarray] = {}
-        self.degree: dict[int, np.ndarray] = {}
         self.search: dict[tuple, tuple] = {}
-        self.rows: dict[tuple, np.ndarray] = {}
 
     def masks_of(self, fid: int) -> tuple[int, ...]:
         return tuple(self.universe[j] for j in _bit_positions(int(fid)))
@@ -305,32 +305,17 @@ class _Shape:
             self.counts.update(zip(new, _read_only(at_lo.copy())))
         return [self.counts[k] for k in levels]
 
-    def row(self, name: str, f: Callable, *args: int, verdict: bool = False) -> np.ndarray:
-        """[f(m, *args) for m = 0..U] (their .verdict when verdict is set), a
-        read-only int64 array kept in rows under (name, *args): name is f's
-        name in this module, as a stub's __name__ may be "<lambda>"."""
-        import numpy as np
-        if (name, *args) not in self.rows:
-            vals = [f(m, *args) for m in range(self.U + 1)]
-            self.rows[(name, *args)] = _read_only(
-                np.array([v.verdict for v in vals] if verdict else vals, dtype=np.int64))
-        return self.rows[(name, *args)]
-
     @cached_property
-    def sweep(self) -> tuple[np.ndarray, ...]:
-        """For the sweeps, over the classes in classes' order: the full count
-        of every level 0..n, as [level, class], whose rows counts then holds,
-        so each count is kept once and row s is each class's edge count; the
-        index of its complement's class, whose full counts give the class's
+    def sweep(self) -> tuple[np.ndarray, np.ndarray]:
+        """For the sweeps, over the classes in classes' order: the index of
+        each class's complement's class, whose full counts give the class's
         meet counts; and per m the index of the class of C_s(m), whose
         lowest member is 2^m - 1."""
         import numpy as np
         lo, hi, _, _ = self.classes
-        cnt = _read_only(np.stack(self.counts_of(tuple(range(self.n + 1)))))
-        self.counts.update(enumerate(cnt))
         comp = np.searchsorted(lo, (1 << self.U) - 1 - hi)
         colex = np.searchsorted(lo, (1 << np.arange(self.U + 1, dtype=np.int64)) - 1)
-        return cnt, _read_only(comp), _read_only(colex)
+        return _read_only(comp), _read_only(colex)
 
     @cached_property
     def kkt(self) -> tuple:
@@ -341,26 +326,28 @@ class _Shape:
         C_s(m); a meet row the least meet count, C(n, level) minus the
         largest full count at U - m (complements), and that of C_s(m) for a
         shadow or of the retlex segment, the complement of C_s(U - m), for an
-        upshadow."""
+        upshadow.  Every level 0..n is counted into counts first."""
         import numpy as np
         n, s, U = self.n, self.s, self.U
+        ms = range(U + 1)
         # (kind, check label, level, full, expected per m)
-        rows = [("shadow", "min shadow q", q, False, self.row("shadow_colex", shadow_colex, s, q))
+        rows = [("shadow", "min shadow q", q, False, [shadow_colex(m, s, q) for m in ms])
                 for q in range(s)]
-        rows += [("cliques", "max cliques t", t, True, self.row("k_colex", k_colex, s, t))
+        rows += [("cliques", "max cliques t", t, True, [k_colex(m, s, t) for m in ms])
                  for t in range(s, n + 1)]
         # complementing every edge maps the retlex s-segment to the colex
         # (n-s)-segment and its t-upshadow to the (n-t)-shadow of that
         rows += [("upshadow", "min upshadow t", t, False,
-                  self.row("shadow_colex", shadow_colex, n - s, n - t))
+                  [shadow_colex(m, n - s, n - t) for m in ms])
                  for t in range(s + 1, n + 1)]
-        cnt, comp, colex = self.sweep
+        comp, colex = self.sweep
+        cnt = np.stack(self.counts_of(tuple(range(n + 1))))
         top = np.zeros((n + 1, U + 1), dtype=np.int64)
         np.maximum.at(top, (slice(None), cnt[s]), cnt)
         retlex = comp[colex[::-1]]
         ext = [top[level] if full else comb(n, level) - top[level, ::-1]
                for _, _, level, full, _ in rows]
-        got = [_level(n, cnt, comp, level, full)[retlex if kind == "upshadow" else colex]
+        got = [_level(n, self.counts, comp, level, full)[retlex if kind == "upshadow" else colex]
                for kind, _, level, full, _ in rows]
         return (tuple((kind, level, full) for kind, _, level, full, _ in rows),
                 tuple(f"{label}={level}" for _, label, level, _, _ in rows),
@@ -374,25 +361,27 @@ class _Shape:
         read-only arrays [row, m], the verdicts and where a False verdict
         fails too (colex rows at m > s + 1), and [row, class] whether the
         class attains the extreme of its edge count, and [row, m] the number
-        of attainers, the sum of their class sizes."""
+        of attainers, the sum of their class sizes.  Every level 0..n is
+        counted into counts first."""
         import numpy as np
         n, s, U = self.n, self.s, self.U
+        ms = range(U + 1)
         # (kind, level name, goal, level, full, extremal value per m, verdict per m)
-        table = [("colex", "q", "min shadow", q, False,
-                  self.row("shadow_colex", shadow_colex, s, q),
-                  self.row("is_colex_unique", is_colex_unique, s, q, n, verdict=True))
+        table = [("colex", "q", "min shadow", q, False, [shadow_colex(m, s, q) for m in ms],
+                  [is_colex_unique(m, s, q, n).verdict for m in ms])
                  for q in range(1, s)]
-        table += [("clique", "t", "max cliques", t, True, self.row("k_colex", k_colex, s, t),
-                   self.row("is_clique_unique", is_clique_unique, s, t, n, verdict=True))
+        table += [("clique", "t", "max cliques", t, True, [k_colex(m, s, t) for m in ms],
+                   [is_clique_unique(m, s, t, n).verdict for m in ms])
                   for t in range(s + 1, n + 1)]
         sizes = self.classes[3]
-        cnt, comp, _ = self.sweep
-        mc = cnt[s]
+        comp, _ = self.sweep
+        mc = self.counts_of(tuple(range(n + 1)))[s]
         R, C = len(table), len(sizes)
         verdict = np.array([v for *_, v in table], dtype=bool).reshape(R, U + 1)
         strict = np.array([kind == "colex" for kind, *_ in table], dtype=bool)[:, None] \
             & (np.arange(U + 1) > s + 1)
-        att = np.array([_level(n, cnt, comp, level, full) == ext[mc]
+        att = np.array([_level(n, self.counts, comp, level, full)
+                        == np.array(ext, dtype=np.int64)[mc]
                         for *_, level, full, ext, _ in table], dtype=bool).reshape(R, C)
         n_att = np.array([np.bincount(mc, weights=np.where(hit, sizes, 0), minlength=U + 1)
                           for hit in att]).astype(np.int64).reshape(R, U + 1)
@@ -408,10 +397,11 @@ def _shape(n: int, s: int) -> _Shape:
     return _Shape(n, s)
 
 
-def _level(n: int, cnt: np.ndarray, comp: np.ndarray, level: int, full: bool) -> np.ndarray:
-    """Per class, its full count at level, or its meet count: C(n, level)
-    minus the full count of its complement."""
-    return cnt[level] if full else comb(n, level) - cnt[level, comp]
+def _level(n: int, counts: dict[int, np.ndarray], comp: np.ndarray, level: int,
+           full: bool) -> np.ndarray:
+    """Per class, its full count at level, from a shape's counts, or its
+    meet count: C(n, level) minus the full count of its complement."""
+    return counts[level] if full else comb(n, level) - counts[level][comp]
 
 # ---------------------------------------------------------------------------
 # exhaustive search
@@ -471,14 +461,15 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
     per isomorphism class (_Shape.classes, counted by _Shape.counts_of), and
     families_scanned adds up the sizes of the classes that pass the filters.
     The witnesses are the least labellings of the attaining classes, one per
-    class, sorted by canonical form.  Each i-degree cap is kept in the
-    shape's degree, and each result in its search under the spec's
-    normalised key: a cap of C(n-i, s-i) or more admits every class and a
-    negative one none, and a u-clique count outside 0..C(n, u) matches no
-    class, so caps and counts are clamped to one past those ends.  A warm
-    search builds no count, cap or witness and returns a new SearchResult
-    with a new list of the kept witnesses.  threads is kept for
-    compatibility and has no effect; it must be >= 1.
+    class, sorted by canonical form.  A spec's first search reads the
+    i-degree caps off the i-set masks and the class ids, and each result is
+    kept in the shape's search under the spec's normalised key: a cap of
+    C(n-i, s-i) or more admits every class and a negative one none, and a
+    u-clique count outside 0..C(n, u) matches no class, so caps and counts
+    are clamped to one past those ends.  A warm search builds no count, cap
+    or witness and returns a new SearchResult with a new list of the kept
+    witnesses.  threads is kept for compatibility and has no effect; it
+    must be >= 1.
     """
     import numpy as np
     if threads < 1:
@@ -496,14 +487,12 @@ def exhaustive_search(spec: SearchSpec, threads: int = 1) -> SearchResult:
         if spec.m is not None:
             ok &= cnt[s] == spec.m
         if i is not None:
-            if i not in shape.degree:
-                caps = _Kernel(n, s).masks(i)
-                # the most edges any i-set lies in, a few classes at a time
-                per = max(1, (1 << 20) // len(caps))
-                shape.degree[i] = _read_only(np.concatenate(
-                    [np.bitwise_count(lo[c0:c0 + per, None].astype(np.uint32) & caps).max(axis=1)
-                     for c0 in range(0, len(lo), per)]))
-            ok &= shape.degree[i] <= cap
+            caps = _Kernel(n, s).masks(i)
+            # the most edges any i-set lies in, a few classes at a time
+            per = max(1, (1 << 20) // len(caps))
+            ok &= np.concatenate(
+                [np.bitwise_count(lo[c0:c0 + per, None].astype(np.uint32) & caps).max(axis=1)
+                 for c0 in range(0, len(lo), per)]) <= cap
         if u is not None:
             ok &= cnt[u] == p
         scanned = int(sizes[ok].sum())
@@ -558,14 +547,14 @@ def verify_kkt(n: int, s: int) -> SweepReport:
     if ext.tobytes() == want.tobytes() == got.tobytes():
         return report
     lo = shape.classes[0]
-    cnt, comp, _ = shape.sweep
-    mc = cnt[s]
+    comp, _ = shape.sweep
+    mc = shape.counts[s]
     beyond = ext != want
     for i in np.flatnonzero(beyond.any(axis=1) | (got != want).any(axis=1)).tolist():
         (kind, level, full), expected = rows[i], want[i]
         seg = "retlex" if kind == "upshadow" else "colex"
         # per m, the lowest member of the first class beyond its expected value
-        v = _level(n, cnt, comp, level, full)
+        v = _level(n, shape.counts, comp, level, full)
         first: dict[int, int] = {}
         for c in np.flatnonzero(v > expected[mc] if full else v < expected[mc]).tolist():
             first.setdefault(int(mc[c]), int(lo[c]))
@@ -607,7 +596,7 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
     rows, labels, verdict, strict, att, n_att = shape.uniqueness
     report = SweepReport("uniqueness", n, s, 1 << U, list(labels))
     lo, _, _, sizes = shape.classes
-    cnt, _, colex = shape.sweep
+    _, colex = shape.sweep
 
     # the first m, and at it the first row, at which the orbit does not attain
     orbit_attains = att[:, colex]
@@ -623,7 +612,7 @@ def verify_uniqueness(n: int, s: int) -> SweepReport:
     unique = n_att == orbit
     for m, j in np.argwhere(((verdict != unique) & (verdict | strict)).T).tolist():
         # the lowest member of the first attaining class outside the orbit
-        other = att[j] & (cnt[s] == m)
+        other = att[j] & (shape.counts[s] == m)
         other[colex[m]] = False
         kind, _, _, level = rows[j]
         report.failures.append({

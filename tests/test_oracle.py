@@ -342,6 +342,29 @@ def test_sweep_domain(n, s):
     assert r.exit_status == 1 and r.payload["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("n", [25, 29, 33])
+@pytest.mark.parametrize("call,argv", [
+    (verify_kkt, "verify kkt {n} {n}"), (verify_uniqueness, "verify uniqueness {n} {n}"),
+    (lambda n, s: exhaustive_search(SearchSpec(n, s, n)), "search {n} {n} {n}")],
+    ids=["kkt", "uniqueness", "search"])
+def test_point_cap(n, call, argv):
+    # at s = n the universe holds one edge, which the universe cap admits at
+    # any n, but the kernel lists every k-set of [n]: verify kkt 29 29 ran
+    # out of memory and n > 32 overflowed the uint32 masks.  Past
+    # MAX_UNIVERSE points each is refused before anything is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{n} points exceed the point cap 24"):
+            call(n, n)
+        r = run(argv.format(n=n).split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.exit_status == 1 and r.payload["error"] == "ValueError"
+    assert "point cap" in r.payload["message"]
+    assert peak < 2**20
+
+
 def _record(monkeypatch, *names):
     """Calls to the named _Kernel methods, as (name, first argument)."""
     calls = []
@@ -378,7 +401,7 @@ def test_second_kkt_sweep_builds_no_masks(oracle_patch):
 
 
 def test_second_search_builds_no_masks(oracle_patch):
-    # the (6,3) class counts and i-degree caps are kept for the process
+    # the (6,3) class counts and the spec's result are kept for the process
     spec = SearchSpec(6, 3, 4, m=4, i=1, max_degree=3)
     exhaustive_search(spec)
     calls = _record(oracle_patch, "masks")
@@ -386,12 +409,26 @@ def test_second_search_builds_no_masks(oracle_patch):
     assert calls == []
 
 
+def test_new_spec_reads_the_kept_counts(oracle_patch):
+    # a spec met first after another on the same shape reads the levels
+    # kept for it: only its i-set masks are built, no level is counted
+    # again, and its result is the one a cleared store gives
+    exhaustive_search(SearchSpec(6, 3, 4, m=4, i=1, max_degree=3))
+    spec = SearchSpec(6, 3, 4, m=6, i=1, max_degree=5)
+    calls = _record(oracle_patch, "block", "masks")
+    res = exhaustive_search(spec)
+    assert calls == [("masks", 1)]
+    oracle._shape.cache_clear()
+    assert exhaustive_search(spec) == res
+
+
 @pytest.mark.parametrize("n,s,spec", [(6, 3, SearchSpec(6, 3, 4, m=4, i=1, max_degree=3)),
                                       (18, 17, SearchSpec(18, 17, 18, i=16, max_degree=2))],
                          ids=["6-3", "18-17"])
 def test_second_sweep_or_search_counts_nothing(oracle_patch, n, s, spec):
-    # a shape's class counts and i-degree caps are kept for the process: a
-    # second sweep or search reads them and builds no kernel masks
+    # a shape's class counts, sweep tables and search results are kept for
+    # the process: a second sweep or search reads them and builds no kernel
+    # masks
     first = verify_kkt(n, s), exhaustive_search(spec)
     assert first[0].ok and first[1].optimum == 1
     calls = _record(oracle_patch, "block", "masks")
@@ -424,12 +461,12 @@ def test_kkt_sweep_reports_a_segment_that_does_not_attain(oracle_patch):
     # The upshadow row reads the retlex segment with 7 edges, the
     # complement of C_2(3), whose class is read through the skewed column
     shape = oracle._shape(5, 2)
-    cnt, comp, colex = shape.sweep
+    comp, colex = shape.sweep
     lo = shape.classes[0]
     assert (lo[colex[3]], lo[colex[3] + 1]) == (7, 11)
     colex = colex.copy()
     colex[3] += 1
-    shape.sweep = cnt, comp, colex
+    shape.sweep = comp, colex
     rep = verify_kkt(5, 2)
     assert [(f["kind"], f["level"]) for f in rep.failures] == [
         ("shadow-colex-attain", 1), ("cliques-colex-attain", 3), ("upshadow-retlex-attain", 3)]
@@ -614,12 +651,13 @@ def test_class_table_matches_every_id():
         mc = np.bitwise_count(lo)
         assert len(lo) == classes and int(sizes.sum()) == 1 << U, (n, s)
         assert np.bincount(mc, weights=sizes).tolist() == [comb(U, m) for m in range(U + 1)]
-        cnt, comp, _ = shape.sweep
+        comp, _ = shape.sweep
+        cnt = shape.counts_of(tuple(range(n + 1)))
         full, meet = _every_id_counts(n, s)
         m_all = np.bitwise_count(np.arange(1 << U, dtype=np.uint32))
         for k in range(n + 1):
             for every, per_class, pick in ((full[k], cnt[k], np.maximum),
-                                           (meet[k], comb(n, k) - cnt[k, comp], np.minimum)):
+                                           (meet[k], comb(n, k) - cnt[k][comp], np.minimum)):
                 assert (_extremes(m_all, every, pick, U)
                         == _extremes(mc, per_class, pick, U, sizes)), (n, s, k, pick)
 
@@ -794,9 +832,10 @@ SEAMS = [
 
 @pytest.mark.parametrize("name,sweep,shape,stub", SEAMS, ids=[s[0] for s in SEAMS])
 def test_warm_sweeps_still_call_a_patched_seam(name, sweep, shape, stub):
-    # rows and verdicts are kept per shape, so a stub is bound on a store
-    # cleared after warm sweeps: it is the one called, cold and warm, and
-    # the real one once the store is cleared again
+    # the sweeps' tables, which hold the expected rows and verdicts, are
+    # kept per shape, so a stub is bound on a store cleared after warm
+    # sweeps: it is the one called, cold and warm, and the real one once the
+    # store is cleared again
     assert verify_kkt(5, 2).ok and verify_uniqueness(5, 3).ok
     with stubbed() as mp:
         mp.setattr(oracle, name, stub(getattr(oracle, name)))
@@ -807,9 +846,9 @@ def test_warm_sweeps_still_call_a_patched_seam(name, sweep, shape, stub):
 
 @pytest.mark.parametrize("n,s", [(6, 3), (18, 17)], ids=["6-3", "18-17"])
 def test_warm_sweeps_call_no_closed_form(oracle_patch, n, s):
-    # a warm sweep reads its expected rows, verdict rows and table from the
-    # store: wrappers bound on the four seams, as the benchmark's tracer
-    # binds them before each traced pass, are not called
+    # a warm sweep reads its table, which holds the expected and verdict
+    # rows, from the store: wrappers bound on the four seams, as the
+    # benchmark's tracer binds them before each traced pass, are not called
     warm = verify_kkt(n, s), verify_uniqueness(n, s)
     assert warm[0].ok and warm[1].ok
     calls = _record_seams(oracle_patch, *(name for name, *_ in SEAMS))
@@ -825,12 +864,12 @@ def _leaves(v):
 
 
 def test_kept_rows_and_orbits_are_read_only():
-    # each shape's universe, class table, class counts, i-degree caps,
-    # search results, expected and verdict rows, sweep arrays and the two
-    # sweeps' tables: every array is read-only, every witness a frozen SetFamily,
-    # every other value an int, bool or string inside tuples; and after a
-    # search and both sweeps each class's edge count is kept once, as the
-    # level-s count row
+    # each shape's universe, class table, class counts, search results,
+    # sweep indices and the two sweeps' tables: every array is read-only,
+    # every witness a frozen SetFamily, every other value an int, bool or
+    # string inside tuples; and after a search and both sweeps each class's
+    # edge count is kept once, as the level-s count row, and no two kept
+    # arrays share memory
     oracle._shape.cache_clear()
     verify_kkt(5, 2)
     verify_kkt(5, 3)
@@ -839,20 +878,11 @@ def test_kept_rows_and_orbits_are_read_only():
     shape = oracle._shape(5, 3)
     # K_5^(3), the one attaining class, is the last class of (5, 3)
     full = len(shape.classes[0]) - 1
-    assert set(vars(shape)) == {"n", "s", "U", "universe", "counts", "degree", "search", "rows",
+    assert set(vars(shape)) == {"n", "s", "U", "universe", "counts", "search",
                                 "classes", "sweep", "kkt", "uniqueness"}
     # the spec's key: t, m, i, the cap C(4, 2) = 6, u, p
     key = (4, None, 1, 6, None, None)
-    assert (set(shape.counts), set(shape.degree), set(shape.search)) == (
-        set(range(6)), {1}, {key})
-    # shadows q = 0..2, cliques t = 3..5, upshadows t = 4, 5 as the
-    # 1- and 0-shadows of 2-sets, and the verdicts at q = 1, 2 and t = 4, 5
-    assert set(shape.rows) == {
-        ("shadow_colex", 3, 0), ("shadow_colex", 3, 1), ("shadow_colex", 3, 2),
-        ("k_colex", 3, 3), ("k_colex", 3, 4), ("k_colex", 3, 5),
-        ("shadow_colex", 2, 1), ("shadow_colex", 2, 0),
-        ("is_colex_unique", 3, 1, 5), ("is_colex_unique", 3, 2, 5),
-        ("is_clique_unique", 3, 4, 5), ("is_clique_unique", 3, 5, 5)}
+    assert (set(shape.counts), set(shape.search)) == (set(range(6)), {key})
     status, best, (witness,), scanned = shape.search[key]
     assert (status, best, scanned) == (res.status, res.optimum, res.families_scanned)
     assert res.witnesses == [witness] and res.witnesses[0] is witness
@@ -875,13 +905,13 @@ def test_kept_rows_and_orbits_are_read_only():
     assert all(any(a is b for b in arrays)
                for a in (ext, got, verdict, strict, att, n_att, shape.counts[3]))
     assert all(not a.flags.writeable for a in arrays)
-    # the sweep keeps its level counts, complements and colex classes, and
-    # no array but the level-s row holds each class's edge count
+    # the sweep keeps its complement and colex classes, and no array but
+    # the level-s count row holds each class's edge count
     edges = np.bitwise_count(shape.classes[0])
-    assert len(shape.sweep) == 3
+    assert len(shape.sweep) == 2
     held = [a for a in _leaves(vars(shape)) if isinstance(a, np.ndarray) and np.array_equal(a, edges)]
     assert len(held) == 1 and held[0] is shape.counts[3]
-    assert np.shares_memory(shape.counts[3], shape.sweep[0])
+    assert not any(np.shares_memory(a, b) for a, b in combinations(arrays, 2))
     with pytest.raises(ValueError):
         shape.classes[0][0] = 1
     with pytest.raises(ValueError):
@@ -996,11 +1026,11 @@ def test_first_search_of_a_spec_calls_a_stubbed_kernel():
 
 
 def test_row_memo_does_not_grow_with_patches():
-    # a row is kept under the closed form's name and arguments, not under
-    # the function bound (every lambda stub is "<lambda>"): patched sweeps
-    # leave each shape the parts and row keys that the real ones leave
+    # the expected and verdict rows are evaluated into the sweeps' tables,
+    # not kept under the function bound (every lambda stub is "<lambda>"):
+    # patched sweeps leave each shape the parts that the real ones leave
     def keys():
-        return [(set(vars(sh)), set(sh.rows)) for sh in (oracle._shape(5, 2), oracle._shape(5, 3))]
+        return [set(vars(sh)) for sh in (oracle._shape(5, 2), oracle._shape(5, 3))]
     oracle._shape.cache_clear()
     verify_kkt(5, 2)
     verify_uniqueness(5, 3)
@@ -1114,7 +1144,7 @@ def test_warm_uniqueness_sweep_checks_the_orbit(oracle_patch):
     # the colex orbit's class must attain on every call, not only when the
     # attainer masks are built
     assert verify_uniqueness(6, 3).ok
-    colex = oracle._shape(6, 3).sweep[2]
+    colex = oracle._shape(6, 3).sweep[1]
     _edit_kept((6, 3), "uniqueness", 4, (1, colex[7]), False)
     with pytest.raises(InternalCheckError, match="colex orbit not attaining min shadow at m=7, q=2"):
         verify_uniqueness(6, 3)
@@ -1173,7 +1203,7 @@ def test_warm_uniqueness_sweep_compares_the_kept_verdicts(oracle_patch):
     assert verify_uniqueness(6, 3).ok
     rows, _, verdict, _, _, n_att = oracle._shape(6, 3).uniqueness
     j = rows.index(("clique", "t", "max cliques", 4))
-    orbit = oracle._shape(6, 3).classes[3][oracle._shape(6, 3).sweep[2]]
+    orbit = oracle._shape(6, 3).classes[3][oracle._shape(6, 3).sweep[1]]
     m = next(m for m in range(21) if not verdict[j, m] and n_att[j, m] != orbit[m])
     _edit_kept((6, 3), "uniqueness", 2, (j, m), True)
     rep = verify_uniqueness(6, 3)
